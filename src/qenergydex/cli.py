@@ -38,6 +38,8 @@ from .keypool import (
 )
 from .market import (
     SCENARIOS,
+    aggregate_response,
+    leader_cost,
     security_coupled_clearing,
     synthetic_grid_instance,
 )
@@ -465,7 +467,7 @@ def cmd_keypool(config: dict, out: Path) -> list[tuple[str, bool, str]]:
     return checks
 
 
-def cmd_market(config: dict, out: Path, jobs: int = 1) -> list[tuple[str, bool, str]]:
+def cmd_market(config: dict, out: Path) -> list[tuple[str, bool, str]]:
     m = config["market"]
     qs = config["qsah"]
     link = _link_from_config(config)
@@ -531,6 +533,24 @@ def cmd_market(config: dict, out: Path, jobs: int = 1) -> list[tuple[str, bool, 
             )
             checks.append(
                 (f"dataset {dataset} {stack}: SOCIAL dominates row", dominated, "")
+            )
+            # STACK's prices, re-checked from the capped responses: line
+            # flows within tol, and no dearer for the leader than SOCIAL's
+            # dual price (always a feasible leader price)
+            keep = results[stack][0]
+            h = grid.ptdf[:, keep]
+            u = outcomes["STACK"].u
+            flows = h @ aggregate_response([prosumers[i] for i in keep], u, h)
+            limits = grid.line_limits
+            viol = float((np.maximum(0.0, flows - limits) / (1.0 + np.abs(limits))).max())
+            cost = leader_cost(grid, u)
+            social_cost = leader_cost(grid, outcomes["SOCIAL"].u)
+            checks.append(
+                (
+                    f"dataset {dataset} {stack}: STACK certified",
+                    viol <= m["tol"] and cost <= social_cost * (1 + 1e-9) + 1e-9,
+                    f"violation {viol:.1e}, leader cost {cost:.2f} vs SOCIAL price {social_cost:.2f}",
+                )
             )
     _write_csv(
         out / "welfare_grid.csv",
@@ -704,7 +724,7 @@ def main(argv: list[str] | None = None) -> int:
     write_manifest(out, args.command, config)
 
     fn = COMMANDS[args.command]
-    if args.command in ("porlite", "market"):
+    if args.command == "porlite":
         checks = fn(config, out, jobs=args.jobs)
     else:
         checks = fn(config, out)

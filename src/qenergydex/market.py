@@ -7,12 +7,15 @@ respond to bus prices with the capped affine rule
 
 The leader picks line shadow prices u >= 0 minimizing its strictly convex
 cost 0.5 u^T Q u + c^T u subject to the followers' induced line flows
-H p(u) staying inside the thermal limits. Both the leader problem and the
-social-welfare benchmark are solved with projected-gradient methods: the
-social problem through its Lagrangian dual (the dual gradient is the line
-slack, with the capped response as the inner argmax), the leader problem
-with a quadratic feasibility-penalty continuation and a small linear
-smoothing of the response kinks.
+H p(u) staying inside the thermal limits. The social-welfare benchmark is
+solved through its Lagrangian dual with projected Newton steps (the dual
+gradient is the line slack, with the capped response as the inner argmax).
+The leader problem is nonconvex, but on each cap pattern (which followers
+sit at +-p_max) the flows are affine in u and it is a convex QP; the
+leader solver descends over cap patterns, one exact QP per step, checking
+each step against the true capped response. SOCIAL's dual price is always
+a feasible leader price and is one of its start points, so STACK never
+costs the leader more than SOCIAL's price does.
 
 Scenario set:
 
@@ -48,11 +51,11 @@ __all__ = [
     "Prosumer",
     "GridModel",
     "MarketOutcome",
-    "Infeasible",
     "NoConvergence",
     "follower_response",
     "aggregate_response",
     "welfare",
+    "leader_cost",
     "solve_social",
     "solve_stackelberg",
     "solve_base",
@@ -67,10 +70,6 @@ __all__ = [
 SCENARIOS = ("SOCIAL", "STACK", "BASE", "WBASE")
 DEFAULT_TOL = 1e-6
 MAX_ITER = 100_000
-
-
-class Infeasible(RuntimeError):
-    """No admissible price vector satisfies the line limits."""
 
 
 class NoConvergence(RuntimeError):
@@ -177,6 +176,12 @@ def welfare(prosumers: list[Prosumer], p: np.ndarray) -> float:
     alpha, pi, _ = _vectors(prosumers)
     p = np.asarray(p, dtype=float)
     return float(np.sum(pi * p - p * p / (2.0 * alpha)))
+
+
+def leader_cost(grid: GridModel, u: np.ndarray) -> float:
+    """The leader's cost 0.5 u^T Q u + c^T u of a price vector."""
+    u = np.asarray(u, dtype=float)
+    return 0.5 * float(grid.leader_q_diag @ (u * u)) + float(grid.leader_c @ u)
 
 
 # ---------------------------------------------------------------------------
@@ -287,25 +292,40 @@ def _smoothed_activity(raw, pmax):
     return np.clip((pmax - np.abs(raw)) / delta + 0.5, 0.0, 1.0)
 
 
-def _ray_start(h, alpha, pi, pmax, limits, q, c) -> np.ndarray:
-    """Initial leader point: best uniform-price probe, feasibility first.
+_RAY_KAPPAS = np.concatenate(([0.0], np.geomspace(1e-3, 1e4, 36)))
 
-    The penalized landscape of the capped response is only piecewise
-    convex; descending from the least-violating (cheapest) point of the
-    uniform-price ray avoids basins where congestion cannot be relieved.
+
+def _uniform_price_ray(h, alpha, pi, pmax):
+    """Yield (u, line flows) at each probe price u = kappa * 1 of the uniform-price ray."""
+    for kappa in _RAY_KAPPAS:
+        u = np.full(h.shape[0], kappa)
+        yield u, h @ np.clip(alpha * (pi - h.T @ u), -pmax, pmax)
+
+
+def _leader_qp(m, b, q, c) -> np.ndarray:
+    """min 0.5 u^T diag(q) u + c^T u  s.t.  m u >= b, u >= 0 (must be feasible).
+
+    With w = sqrt(q) u + c / sqrt(q) the objective is |w|^2 / 2 plus a
+    constant and the constraints stay linear, E w >= f. That least-distance
+    problem is solved through its NNLS dual (Lawson & Hanson, Solving Least
+    Squares Problems, 1974, ch. 23): minimize |[E^T; f^T] z - e_last| over
+    z >= 0; with residual r, w = -r[:-1] / r[-1].
     """
-    best_u = np.zeros(limits.shape)
-    best_key = (math.inf, math.inf)
-    for kappa in np.concatenate(([0.0], np.geomspace(1e-3, 1e4, 36))):
-        u = np.full(limits.shape, kappa)
-        flows = h @ np.clip(alpha * (pi - h.T @ u), -pmax, pmax)
-        viol = float((np.maximum(0.0, flows - limits) / (1.0 + np.abs(limits))).max(initial=0.0))
-        cost = 0.5 * float(q @ (u * u)) + float(c @ u)
-        key = (round(viol / 1e-9), cost) if viol > 1e-9 else (0.0, cost)
-        if key < best_key:
-            best_key = key
-            best_u = u
-    return best_u
+    rq = np.sqrt(q)
+    g = np.vstack((m, np.eye(len(q))))
+    e = g / rq
+    f = np.concatenate((b, np.zeros(len(q)))) + g @ (c / q)
+    # rows of lines no free follower loads read 0 >= f, which the caller's
+    # feasible point already satisfies; drop them and normalize the rest
+    norms = np.linalg.norm(e, axis=1)
+    rows = norms > 1e-12 * norms.max()
+    a = np.vstack(((e[rows] / norms[rows, None]).T, f[rows] / norms[rows]))
+    rhs = np.zeros(len(q) + 1)
+    rhs[-1] = 1.0
+    z, _ = optimize.nnls(a, rhs)
+    r = a @ z - rhs
+    w = -r[:-1] / r[-1]
+    return np.maximum(0.0, (w - c / rq) / rq)
 
 
 def solve_stackelberg(
@@ -317,9 +337,31 @@ def solve_stackelberg(
 ) -> MarketOutcome:
     """Leader problem min C_grid(u) s.t. H p(u) <= limits, u >= 0.
 
-    Solved by projected gradient on a quadratic feasibility penalty with
-    continuation (penalty weight grows geometrically); the response kinks
-    are smoothed linearly over a vanishing width for the Jacobian.
+    A descent over cap patterns. With the pattern of capped followers
+    fixed, flows are f0 - M u with M = H_F diag(alpha_F) H_F^T over the
+    free followers F, and the leader problem on that piece is the convex
+    QP min C_grid(u) s.t. M u >= f0 - limits, u >= 0 (solved exactly by
+    `_leader_qp`; lines already overloaded at the current price may not
+    get worse). Each step solves the QP of the current piece, then walks
+    the segment toward its solution under the true capped response and
+    stops at the first line overload (flows are piecewise linear along the
+    segment, so the crossing is located over the cap breakpoints and
+    solved exactly). The cost is convex along the segment and no larger
+    at its end, so it never increases; the next piece is the one the
+    segment was in when it stopped. Steps repeat until the cost stops
+    decreasing, at most `max_iter` QP solves per start.
+
+    Starts: SOCIAL's dual price (always feasible, p(u) is then the social
+    optimum), the cheapest feasible point of the uniform-price ray, and
+    `u0` when given and feasible; the cheapest result is kept. The problem
+    is nonconvex across patterns, so this certifies feasibility and the
+    SOCIAL-price bound, not global optimality.
+
+    `iterations` counts QP solves over all starts. `kkt_residual` is the
+    primal part of the KKT residual: the worst line overload of the
+    returned prices, recomputed from the capped response, relative to
+    1 + |limit|. `feasible` is that residual <= tol. Raises NoConvergence
+    when `solve_social` does.
     """
     alpha, pi, pmax = _vectors(prosumers)
     h = grid.ptdf
@@ -328,190 +370,85 @@ def solve_stackelberg(
     c = grid.leader_c
     scale = 1.0 + np.abs(limits)
 
-    def flows_of(u):
-        return h @ _response(alpha, pi, pmax, h, u)
+    def rel_viol(flows):
+        return float((np.maximum(0.0, flows - limits) / scale).max(initial=0.0))
 
-    def phi(u, rho):
-        p = _response(alpha, pi, pmax, h, u)
-        viol = np.maximum(0.0, h @ p - limits)
-        return 0.5 * float(q @ (u * u)) + float(c @ u) + 0.5 * rho * float(viol @ viol)
+    def first_overload(raw, draw, bound):
+        """(t, piece): how far along raw + t draw, t in [0, 1], flows stay
+        under bound, and the responses of the piece where they stop."""
+        def flows_at(t):
+            return h @ np.clip(raw + t * draw, -pmax, pmax)
 
-    def phi_grad(u, rho):
-        raw = alpha * (pi - h.T @ u)
-        p = np.clip(raw, -pmax, pmax)
-        viol = np.maximum(0.0, h @ p - limits)
-        act = _smoothed_activity(raw, pmax)
-        return q * u + c - h @ ((act * alpha) * (h.T @ (rho * viol)))
+        def over(flows):
+            return bool((flows > bound + 1e-12 * scale).any())
 
-    def rel_viol(u):
-        return float((np.maximum(0.0, flows_of(u) - limits) / scale).max(initial=0.0))
-
-    def stat_residual(u, rho):
-        """Projected stationarity of the penalized KKT system, normalized.
-
-        The response is nonsmooth at the caps, so any activity value in
-        [0, 1] is a valid subgradient choice for a prosumer sitting exactly
-        on its cap; the residual minimizes over the kink extremes so a
-        point that is stationary in the generalized sense reports as such.
-        """
-        raw = alpha * (pi - h.T @ u)
-        p = np.clip(raw, -pmax, pmax)
-        lam = rho * np.maximum(0.0, h @ p - limits)
-        act = _smoothed_activity(raw, pmax)
-        kinked = (act > 0.0) & (act < 1.0)
-        variants = [act]
-        if kinked.any():
-            variants.append(np.where(kinked, 0.0, act))
-            variants.append(np.where(kinked, 1.0, act))
-        best = math.inf
-        for a in variants:
-            grad = q * u + c - h @ ((a * alpha) * (h.T @ lam))
-            stat = np.where(u > 0, np.abs(grad), np.maximum(0.0, -grad))
-            best = min(best, float((stat / (1.0 + np.abs(q * u) + np.abs(c))).max(initial=0.0)))
-        return best
-
-    u_star = -np.minimum(0.0, c) / q     # unconstrained leader minimum on u >= 0
-
-    def interior_jump(u):
-        """From a feasible point, move toward the unconstrained minimum as
-        far as feasibility allows (bisection on the segment)."""
-        if rel_viol(u_star) <= 0.0:
-            return u_star.copy()
-        lo, hi = 0.0, 1.0
-        for _ in range(50):
-            mid = 0.5 * (lo + hi)
-            if rel_viol(u + mid * (u_star - u)) <= 0.0:
-                lo = mid
+        f_hi = flows_at(1.0)
+        if not over(f_hi):
+            return 1.0, raw + draw
+        with np.errstate(divide="ignore", invalid="ignore"):
+            kinks = np.concatenate(((pmax - raw) / draw, (-pmax - raw) / draw))
+        ts = np.concatenate(([0.0], np.unique(kinks[(kinks > 0.0) & (kinks < 1.0)]), [1.0]))
+        lo, hi = 0, len(ts) - 1
+        f_lo = flows_at(0.0)
+        while hi - lo > 1:                   # keep: flows at ts[lo] fit, at ts[hi] not
+            mid = (lo + hi) // 2
+            f_mid = flows_at(ts[mid])
+            if over(f_mid):
+                hi, f_hi = mid, f_mid
             else:
-                hi = mid
-        return u + lo * (u_star - u)
+                lo, f_lo = mid, f_mid
+        rise = f_hi - f_lo                   # flows are affine between adjacent kinks
+        up = rise > 0
+        frac = min(1.0, max(0.0, float(np.min((bound[up] - f_lo[up]) / rise[up], initial=1.0))))
+        return ts[lo] + frac * (ts[hi] - ts[lo]), raw + 0.5 * (ts[lo] + ts[hi]) * draw
 
-    def descend(u, rho, budget=60):
-        """Projected Newton descent on phi with Armijo backtracking.
-
-        The penalty Hessian is exact almost everywhere (the response is
-        piecewise affine): diag(q) + rho * sum over violated lines of the
-        outer product of that line's flow sensitivity. Newton steps on the
-        free set cut through the stiff penalty wall that defeats
-        first-order steps.
-        """
-        u = u.copy()
-        f_u = phi(u, rho)
+    def descend(u):
+        cost = leader_cost(grid, u)
+        raw = alpha * (pi - h.T @ u)
+        piece = raw
         iters = 0
-        for _ in range(budget):
+        while iters < max_iter:
             iters += 1
+            free = np.abs(piece) < pmax
+            f0 = h @ np.where(free, alpha * pi, np.clip(piece, -pmax, pmax))
+            h_free = h[:, free]
+            m = (h_free * alpha[free]) @ h_free.T
+            u_qp = _leader_qp(m, np.minimum(f0 - limits, m @ u), q, c)
+            if leader_cost(grid, u_qp) >= cost - 1e-12 * (1.0 + abs(cost)):
+                break
+            draw = -alpha * (h.T @ (u_qp - u))
+            flows = h @ np.clip(raw, -pmax, pmax)
+            t, piece = first_overload(raw, draw, np.maximum(limits, flows))
+            u_next = u + t * (u_qp - u)
+            cost_next = leader_cost(grid, u_next)
+            if cost_next >= cost - 1e-12 * (1.0 + abs(cost)):
+                break
+            u, cost = u_next, cost_next
             raw = alpha * (pi - h.T @ u)
-            p = np.clip(raw, -pmax, pmax)
-            viol = np.maximum(0.0, h @ p - limits)
-            act = _smoothed_activity(raw, pmax)
-            grad = q * u + c - h @ ((act * alpha) * (h.T @ (rho * viol)))
-            pg = np.where(u > 0, np.abs(grad), np.minimum(0.0, grad))
-            if np.abs(pg).max(initial=0.0) <= 1e-11 * (1.0 + abs(f_u)):
-                break
-            free = (u > 0) | (grad < 0)
-            if not free.any():
-                break
-            m = (h * (act * alpha)) @ h.T            # flow sensitivity, lines x lines
-            v_idx = np.nonzero(viol > 0)[0]
-            hess = np.diag(q).astype(float)
-            if v_idx.size:
-                mv = m[:, v_idx]
-                hess = hess + rho * (mv @ mv.T)
-            idx = np.nonzero(free)[0]
-            d = np.zeros_like(u)
-            sub = hess[np.ix_(idx, idx)] + 1e-12 * np.eye(idx.size)
-            try:
-                d[idx] = np.linalg.solve(sub, -grad[idx])
-            except np.linalg.LinAlgError:
-                d[idx] = -grad[idx] / np.diag(sub)
-            slope = float(grad @ d)
-            if slope >= 0:
-                d = np.where(free, -grad, 0.0)
-                slope = float(grad @ d)
-            t_step = 1.0
-            accepted = False
-            for _bt in range(50):
-                u_try = np.maximum(0.0, u + t_step * d)
-                f_try = phi(u_try, rho)
-                if f_try <= f_u + 1e-4 * t_step * slope + 1e-15:
-                    accepted = True
-                    break
-                t_step *= 0.5
-            if not accepted:
-                break
-            move = float(np.abs(u_try - u).max())
-            u, f_u = u_try, f_try
-            if move <= 1e-14 * (1.0 + float(np.abs(u).max())):
-                break
-        return u, iters
+        return u, cost, iters
 
-    def cost_of(u):
-        return 0.5 * float(q @ (u * u)) + float(c @ u)
-
-    if u0 is None:
-        u = _ray_start(h, alpha, pi, pmax, limits, q, c)
-        if rel_viol(u) <= 0.0:
-            u = interior_jump(u)
-    else:
-        u = np.maximum(0.0, np.asarray(u0, dtype=float))
-    total_iters = 0
-    newton_budget = min(max_iter, 80)
-    stat_tol = max(tol, 1e-7)
-    best: tuple[float, np.ndarray, float] | None = None    # (cost, u, rho)
-    last_viol = math.inf
-    rho = 1e4
-    while rho <= 1e14:
-        u, used = descend(u, rho, newton_budget)
+    starts = [solve_social(grid, prosumers, tol).u]
+    ray = [u for u, flows in _uniform_price_ray(h, alpha, pi, pmax) if rel_viol(flows) <= tol]
+    if ray:
+        starts.append(min(ray, key=lambda u: leader_cost(grid, u)))
+    if u0 is not None:
+        u0 = np.maximum(0.0, np.asarray(u0, dtype=float))
+        if rel_viol(h @ _response(alpha, pi, pmax, h, u0)) <= tol:
+            starts.append(u0)
+    best_cost, u, total_iters = math.inf, starts[0], 0
+    for start in starts:
+        u_k, cost_k, used = descend(start)
         total_iters += used
-        last_viol = rel_viol(u)
-        if last_viol <= tol:
-            cost = cost_of(u)
-            if best is None or cost < best[0]:
-                best = (cost, u.copy(), rho)
-            if stat_residual(u, rho) <= stat_tol:
-                break
-        rho *= 100.0
-    if best is None:
-        # feasibility restoration: penalty descent can drift into a basin
-        # where congestion is no longer price-relievable; restart at high
-        # penalty from the least-violating uniform-price point
-        u = _ray_start(h, alpha, pi, pmax, limits, q, c)
-        for rho in (1e10, 1e12, 1e14):
-            u, used = descend(u, rho, newton_budget)
-            total_iters += used
-            last_viol = rel_viol(u)
-            if last_viol <= tol:
-                best = (cost_of(u), u.copy(), rho)
-                break
-    if best is None:
-        if last_viol > 1e-3:
-            raise Infeasible(f"line violation {last_viol:.2e} persists at saturation penalty")
-        raise NoConvergence(f"leader solver violation {last_viol:.2e}")
-    _, u, rho_used = best
-    if stat_residual(u, rho_used) > stat_tol:
-        # response kinks can pinch the Newton descent; jitter and re-descend
-        # (fixed seed keeps runs reproducible), keeping the best feasible cost
-        jitter_rng = np.random.default_rng(0x5EED)
-        best_cost = cost_of(u)
-        best_u = u
-        for _try in range(4):
-            u_k = np.maximum(0.0, u * (1.0 + 0.03 * jitter_rng.standard_normal(len(u))))
-            u_k, used = descend(u_k, rho_used, newton_budget)
-            total_iters += used
-            if rel_viol(u_k) <= tol:
-                cost_k = cost_of(u_k)
-                if cost_k < best_cost:
-                    best_u, best_cost = u_k, cost_k
-        u = best_u
-    last_viol = rel_viol(u)
+        if cost_k < best_cost:
+            best_cost, u = cost_k, u_k
     p = _response(alpha, pi, pmax, h, u)
-    residual = float(max(last_viol, stat_residual(u, rho_used)))
+    residual = rel_viol(h @ p)
     return MarketOutcome(
         u=u,
         p=p,
         welfare=welfare(prosumers, p),
         scenario="STACK",
-        feasible=True,
+        feasible=residual <= tol,
         iterations=total_iters,
         kkt_residual=residual,
     )
@@ -684,9 +621,7 @@ def _ensure_price_reachable(limits, h, alpha, pi, pmax) -> np.ndarray:
     guarantees the leader problem has a feasible point.
     """
     best = np.full(limits.shape, np.inf)
-    for kappa in np.concatenate(([0.0], np.geomspace(1e-3, 1e4, 36))):
-        u = np.full(limits.shape, kappa)
-        flows = h @ np.clip(alpha * (pi - h.T @ u), -pmax, pmax)
+    for _u, flows in _uniform_price_ray(h, alpha, pi, pmax):
         worst = np.maximum(flows - limits, 0.0).max()
         if worst < np.maximum(best - limits, 0.0).max():
             best = flows

@@ -3,7 +3,6 @@ import pytest
 
 from qenergydex.market import (
     GridModel,
-    Infeasible,
     MarketOutcome,
     Prosumer,
     aggregate_response,
@@ -11,6 +10,7 @@ from qenergydex.market import (
     follower_response,
     instance_from_json,
     instance_to_json,
+    leader_cost,
     random_instance,
     security_coupled_clearing,
     solve_base,
@@ -33,6 +33,14 @@ def toy_two_prosumer_one_line():
         leader_c=np.array([0.0]),
     )
     return grid, prosumers
+
+
+def line_violation(grid, prosumers, u):
+    """Worst line overload at prices u, recomputed from the capped
+    responses, relative to 1 + |limit|."""
+    flows = grid.ptdf @ aggregate_response(prosumers, u, grid.ptdf)
+    limits = grid.line_limits
+    return float((np.maximum(0.0, flows - limits) / (1.0 + np.abs(limits))).max())
 
 
 def toy_three_node():
@@ -126,7 +134,7 @@ def test_stackelberg_toy_vs_grid_search():
     assert abs(outcome.welfare - w_star) / abs(w_star) <= 1e-4
     assert outcome.kkt_residual <= 1e-6
     # single binding line: price concentrates on it, slack is complementary
-    slack = 12.0 - float(grid.ptdf @ outcome.p)
+    slack = 12.0 - float((grid.ptdf @ outcome.p)[0])
     assert outcome.u[0] * slack <= 1e-5
 
 
@@ -148,7 +156,7 @@ def test_social_three_node_vs_multiplier_scan():
             best_w = welfare(prosumers, p)
             break
     assert abs(outcome.welfare - best_w) / abs(best_w) <= 1e-4
-    assert float(grid.ptdf @ outcome.p) <= 9.0 + 1e-6
+    assert float((grid.ptdf @ outcome.p)[0]) <= 9.0 + 1e-6
 
 
 def test_social_no_line_limits_interior_optimum():
@@ -215,10 +223,11 @@ def test_stackelberg_cs_on_single_line_instances():
         assert cs <= 1e-4 * (1.0 + float(np.abs(grid.line_limits).max()))
 
 
-def test_infeasible_raised_when_prices_cannot_relieve():
-    # the raw generator recipe without the reachability lift: price
-    # response cannot steer this instance's flows inside the limits, so the
-    # saturation-penalty search reports infeasibility
+def test_stack_certified_on_instance_without_reachability_lift():
+    # the raw generator recipe without the reachability lift. Limits are
+    # positive, so injections p = 0 are a Slater point of SOCIAL's problem:
+    # its dual price is attained and relieves every line. Some leader price
+    # is always feasible, and STACK must find one no dearer than SOCIAL's
     from qenergydex.rng import substream
 
     rng = substream(0, "market", "instance")
@@ -244,8 +253,12 @@ def test_infeasible_raised_when_prices_cannot_relieve():
     grid = GridModel(
         ptdf=h, line_limits=limits, leader_q_diag=np.ones(4), leader_c=np.zeros(4)
     )
-    with pytest.raises(Infeasible):
-        solve_stackelberg(grid, prosumers)
+    stack = solve_stackelberg(grid, prosumers)
+    social = solve_social(grid, prosumers)
+    assert line_violation(grid, prosumers, stack.u) <= 1e-6
+    assert stack.feasible
+    # SOCIAL's price costs the leader 35.31 here
+    assert leader_cost(grid, stack.u) <= leader_cost(grid, social.u)
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +314,11 @@ def test_wbase_beats_base_on_heterogeneous_alpha():
 
 
 def test_welfare_dominance_chain_random_instances():
-    for seed in range(60):
-        grid, prosumers = random_instance(12, 4, seed=seed)
+    instances = [random_instance(12, 4, seed=seed) for seed in range(60)]
+    # two larger instances with local leader optima dearer than SOCIAL's
+    # price (leader costs 26.77 vs 25.47 and 103.77 vs 24.06)
+    instances += [random_instance(20, 5, seed=seed) for seed in (26, 40)]
+    for grid, prosumers in instances:
         outs = clear_all_scenarios(grid, prosumers)
         w = {k: o.welfare for k, o in outs.items()}
         slack = 1e-6 * (1.0 + abs(w["SOCIAL"]))
@@ -310,6 +326,9 @@ def test_welfare_dominance_chain_random_instances():
         assert w["SOCIAL"] >= w["WBASE"] - slack
         assert w["WBASE"] >= w["BASE"] - 1e-9
         assert w["WBASE"] >= 0.0
+        assert line_violation(grid, prosumers, outs["STACK"].u) <= 1e-6
+        social_cost = leader_cost(grid, outs["SOCIAL"].u)
+        assert leader_cost(grid, outs["STACK"].u) <= social_cost * (1 + 1e-9) + 1e-9
 
 
 # ---------------------------------------------------------------------------
