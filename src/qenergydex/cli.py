@@ -673,11 +673,11 @@ def cmd_full_stack(config: dict, out: Path) -> list[tuple[str, bool, str]]:
             established == fs["n_handshakes"] and rent_failures == 0,
             f"{established}/{fs['n_handshakes']}",
         ),
-        (
-            "zero forks at zero adversary",
-            forks == 0 if fs["alpha"] == 0 else forks >= 0,
-            f"forks={forks}",
-        ),
+    ]
+    if fs["alpha"] == 0:
+        checks.append(("zero forks at zero adversary", forks == 0, f"forks={forks}"))
+    checks += [
+        ("chain frequencies below their bounds", metrics.dominated(), ""),
         ("market cleared for admitted participants", len(keep) > 0, f"{len(keep)}"),
     ]
     return checks

@@ -15,6 +15,17 @@ proportional to rho^s (mass at the EMPTY state for rho < 1) contradicts
 the local balance recursion pi_s * lambda*k = pi_(s-1) * mu that defines
 this chain; it is kept available behind ``as_printed=True`` purely for
 comparison.
+
+The Monte Carlo check ``simulate_pool`` runs the chain uniformized at the
+constant rate mu + lambda*k (Jensen 1953): holding times are i.i.d.
+exponential, and each event steps the pool by +1 or -1, clamped to
+[0, M]. A clamped step (a birth at capacity, a death when empty) is a
+self-loop. Self-loops count as events, and they leave the stationary
+distribution unchanged. Every step is a clamp map, and clamp maps compose
+into clamp maps, so each chunk of events is computed by a scan in numpy
+rather than one event at a time. The run splits into equal-event-count
+epochs for the Wilson interval, and memory stays O(block) whatever the
+event count.
 """
 
 from __future__ import annotations
@@ -185,6 +196,54 @@ class PoolSimResult:
     horizon_s: float
 
 
+# events per chunk: uniforms are drawn, scanned and tallied this many at a time
+_BLOCK = 65_536
+# steps per row of the blocked scan in _clamped_walk
+_SCAN_COLS = 128
+
+
+def _clamped_walk(x0: int, steps: np.ndarray, M: int) -> np.ndarray:
+    """Path of x -> min(M, max(0, x + a)) over ``steps``, from ``x0``.
+
+    Returns n + 1 states: ``x0`` and the state after each step. A
+    composition of such clamp maps is again a clamp map on [0, M],
+    f(x) = min(f(M), max(f(0), x + A)) with A the sum of the steps, so it
+    is fixed by where it sends 0 and M. The steps are laid out in rows of
+    ``_SCAN_COLS``; one sweep over the columns walks every row from 0 and
+    from M at once, a short scalar pass composes the row maps to find each
+    row's start, and the state after j steps of a row that starts at x is
+    min(hi_j, max(lo_j, x + A_j)) with lo_j, hi_j the two walks after j
+    steps.
+    """
+    n = len(steps)
+    rows = -(-n // _SCAN_COLS)
+    a = np.zeros(rows * _SCAN_COLS, dtype=np.int64)
+    a[:n] = steps   # padding steps of 0 are identity maps
+    a = a.reshape(rows, _SCAN_COLS).T.copy()   # a[j, r]: step j of row r
+    ends = np.empty((_SCAN_COLS, 2, rows), dtype=np.int64)
+    prev = np.zeros((2, rows), dtype=np.int64)
+    prev[1] = M
+    for j in range(_SCAN_COLS):
+        cur = ends[j]
+        np.add(prev, a[j], out=cur)
+        np.minimum(cur, M, out=cur)
+        np.maximum(cur, 0, out=cur)
+        prev = cur
+    np.cumsum(a, axis=0, out=a)
+    starts = []
+    x = x0
+    for A, lo, hi in zip(a[-1].tolist(), prev[0].tolist(), prev[1].tolist()):
+        starts.append(x)
+        x = min(hi, max(lo, x + A))
+    a += np.asarray(starts, dtype=np.int64)
+    np.maximum(a, ends[:, 0], out=a)
+    np.minimum(a, ends[:, 1], out=a)
+    path = np.empty(n + 1, dtype=np.int64)
+    path[0] = x0
+    path[1:] = a.T.reshape(-1)[:n]
+    return path
+
+
 def simulate_pool(
     p: BirthDeathParams,
     horizon_s: float | None = None,
@@ -193,24 +252,36 @@ def simulate_pool(
     n_epochs: int = 10_000,
     initial_state: int | None = None,
 ) -> PoolSimResult:
-    """Event-driven continuous-time simulation of the pool chain.
+    """Continuous-time simulation of the pool chain, uniformized.
 
-    Births occur at rate mu while below capacity, deaths at rate lambda*k
-    while non-empty; inter-event times are exponential. ``empty_fraction``
-    is the time-weighted occupancy of state 0. The Wilson 95% interval is
-    computed over per-epoch empty indicators: the run splits into
-    ``n_epochs`` equal-event-count epochs and each contributes the state
-    observed at its boundary.
+    The chain runs at the constant rate mu + lambda*k: each event takes an
+    exponential holding time at that rate and steps +1 with probability
+    mu / (mu + lambda*k), else -1, clamped to [0, M]. A step that the
+    clamp cancels (a birth at capacity, a death when empty) is a
+    self-loop; it counts in ``events`` like any other event, and it leaves
+    the stationary distribution unchanged (Jensen 1953).
+
+    Events are processed in chunks of ``_BLOCK``, carrying the state and
+    the clock from one chunk to the next, so memory is O(block) whatever
+    ``max_events``. Within a chunk the states come from a blocked scan of
+    the clamp maps (``_clamped_walk``) and the time-weighted occupancy from
+    one weighted ``bincount``. ``empty_fraction`` is the time-weighted
+    occupancy of state 0. The Wilson 95% interval is computed over
+    per-epoch empty indicators: the run splits into ``n_epochs``
+    equal-event-count epochs and each contributes the state observed at
+    its boundary.
 
     Stops after ``max_events`` events or ``horizon_s`` simulated seconds,
     whichever comes first (horizon may be None for event-limited runs).
+    The event that would cross the horizon is not counted; its state is
+    credited the time left up to the horizon.
     """
     if horizon_s is not None and horizon_s <= 0:
         raise ValueError("horizon_s must be positive")
     rng = substream(seed, "keypool")
     M = p.capacity
-    birth = p.mu
-    death = p.lam * p.k
+    rate = p.mu + p.lam * p.k
+    p_up = p.mu / rate
     state = M if initial_state is None else int(initial_state)
     if not 0 <= state <= M:
         raise ValueError("initial_state out of range")
@@ -218,45 +289,38 @@ def simulate_pool(
     occupancy = np.zeros(M + 1)
     t = 0.0
     events = 0
-    # presample uniforms in blocks; exponential times derived by inversion
-    block = 65_536
-    u_hold = np.empty(0)
-    u_dir = np.empty(0)
-    idx = 0
-
     epoch_stride = max(1, max_events // max(1, n_epochs))
     epoch_empties = 0
     epoch_count = 0
 
     limit_t = math.inf if horizon_s is None else horizon_s
     while events < max_events and t < limit_t:
-        if idx >= len(u_hold):
-            u_hold = rng.random(block)
-            u_dir = rng.random(block)
-            idx = 0
-        if state == 0:
-            rate = birth
-            up = True
-        elif state == M:
-            rate = death
-            up = False
-        else:
-            rate = birth + death
-            up = u_dir[idx] < birth / rate
-        dt = -math.log1p(-u_hold[idx]) / rate
-        idx += 1
-        if t + dt > limit_t:
-            occupancy[state] += limit_t - t
+        # exponential holding times by inversion
+        u_hold = rng.random(_BLOCK)
+        u_dir = rng.random(_BLOCK)
+        n = min(_BLOCK, max_events - events)
+        dt = -np.log1p(-u_hold[:n]) / rate
+        path = _clamped_walk(state, np.where(u_dir[:n] < p_up, 1, -1), M)
+        # clock after each event, summed in event order as a scalar loop would
+        t_after = dt.copy()
+        t_after[0] += t
+        np.cumsum(t_after, out=t_after)
+        # the events before the first one that ends past the horizon
+        used = int(np.searchsorted(t_after, limit_t, side="right"))
+        occupancy += np.bincount(path[:used], weights=dt[:used], minlength=M + 1)
+        # step i of the chunk is event events + i + 1 of the run; an epoch
+        # ends at each event number that is a multiple of the stride
+        first = (-(events + 1)) % epoch_stride
+        marks = path[first + 1 : used + 1 : epoch_stride]
+        epoch_count += len(marks)
+        epoch_empties += int(np.count_nonzero(marks == 0))
+        events += used
+        state = int(path[used])
+        if used < n:
+            occupancy[state] += limit_t - (t_after[used - 1] if used else t)
             t = limit_t
             break
-        occupancy[state] += dt
-        t += dt
-        state = state + 1 if up else state - 1
-        events += 1
-        if events % epoch_stride == 0:
-            epoch_count += 1
-            if state == 0:
-                epoch_empties += 1
+        t = float(t_after[-1])
 
     total = occupancy.sum()
     if total <= 0:

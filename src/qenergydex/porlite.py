@@ -263,11 +263,16 @@ class ChainTrace:
 
 
 def _forward_streaks(outcomes: np.ndarray) -> np.ndarray:
-    """Length of the unresolved-fork streak starting at each height."""
-    streak = np.zeros(len(outcomes) + 1, dtype=np.int64)
-    for h in range(len(outcomes) - 1, -1, -1):
-        streak[h] = streak[h + 1] + 1 if outcomes[h] == -1 else 0
-    return streak[:-1]
+    """Length of the unresolved-fork streak starting at each height.
+
+    The streak at h runs up to the next height that is not a fork, so it
+    is that height's index minus h (the trace length when none follows).
+    """
+    n = len(outcomes)
+    idx = np.arange(n, dtype=np.int64)
+    next_settled = np.where(outcomes != -1, idx, n)
+    next_settled = np.minimum.accumulate(next_settled[::-1])[::-1]
+    return next_settled - idx
 
 
 def fork_persistence_tail(outcomes: np.ndarray, max_depth: int) -> np.ndarray:
@@ -316,7 +321,8 @@ def growth_violation_fraction(
         if t > len(outcomes):
             break
         grown = confirmed[t:] - confirmed[:-t]
-        out[t - 1] = np.mean(grown <= rate * t + 1e-12)
+        # the counts are integers, so compare against the integer threshold
+        out[t - 1] = np.count_nonzero(grown <= math.floor(rate * t + 1e-12)) / len(grown)
     return out
 
 
@@ -326,20 +332,30 @@ def finality_depths(outcomes: np.ndarray, max_depth: int = 200) -> np.ndarray:
     A block confirmed at height h is final once the net outcome sum of the
     heights after it reaches +1 (the honest chain has built a full block of
     lead on top of it); the depth is the number of heights that takes.
-    Blocks too close to the end of the trace to resolve are skipped.
+    Blocks confirmed at the last ``max_depth`` heights, too close to the
+    end of the trace to resolve, are skipped, as are blocks whose depth
+    would exceed ``max_depth``.
+
+    With s the running outcome sum (s[0] = 0), the block at h is final at
+    the first j > h + 1 with s[j] >= s[h + 1] + 1. Each height moves s by
+    -1, 0 or +1, so that is a first passage: the first j > h + 1 at level
+    exactly s[h + 1] + 1. All of them come from one ``searchsorted`` over
+    the heights keyed by (level, index).
     """
+    outcomes = np.asarray(outcomes)
     s = np.concatenate(([0], np.cumsum(outcomes, dtype=np.int64)))
-    total = len(outcomes)
-    depths = []
-    for h in range(total - max_depth):
-        if outcomes[h] != 1:
-            continue
-        base = s[h + 1]
-        for d in range(1, max_depth + 1):
-            if s[h + d + 1] - base >= 1:
-                depths.append(d)
-                break
-    return np.asarray(depths, dtype=np.int64)
+    width = len(s)
+    level = s - s.min()
+    # one key per index, level * width + index: sorted, they run level by
+    # level and, within a level, in index order
+    keys = np.sort(level * width + np.arange(width))
+    blocks = np.flatnonzero(outcomes[: max(len(outcomes) - max_depth, 0)] == 1)
+    target = level[blocks + 1] + 1
+    pos = np.searchsorted(keys, target * width + blocks + 2)
+    hit = keys[np.minimum(pos, width - 1)]
+    reached = (pos < width) & (hit // width == target)
+    depths = hit % width - blocks - 1
+    return depths[reached & (depths <= max_depth)]
 
 
 @dataclass(frozen=True)

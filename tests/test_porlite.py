@@ -28,6 +28,7 @@ from qenergydex.porlite import (
     simulate_chain,
     vrf_unit,
 )
+from qenergydex.porlite import _forward_streaks
 from qenergydex.qkms import KeyPoolState, KmsReplica
 
 # ---------------------------------------------------------------------------
@@ -315,3 +316,80 @@ def test_metrics_shapes_and_bounds_pairing():
     assert metrics.growth_bounds[9] == pytest.approx(chain_growth_bound(0.25, 0.10, 0.20, 10))
     # tails are monotone non-increasing
     assert (np.diff(metrics.fork_tail_empirical) <= 1e-12).all()
+
+
+# ---------------------------------------------------------------------------
+# vectorized kernels vs the scalar loops they replaced
+# ---------------------------------------------------------------------------
+
+
+def loop_forward_streaks(outcomes):
+    streak = np.zeros(len(outcomes) + 1, dtype=np.int64)
+    for h in range(len(outcomes) - 1, -1, -1):
+        streak[h] = streak[h + 1] + 1 if outcomes[h] == -1 else 0
+    return streak[:-1]
+
+
+def loop_finality_depths(outcomes, max_depth):
+    s = np.concatenate(([0], np.cumsum(outcomes, dtype=np.int64)))
+    total = len(outcomes)
+    depths = []
+    for h in range(total - max_depth):
+        if outcomes[h] != 1:
+            continue
+        base = s[h + 1]
+        for d in range(1, max_depth + 1):
+            if s[h + d + 1] - base >= 1:
+                depths.append(d)
+                break
+    return np.asarray(depths, dtype=np.int64)
+
+
+def loop_growth_violation(outcomes, epsilon, alpha, beta, max_depth):
+    confirmed = np.concatenate(([0], np.cumsum(outcomes == 1, dtype=np.int64)))
+    rate = (1.0 - epsilon) * (1.0 - alpha) * (1.0 - beta)
+    out = np.zeros(max_depth)
+    for t in range(1, max_depth + 1):
+        if t > len(outcomes):
+            break
+        grown = confirmed[t:] - confirmed[:-t]
+        out[t - 1] = np.mean(grown <= rate * t + 1e-12)
+    return out
+
+
+def oracle_sequences():
+    rng = np.random.default_rng(11)
+    mixes = ([0.675, 0.225, 0.10], [0.4, 0.5, 0.1], [0.2, 0.3, 0.5], [0.9, 0.05, 0.05])
+    for mix in mixes:
+        for n in (1, 2, 5, 40, 81, 300, 2000):
+            yield rng.choice(np.array([1, -1, 0], dtype=np.int8), size=n, p=mix)
+    for n in (0, 1, 7, 80, 81, 200):
+        for value in (-1, 0, 1):
+            yield np.full(n, value, dtype=np.int8)
+
+
+def test_forward_streaks_match_loop():
+    for outcomes in oracle_sequences():
+        fast = _forward_streaks(outcomes)
+        assert fast.dtype == np.int64
+        assert np.array_equal(fast, loop_forward_streaks(outcomes))
+
+
+def test_finality_depths_match_loop():
+    rng = np.random.default_rng(12)
+    for outcomes in oracle_sequences():
+        for max_depth in (1, 2, 3, int(rng.integers(4, 80)), 80):
+            fast = finality_depths(outcomes, max_depth)
+            slow = loop_finality_depths(outcomes, max_depth)
+            assert fast.dtype == np.int64
+            assert np.array_equal(fast, slow), (len(outcomes), max_depth)
+
+
+def test_growth_violation_identical_to_float_threshold():
+    # at eps = 0.9 the rate rounds to just below 0.1, so 10 * rate falls
+    # short of 1 and only the 1e-12 slack admits a window of one confirmation
+    for outcomes in oracle_sequences():
+        for eps, alpha, beta in ((0.2, 0.25, 0.1), (0.9, 0.0, 0.0), (0.01, 0.3, 0.6)):
+            fast = growth_violation_fraction(outcomes, eps, alpha, beta, 80)
+            slow = loop_growth_violation(outcomes, eps, alpha, beta, 80)
+            assert fast.tobytes() == slow.tobytes()
