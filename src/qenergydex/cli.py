@@ -177,17 +177,20 @@ def write_manifest(out: Path, command: str, config: dict) -> None:
     (out / "manifest.json").write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
-def _write_csv(path: Path, header: str, rows) -> None:
+def _write_csv(path: Path, header: str, *columns) -> None:
+    """Write equal-length columns under ``header``, one row per index.
+
+    Each column is taken as one array: a float column is written as the
+    ``repr`` of each value (the shortest text that reads back to the same
+    double), any other column with ``str``.
+    """
+    cells = [
+        map(repr if col.dtype.kind == "f" else str, col.tolist())
+        for col in map(np.asarray, columns)
+    ]
     with open(path, "w", newline="") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def _fmt(v) -> str:
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    return str(v)
+        fh.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
 def _trace_from_config(config: dict):
@@ -242,32 +245,28 @@ def cmd_rate_adapt(config: dict, out: Path) -> list[tuple[str, bool, str]]:
         fixed_target_bps=kms["fixed_fraction"] * r_max,
     )
 
-    rows = []
-    for i in range(len(trace)):
-        rows.append(
-            (
-                i,
-                trace.samples[i],
-                adaptive.capacity_bps[i],
-                adaptive.target_bps[i],
-                adaptive.output_bps[i],
-                fixed.target_bps[i],
-                fixed.output_bps[i],
-            )
-        )
     _write_csv(
         out / "timeseries.csv",
         "t_ms,qber,capacity_bps,adaptive_target_bps,adaptive_output_bps,fixed_target_bps,fixed_output_bps",
-        rows,
+        adaptive.t_ms,
+        trace.samples,
+        adaptive.capacity_bps,
+        adaptive.target_bps,
+        adaptive.output_bps,
+        fixed.target_bps,
+        fixed.output_bps,
     )
 
-    cdf_rows = []
+    names, rates, levels = [], [], []
     for name, result in (("rate_adapt", adaptive), ("fixed", fixed)):
-        xs = np.sort(result.output_bps)
-        n = len(xs)
-        for i in range(0, n, max(1, n // 2000)):
-            cdf_rows.append((name, xs[i], (i + 1) / n))
-    _write_csv(out / "cdf.csv", "strategy,rate_bps,ecdf", cdf_rows)
+        n = len(result.output_bps)
+        idx = np.arange(0, n, max(1, n // 2000))
+        names += [name] * len(idx)
+        rates.append(np.sort(result.output_bps)[idx])
+        levels.append((idx + 1) / n)
+    _write_csv(
+        out / "cdf.csv", "strategy,rate_bps,ecdf", names, np.concatenate(rates), np.concatenate(levels)
+    )
 
     summary = [
         {
@@ -325,27 +324,26 @@ def cmd_qsah_bench(config: dict, out: Path) -> list[tuple[str, bool, str]]:
     res = latency_benchmark(
         qs["n_handshakes"], qs["batch_size"], link, baseline, seed=config["seed"]
     )
-    rows = []
-    for name, arr in (
-        ("qsah_rtt", res.qsah_latencies),
-        ("baseline_local", res.baseline_local),
-        ("baseline_rtt", res.baseline_rtt),
-    ):
-        for i, v in enumerate(arr):
-            rows.append((name, i, v))
-    _write_csv(out / "latencies.csv", "scenario,handshake_idx,latency_ms", rows)
+    scenarios = ("qsah_rtt", "baseline_local", "baseline_rtt")
+    arms = (res.qsah_latencies, res.baseline_local, res.baseline_rtt)
+    _write_csv(
+        out / "latencies.csv",
+        "scenario,handshake_idx,latency_ms",
+        [name for name, arr in zip(scenarios, arms) for _ in arr],
+        np.concatenate([np.arange(len(arr)) for arr in arms]),
+        np.concatenate(arms),
+    )
 
-    ecdf_rows = []
-    for name, e in (
-        ("qsah_rtt", res.qsah_ecdf),
-        ("baseline_local", res.baseline_local_ecdf),
-        ("baseline_rtt", res.baseline_rtt_ecdf),
-    ):
-        lower = e.lower()
-        upper = e.upper()
-        for i in range(len(e.x)):
-            ecdf_rows.append((name, e.x[i], e.f[i], lower[i], upper[i]))
-    _write_csv(out / "ecdf.csv", "scenario,latency_ms,ecdf,band_lo,band_hi", ecdf_rows)
+    ecdfs = (res.qsah_ecdf, res.baseline_local_ecdf, res.baseline_rtt_ecdf)
+    _write_csv(
+        out / "ecdf.csv",
+        "scenario,latency_ms,ecdf,band_lo,band_hi",
+        [name for name, e in zip(scenarios, ecdfs) for _ in e.x],
+        np.concatenate([e.x for e in ecdfs]),
+        np.concatenate([e.f for e in ecdfs]),
+        np.concatenate([e.lower() for e in ecdfs]),
+        np.concatenate([e.upper() for e in ecdfs]),
+    )
 
     dominance = bool(
         (np.sort(res.qsah_latencies) <= np.sort(res.baseline_rtt)).all()
@@ -397,22 +395,12 @@ def cmd_porlite(config: dict, out: Path, jobs: int = 1) -> list[tuple[str, bool,
     hist = np.sum([m.finality_histogram for m in metric_list], axis=0)
     bounds = metric_list[0]
 
+    _write_csv(out / "fork_tail.csv", "depth,empirical,bound", depths, fork_emp, bounds.fork_tail_bounds)
+    _write_csv(out / "cp_violation.csv", "depth,empirical,bound", depths, cp_emp, bounds.cp_bounds)
     _write_csv(
-        out / "fork_tail.csv",
-        "depth,empirical,bound",
-        zip(depths, fork_emp, bounds.fork_tail_bounds),
+        out / "growth_violation.csv", "depth,empirical,bound", depths, growth_emp, bounds.growth_bounds
     )
-    _write_csv(
-        out / "cp_violation.csv",
-        "depth,empirical,bound",
-        zip(depths, cp_emp, bounds.cp_bounds),
-    )
-    _write_csv(
-        out / "growth_violation.csv",
-        "depth,empirical,bound",
-        zip(depths, growth_emp, bounds.growth_bounds),
-    )
-    _write_csv(out / "finality_hist.csv", "depth,count", zip(depths, hist))
+    _write_csv(out / "finality_hist.csv", "depth,count", depths, hist)
 
     dominated = all(m.dominated() for m in metric_list)
     t_fin = finality_depth(params.alpha, params.security_bits)
@@ -447,7 +435,7 @@ def cmd_keypool(config: dict, out: Path) -> list[tuple[str, bool, str]]:
         rows.append((rho, theo, sim.empty_fraction, lo, hi))
         if sim.empty_fraction == 0.0 and hi < theo:
             ci_ok = False
-    _write_csv(out / "table2.csv", "rho,theoretical,empirical,ci_lo,ci_hi", rows)
+    _write_csv(out / "table2.csv", "rho,theoretical,empirical,ci_lo,ci_hi", *zip(*rows))
 
     curve = []
     rhos = np.linspace(kp["curve_rho_lo"], kp["curve_rho_hi"], kp["curve_points"])
@@ -455,7 +443,7 @@ def cmd_keypool(config: dict, out: Path) -> list[tuple[str, bool, str]]:
         curve.append(
             (rho, min_capacity(float(rho), kp["target_pi0"]), exact_min_capacity(float(rho), kp["target_pi0"]))
         )
-    _write_csv(out / "capacity_curve.csv", "rho,min_capacity_bound,exact_min_capacity", curve)
+    _write_csv(out / "capacity_curve.csv", "rho,min_capacity_bound,exact_min_capacity", *zip(*curve))
 
     bounds = [r[1] for r in curve]
     increasing = all(b2 >= b1 for b1, b2 in zip(bounds, bounds[1:]))
@@ -555,7 +543,7 @@ def cmd_market(config: dict, out: Path) -> list[tuple[str, bool, str]]:
     _write_csv(
         out / "welfare_grid.csv",
         "stack,scenario,welfare,participants,iterations,kkt_residual",
-        rows,
+        *zip(*rows),
     )
     return checks
 

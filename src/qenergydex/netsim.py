@@ -42,7 +42,7 @@ class LinkModel:
             raise ValueError("delays must be non-negative")
 
 
-@dataclass(order=True)
+@dataclass
 class Event:
     deliver_at_us: int
     seq: int
@@ -80,7 +80,8 @@ class Network:
         self._handlers: dict[str, Callable] = {}
         self._links: dict[tuple[str, str], LinkModel] = {}
         self._down: set[frozenset] = set()
-        self._queue: list[Event] = []
+        # (deliver_at_us, seq, event): tuples order by time, then send order
+        self._queue: list[tuple[int, int, Event]] = []
         self._seq = 0
         self._now_us = 0
         self._slot_hooks: list[Callable[[int], None]] = []
@@ -125,7 +126,7 @@ class Network:
             raise UnknownNode(src)
         if dst not in self._handlers:
             raise UnknownNode(dst)
-        if frozenset((src, dst)) in self._down:
+        if self._down and frozenset((src, dst)) in self._down:
             # partitioned link: message silently dropped
             ev = Event(deliver_at_us=-1, seq=-1, src=src, dst=dst, payload=payload, kind=kind)
             return ev
@@ -141,7 +142,7 @@ class Network:
             kind=kind,
         )
         self._seq += 1
-        heapq.heappush(self._queue, ev)
+        heapq.heappush(self._queue, (ev.deliver_at_us, ev.seq, ev))
         return ev
 
     def call_at(self, t_ms: float, fn: Callable, kind: str = "timer") -> Event:
@@ -155,7 +156,7 @@ class Network:
             kind=kind,
         )
         self._seq += 1
-        heapq.heappush(self._queue, ev)
+        heapq.heappush(self._queue, (ev.deliver_at_us, ev.seq, ev))
         return ev
 
     # -- execution -----------------------------------------------------------
@@ -173,18 +174,18 @@ class Network:
         """
         limit_us = int(round(t_ms * 1000.0))
         delivered: list[Event] = []
-        while self._queue and self._queue[0].deliver_at_us <= limit_us:
-            ev = heapq.heappop(self._queue)
-            self._fire_slots_until(ev.deliver_at_us)
-            self._now_us = ev.deliver_at_us
+        queue = self._queue
+        while queue and queue[0][0] <= limit_us:
+            t_us, _seq, ev = heapq.heappop(queue)
+            if self._next_slot_us <= t_us:
+                self._fire_slots_until(t_us)
+            self._now_us = t_us
             if ev.kind == "timer":
                 ev.payload()
             else:
                 if self._trace_rows is not None:
                     size = len(ev.payload) if isinstance(ev.payload, (bytes, bytearray)) else 0
-                    self._trace_rows.append(
-                        (ev.deliver_at_us, ev.src, ev.dst, ev.kind, size)
-                    )
+                    self._trace_rows.append((t_us, ev.src, ev.dst, ev.kind, size))
                 self._handlers[ev.dst](self, ev)
             delivered.append(ev)
         self._fire_slots_until(limit_us)
@@ -195,9 +196,10 @@ class Network:
         """Run until no events remain (bounded by a hard time limit)."""
         delivered: list[Event] = []
         while self._queue:
-            if self._queue[0].deliver_at_us > hard_limit_ms * 1000:
+            t_us = self._queue[0][0]
+            if t_us > hard_limit_ms * 1000:
                 break
-            delivered.extend(self.run_until(self._queue[0].deliver_at_us / 1000.0))
+            delivered.extend(self.run_until(t_us / 1000.0))
         return delivered
 
     def write_trace(self, path) -> None:

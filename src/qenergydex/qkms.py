@@ -23,6 +23,13 @@ interval's raw bits:
   from the same QBER measurement, modelling a service that refuses to
   emit bits it cannot back with extractable entropy.
 
+Every factor 1 - gamma_t q_t lies in (0, 1], because gamma_0 < 1 and
+q_t < 1, so the unclamped rate never rises: once it reaches the floor it
+stays there. The clamped trajectory is therefore max(floor, running
+product), which ``run_rate_controller`` computes in one left fold
+(``np.multiply.accumulate``) in the order of the scalar recurrence
+``rate_adapt_step``, giving the same doubles.
+
 Requests above capacity are counted as cap-exceed time and the excess is
 dropped; the adaptive strategy's preemptive bound keeps its excess at or
 near zero while the fixed strategy pays for every channel excursion.
@@ -217,15 +224,20 @@ class RateControllerResult:
     def total_dropped_bits(self) -> float:
         return float(self.dropped_bits[-1])
 
-    def rows(self):
-        for i in range(len(self.t_ms)):
-            yield (
-                int(self.t_ms[i]),
-                float(self.target_bps[i]),
-                float(self.capacity_bps[i]),
-                float(self.output_bps[i]),
-                float(self.dropped_bits[i]),
-            )
+
+def _window_means(samples: np.ndarray, window_ms: int) -> np.ndarray:
+    """``samples[start:start + window_ms].mean()`` for each window, exactly.
+
+    The full windows are one reshape-mean (each row sums as its own slice
+    does); a ragged last window takes its own ``mean()``.
+    """
+    if window_ms == 1:
+        return samples
+    n_full = len(samples) // window_ms
+    means = samples[: n_full * window_ms].reshape(n_full, window_ms).mean(axis=1)
+    if len(samples) % window_ms:
+        means = np.append(means, samples[n_full * window_ms :].mean())
+    return means
 
 
 def run_rate_controller(
@@ -241,7 +253,17 @@ def run_rate_controller(
     The secure capacity of each interval is the extractable length of the
     interval's raw-bit budget n = floor(R_max / 1000) at the measured QBER,
     scaled back to bits/s. The controller state advances once per
-    ``window_ms`` using the window's mean QBER.
+    ``window_ms`` using the window's mean QBER (a shorter last window
+    averages what is left).
+
+    The adaptive states are the ``rate_adapt_step`` recurrence in closed
+    form: with factors a_k = 1 - (gamma_0 / k) q_k in (0, 1], the running
+    product R_0 a_1 ... a_k never rises, so the floor, once reached, is
+    never left and the clamped state is max(0.1 R_max, product). The
+    product is folded left in the recurrence's order and the window means
+    are each window's own ``mean()``, so every state is the same double
+    the scalar loop gives. A window mean outside [0, 1) raises
+    ``ValueError`` as ``rate_adapt_step`` does.
 
     ``fixed_target_bps`` defaults to 0.8 R_max.
     """
@@ -261,21 +283,20 @@ def run_rate_controller(
 
     capacity = extractable_length_vec(n_raw, samples, epsilon) * 1000.0
 
-    target = np.empty(n_iv)
-    state = np.empty(n_iv)
     if strategy == "fixed":
-        target[:] = fixed_target_bps
-        state[:] = fixed_target_bps
+        state = np.full(n_iv, fixed_target_bps, dtype=float)
+        target = state.copy()
     else:
-        st = st0
-        for start in range(0, n_iv, window_ms):
-            stop = min(start + window_ms, n_iv)
-            q_win = float(samples[start:stop].mean())
-            st = rate_adapt_step(st, q_win)
-            state[start:stop] = st.r_t_bps
-            # preemptive reduction: never request beyond the secure capacity
-            # implied by the current measurement
-            target[start:stop] = np.minimum(st.r_t_bps, capacity[start:stop])
+        q_win = _window_means(samples, window_ms)
+        if not ((q_win >= 0.0) & (q_win < 1.0)).all():
+            raise ValueError("q_t must lie in [0, 1)")
+        gamma_t = st0.gamma0 / np.arange(st0.t, st0.t + len(q_win))
+        factors = np.concatenate(([st0.r_t_bps], 1.0 - gamma_t * q_win))
+        rates = np.maximum(RATE_FLOOR_FRACTION * r_max, np.multiply.accumulate(factors)[1:])
+        state = np.repeat(rates, window_ms)[:n_iv]
+        # preemptive reduction: never request beyond the secure capacity
+        # implied by the current measurement
+        target = np.minimum(state, capacity)
 
     output = np.minimum(target, capacity)
     dropped_per_iv = np.maximum(0.0, target - capacity) * (1.0 / 1000.0)

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
-from .netsim import LinkModel, Network, sample_rtt
+from .netsim import LinkModel, Network
 from .qkms import KeyPoolState, KeyRecord, KmsReplica
 from .rng import substream
 from .stats import Ecdf, ecdf
@@ -97,12 +97,12 @@ def hkdf_sha256(ikm: bytes, info: bytes, length: int = 32, salt: bytes = b"") ->
     """RFC 5869 extract-then-expand over SHA-256."""
     if not salt:
         salt = b"\x00" * 32
-    prk = hmac_mod.new(salt, ikm, hashlib.sha256).digest()
+    prk = hmac_mod.digest(salt, ikm, "sha256")
     okm = b""
     block = b""
     counter = 1
     while len(okm) < length:
-        block = hmac_mod.new(prk, block + info + bytes([counter]), hashlib.sha256).digest()
+        block = hmac_mod.digest(prk, block + info + bytes([counter]), "sha256")
         okm += block
         counter += 1
     return okm[:length]
@@ -324,9 +324,14 @@ def latency_benchmark(
     model_rng = substream(seed, "qsah", "baseline")
     ln_median = np.log(baseline.compute_median_ms)
     compute = model_rng.lognormal(ln_median, baseline.compute_sigma, size=n_handshakes)
-    rtts = np.empty(n_handshakes)
-    for i in range(n_handshakes):
-        rtts[i] = sum(sample_rtt(link, model_rng) for _ in range(baseline.round_trips))
+    # row i is handshake i's round trips, each d0 + U(0, jitter_max) as
+    # sample_rtt draws it; the columns add left to right
+    rtt_draws = link.d0_ms + model_rng.uniform(
+        0.0, link.jitter_max_ms, size=(n_handshakes, baseline.round_trips)
+    )
+    rtts = rtt_draws[:, 0]
+    for j in range(1, baseline.round_trips):
+        rtts = rtts + rtt_draws[:, j]
     baseline_local = compute
     baseline_rtt = compute + rtts
 

@@ -137,3 +137,23 @@ def test_trace_csv(tmp_path):
 def test_link_model_validation():
     with pytest.raises(ValueError):
         LinkModel(d0_ms=-1.0)
+
+
+def test_same_microsecond_deliveries_follow_send_order():
+    # zero jitter and processing: every message and timer lands at 10 ms
+    net = Network(seed=0, default_link=LinkModel(d0_ms=20.0, jitter_max_ms=0.0), processing_ms=0.0)
+    got = []
+    net.register_node("a")
+    net.register_node("b", lambda n, ev: got.append(ev.payload))
+    expected = []
+    for i in range(40):
+        if i % 3 == 1:
+            net.call_at(10.0, (lambda tag: lambda: got.append(tag))(f"timer{i}"))
+            expected.append(f"timer{i}")
+        else:
+            net.send("a", "b", f"msg{i}")
+            expected.append(f"msg{i}")
+    delivered = net.run_until(10.0)
+    assert got == expected
+    assert [ev.seq for ev in delivered] == list(range(40))
+    assert {ev.deliver_at_us for ev in delivered} == {10_000}

@@ -3,7 +3,7 @@ import base64
 import numpy as np
 import pytest
 
-from qenergydex.entropy import generate_qber_trace
+from qenergydex.entropy import DEFAULT_EPSILON, QberTrace, extractable_length_vec, generate_qber_trace
 from qenergydex.qkms import (
     AlreadyRetired,
     InsufficientEntropy,
@@ -318,6 +318,73 @@ def test_controller_window_aggregation():
         run_rate_controller(trace, st0, window_ms=0)
     with pytest.raises(ValueError):
         run_rate_controller(trace, st0, strategy="bogus")
+
+
+def _controller_loop(trace, st0, window_ms):
+    """The adaptive controller as a scalar fold of ``rate_adapt_step``."""
+    samples = trace.samples
+    n = len(samples)
+    capacity = extractable_length_vec(int(st0.r_max_bps // 1000), samples, DEFAULT_EPSILON) * 1000.0
+    state = np.empty(n)
+    target = np.empty(n)
+    st = st0
+    for start in range(0, n, window_ms):
+        stop = min(start + window_ms, n)
+        st = rate_adapt_step(st, float(samples[start:stop].mean()))
+        state[start:stop] = st.r_t_bps
+        target[start:stop] = np.minimum(st.r_t_bps, capacity[start:stop])
+    dropped = np.cumsum(np.maximum(0.0, target - capacity) * (1.0 / 1000.0))
+    return state, target, np.minimum(target, capacity), dropped
+
+
+def _assert_matches_loop(trace, st0, window_ms):
+    res = run_rate_controller(trace, st0, window_ms=window_ms, strategy="rate_adapt")
+    state, target, output, dropped = _controller_loop(trace, st0, window_ms)
+    assert res.state_bps.tobytes() == state.tobytes()
+    assert res.target_bps.tobytes() == target.tobytes()
+    assert res.output_bps.tobytes() == output.tobytes()
+    assert res.dropped_bits.tobytes() == dropped.tobytes()
+    return res
+
+
+def test_controller_closed_form_matches_loop():
+    # 5000 samples: windows of 3 and 64 leave a ragged last window, n + 5
+    # makes one short window, and t > 1 resumes a controller mid-run
+    for seed in range(4):
+        trace = generate_qber_trace(5.0, seed=seed)
+        n = len(trace)
+        for st0 in (
+            RateAdaptState(r_t_bps=5e6, r_max_bps=5e6),
+            RateAdaptState(r_t_bps=3.7e6, r_max_bps=5e6, gamma0=0.8, t=7),
+        ):
+            for window_ms in (1, 3, 10, 64, 1000, n + 5):
+                _assert_matches_loop(trace, st0, window_ms)
+
+
+def test_controller_floor_is_absorbing_and_matches_loop():
+    # gamma0 = 0.9 at q = 0.5 drives the rate onto the floor within 300
+    # steps; q = 0.9 does so for wide windows too, and a clean channel
+    # afterwards must not lift it off
+    samples = np.concatenate([np.full(300, 0.5), np.full(2000, 0.9), np.full(500, 0.001)])
+    trace = QberTrace(samples, seed=0, q_hi=0.95)
+    st0 = RateAdaptState(r_t_bps=5e6, r_max_bps=5e6, gamma0=0.9)
+    for window_ms in (1, 3, 64):
+        res = _assert_matches_loop(trace, st0, window_ms)
+        assert res.state_bps[-1] == 0.5e6
+        assert (res.state_bps >= 0.5e6).all()
+    assert _assert_matches_loop(trace, st0, 1).state_bps[299] == 0.5e6
+
+
+def test_controller_rejects_window_mean_outside_unit_interval():
+    st0 = RateAdaptState(r_t_bps=5e6, r_max_bps=5e6)
+    at_one = QberTrace(np.full(20, 1.0), seed=0, q_hi=1.0)
+    with pytest.raises(ValueError, match="q_t must lie"):
+        run_rate_controller(at_one, st0, strategy="rate_adapt")
+    with pytest.raises(ValueError, match="q_t must lie"):
+        run_rate_controller(at_one, st0, window_ms=7, strategy="rate_adapt")
+    negative = QberTrace(np.full(20, -0.01), seed=0, q_lo=-1.0)
+    with pytest.raises(ValueError):
+        run_rate_controller(negative, st0, strategy="rate_adapt")
 
 
 # ---------------------------------------------------------------------------
