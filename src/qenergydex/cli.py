@@ -212,6 +212,15 @@ def _link_from_config(config: dict) -> LinkModel:
     )
 
 
+def _baseline_from_config(config: dict) -> BaselineHandshakeModel:
+    qs = config["qsah"]
+    return BaselineHandshakeModel(
+        round_trips=qs["round_trips"],
+        compute_median_ms=qs["compute_median_ms"],
+        compute_sigma=qs["compute_sigma"],
+    )
+
+
 def _consensus_from_config(config: dict) -> ConsensusParams:
     c = config["consensus"]
     return ConsensusParams(
@@ -316,11 +325,7 @@ def cmd_rate_adapt(config: dict, out: Path) -> list[tuple[str, bool, str]]:
 def cmd_qsah_bench(config: dict, out: Path) -> list[tuple[str, bool, str]]:
     qs = config["qsah"]
     link = _link_from_config(config)
-    baseline = BaselineHandshakeModel(
-        round_trips=qs["round_trips"],
-        compute_median_ms=qs["compute_median_ms"],
-        compute_sigma=qs["compute_sigma"],
-    )
+    baseline = _baseline_from_config(config)
     res = latency_benchmark(
         qs["n_handshakes"], qs["batch_size"], link, baseline, seed=config["seed"]
     )
@@ -459,11 +464,7 @@ def cmd_market(config: dict, out: Path) -> list[tuple[str, bool, str]]:
     m = config["market"]
     qs = config["qsah"]
     link = _link_from_config(config)
-    baseline = BaselineHandshakeModel(
-        round_trips=qs["round_trips"],
-        compute_median_ms=qs["compute_median_ms"],
-        compute_sigma=qs["compute_sigma"],
-    )
+    baseline = _baseline_from_config(config)
     rows = []
     checks = []
     for dataset in range(m["datasets"]):
@@ -584,13 +585,7 @@ def cmd_full_stack(config: dict, out: Path) -> list[tuple[str, bool, str]]:
             established += 1
 
     # consensus with salts rented from the same pool
-    params = ConsensusParams(
-        alpha=fs["alpha"],
-        beta=config["consensus"]["beta"],
-        epsilon_growth=config["consensus"]["epsilon_growth"],
-        target_block_rate=config["consensus"]["target_block_rate"],
-        security_bits=config["consensus"]["security_bits"],
-    )
+    params = _consensus_from_config(_merge(config, {"consensus": {"alpha": fs["alpha"]}}))
     nodes = make_validators(fs["n_validators"], fs["alpha"], seed)
     trace_chain, metrics = simulate_chain(
         params,
@@ -618,7 +613,7 @@ def cmd_full_stack(config: dict, out: Path) -> list[tuple[str, bool, str]]:
         fs["market_prosumers"],
         min(qs["batch_size"], fs["market_prosumers"]),
         _link_from_config(config),
-        BaselineHandshakeModel(),
+        _baseline_from_config(config),
         seed=seed,
     )
     keep, outcomes = security_coupled_clearing(

@@ -152,6 +152,11 @@ def _vectors(prosumers: list[Prosumer]) -> tuple[np.ndarray, np.ndarray, np.ndar
     return alpha, pi, pmax
 
 
+def _response(alpha, pi, pmax, h, u):
+    """Capped responses clip(alpha (pi - H^T u), +-p_max) of stacked followers."""
+    return np.clip(alpha * (pi - h.T @ u), -pmax, pmax)
+
+
 def follower_response(prosumer: Prosumer, u: np.ndarray, h_column: np.ndarray) -> float:
     """Capped best response p_i = clip(alpha_i (pi_i - u . H_col), +-p_max)."""
     u = np.atleast_1d(np.asarray(u, dtype=float))
@@ -166,9 +171,7 @@ def aggregate_response(
 ) -> np.ndarray:
     """Stacked follower responses; equals diag(alpha)(pi - H^T u) when no cap binds."""
     alpha, pi, pmax = _vectors(prosumers)
-    h = np.atleast_2d(np.asarray(h, dtype=float))
-    raw = alpha * (pi - h.T @ np.atleast_1d(u))
-    return np.clip(raw, -pmax, pmax)
+    return _response(alpha, pi, pmax, np.atleast_2d(np.asarray(h, dtype=float)), np.atleast_1d(u))
 
 
 def welfare(prosumers: list[Prosumer], p: np.ndarray) -> float:
@@ -187,10 +190,6 @@ def leader_cost(grid: GridModel, u: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # solvers
 # ---------------------------------------------------------------------------
-
-
-def _response(alpha, pi, pmax, h, u):
-    return np.clip(alpha * (pi - h.T @ u), -pmax, pmax)
 
 
 def _kkt_residual_social(u, flows, limits) -> float:
@@ -299,7 +298,7 @@ def _uniform_price_ray(h, alpha, pi, pmax):
     """Yield (u, line flows) at each probe price u = kappa * 1 of the uniform-price ray."""
     for kappa in _RAY_KAPPAS:
         u = np.full(h.shape[0], kappa)
-        yield u, h @ np.clip(alpha * (pi - h.T @ u), -pmax, pmax)
+        yield u, h @ _response(alpha, pi, pmax, h, u)
 
 
 def _leader_qp(m, b, q, c) -> np.ndarray:
@@ -556,16 +555,10 @@ def security_coupled_clearing(
             cost += per_node_key_cost_bits
     keep = np.array(sorted(admitted), dtype=int)
     if keep.size == 0:
-        zero = MarketOutcome(
-            u=np.zeros(grid.n_lines),
-            p=np.zeros(0),
-            welfare=0.0,
-            scenario="EMPTY",
-            feasible=True,
-        )
-        return keep, {s: MarketOutcome(
-            u=zero.u, p=zero.p, welfare=0.0, scenario=s, feasible=True
-        ) for s in SCENARIOS}
+        u, p = np.zeros(grid.n_lines), np.zeros(0)
+        return keep, {
+            s: MarketOutcome(u=u, p=p, welfare=0.0, scenario=s, feasible=True) for s in SCENARIOS
+        }
     sub = [prosumers[i] for i in keep]
     outcomes = clear_all_scenarios(grid.restrict(keep), sub, tol)
     return keep, outcomes

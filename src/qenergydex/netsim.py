@@ -78,7 +78,6 @@ class Network:
         self.processing_ms = processing_ms
         self._rng = substream(seed, "net")
         self._handlers: dict[str, Callable] = {}
-        self._links: dict[tuple[str, str], LinkModel] = {}
         self._down: set[frozenset] = set()
         # (deliver_at_us, seq, event): tuples order by time, then send order
         self._queue: list[tuple[int, int, Event]] = []
@@ -93,19 +92,12 @@ class Network:
     def register_node(self, name: str, handler: Callable | None = None) -> None:
         self._handlers[name] = handler or (lambda net, ev: None)
 
-    def set_link(self, a: str, b: str, link: LinkModel) -> None:
-        self._links[(a, b)] = link
-        self._links[(b, a)] = link
-
     def set_link_down(self, a: str, b: str, down: bool = True) -> None:
         key = frozenset((a, b))
         if down:
             self._down.add(key)
         else:
             self._down.discard(key)
-
-    def link_between(self, a: str, b: str) -> LinkModel:
-        return self._links.get((a, b), self.default_link)
 
     # -- clock and scheduling ----------------------------------------------
 
@@ -117,9 +109,6 @@ class Network:
         """Register a callback invoked at every 100 ms slot boundary."""
         self._slot_hooks.append(hook)
 
-    def sample_rtt(self, a: str, b: str) -> float:
-        return sample_rtt(self.link_between(a, b), self._rng)
-
     def send(self, src: str, dst: str, payload, kind: str = "msg") -> Event:
         """Schedule delivery of ``payload`` after one-way delay plus processing."""
         if src not in self._handlers:
@@ -130,7 +119,7 @@ class Network:
             # partitioned link: message silently dropped
             ev = Event(deliver_at_us=-1, seq=-1, src=src, dst=dst, payload=payload, kind=kind)
             return ev
-        link = self.link_between(src, dst)
+        link = self.default_link
         one_way = link.d0_ms / 2.0 + self._rng.uniform(0.0, link.jitter_max_ms / 2.0)
         delay_us = int(round((one_way + self.processing_ms) * 1000.0))
         ev = Event(

@@ -22,21 +22,22 @@ with alpha the Byzantine weight fraction and beta the empty-slot rate.
 
 Two simulation modes are provided: a fast analytic mode that draws the
 outcome sequence directly as Bernoulli-type noise (used for the large
-Monte Carlo ensembles), and a network mode that runs real elections,
-gossip, and weighted voting through the event-driven network model,
-including Byzantine strategies (vote withholding, equivocation, private
-fork release).
+Monte Carlo ensembles), and a network mode that runs real VRF elections
+and key-service salt rentals, with the KMS round trip and the gossip
+legs drawn from the link model, and Byzantine strategies (vote
+withholding, equivocation, private fork release). Network mode sends no
+messages: it samples the delays a message exchange would take.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .netsim import SLOT_MS, LinkModel, Network
+from .netsim import DEFAULT_PROCESSING_MS, SLOT_MS, LinkModel, sample_rtt
 from .qkms import InsufficientEntropy, KmsReplica
 from .rng import substream
 
@@ -65,6 +66,7 @@ __all__ = [
 
 DEFAULT_BLOCK_INTERVAL_MS = 65.0
 CONFIRM_WEIGHT = 2.0 / 3.0
+KMS_LINK = LinkModel(d0_ms=5.0, jitter_max_ms=5.0)   # validator to key service
 
 
 class UnknownValidator(KeyError):
@@ -186,8 +188,8 @@ def adjust_threshold(
     rate_floor: float = 1e-6,
 ) -> float:
     """Multiplicative threshold controller toward the target block rate."""
-    if not 0.0 < target_rate < 1.0:
-        raise ValueError("target_rate must lie in (0, 1)")
+    if not 0.0 < target_rate <= 1.0:
+        raise ValueError("target_rate must lie in (0, 1]")
     if not 0.0 <= observed_rate <= 1.0:
         raise ValueError("observed_rate must lie in [0, 1]")
     return float(np.clip(h_q * target_rate / max(observed_rate, rate_floor), h_min, h_max))
@@ -250,7 +252,6 @@ class ChainTrace:
 
     outcomes: np.ndarray
     block_interval_ms: float = DEFAULT_BLOCK_INTERVAL_MS
-    intervals_ms: np.ndarray | None = None   # measured, network mode only
 
     def __post_init__(self):
         outcomes = np.asarray(self.outcomes, dtype=np.int8)
@@ -297,13 +298,9 @@ def cp_violation_fraction(outcomes: np.ndarray, max_depth: int) -> np.ndarray:
 
     The block k confirmations deep stays contestable only while an
     adversarial streak has outlasted those k confirmations, i.e. a streak
-    of length at least k + 1 is running.
+    of length at least k + 1 is running: the fork tail shifted by one.
     """
-    streaks = _forward_streaks(np.asarray(outcomes))
-    total = len(streaks)
-    counts = np.bincount(np.minimum(streaks, max_depth + 1), minlength=max_depth + 2)
-    tail = np.cumsum(counts[::-1])[::-1]
-    return tail[2 : max_depth + 2] / float(total)
+    return fork_persistence_tail(outcomes, max_depth + 1)[1:]
 
 
 def growth_violation_fraction(
@@ -380,35 +377,27 @@ class ChainMetrics:
         )
 
 
-def chain_metrics(
-    trace: ChainTrace,
-    params: ConsensusParams,
-    max_depth: int = 80,
-    finality_hist: bool = True,
-) -> ChainMetrics:
+def chain_metrics(trace: ChainTrace, params: ConsensusParams, max_depth: int = 80) -> ChainMetrics:
     depths = np.arange(1, max_depth + 1)
-    fork_emp = fork_persistence_tail(trace.outcomes, max_depth)
-    cp_emp = cp_violation_fraction(trace.outcomes, max_depth)
+    # one streak pass serves both tails: the common-prefix frequency at
+    # depth k is the fork tail at k + 1 (see cp_violation_fraction)
+    tail = fork_persistence_tail(trace.outcomes, max_depth + 1)
     growth_emp = growth_violation_fraction(
         trace.outcomes, params.epsilon_growth, params.alpha, params.beta, max_depth
     )
+    # cp_violation_bound is fork_tail_bound, so both series share one array
     fork_b = np.array([fork_tail_bound(params.alpha, t) for t in depths])
-    cp_b = np.array([cp_violation_bound(params.alpha, k) for k in depths])
     growth_b = np.array(
         [chain_growth_bound(params.alpha, params.beta, params.epsilon_growth, t) for t in depths]
     )
-    hist = np.zeros(max_depth, dtype=np.int64)
-    if finality_hist:
-        observed = finality_depths(trace.outcomes, max_depth)
-        if observed.size:
-            binned = np.bincount(observed, minlength=max_depth + 1)[1 : max_depth + 1]
-            hist[: len(binned)] = binned
+    # finality depths lie in [1, max_depth]
+    hist = np.bincount(finality_depths(trace.outcomes, max_depth), minlength=max_depth + 1)[1:]
     return ChainMetrics(
         depths=depths,
-        fork_tail_empirical=fork_emp,
+        fork_tail_empirical=tail[:-1],
         fork_tail_bounds=fork_b,
-        cp_empirical=cp_emp,
-        cp_bounds=cp_b,
+        cp_empirical=tail[1:],
+        cp_bounds=fork_b,
         growth_empirical=growth_emp,
         growth_bounds=growth_b,
         finality_histogram=hist,
@@ -463,9 +452,16 @@ def _simulate_network(
     seed: int,
     kms: KmsReplica | None = None,
     byz_strategy: str = "equivocate",
-    kms_link: LinkModel | None = None,
 ) -> ChainTrace:
-    """Per-height election, gossip, and weighted voting over the event loop.
+    """Per-height VRF election, salt rental, and weighted voting.
+
+    Each height elects its leaders with the real VRF on a seed salted
+    from the key service (or from a seeded stream when none is attached).
+    No message is sent: the KMS round trip over ``KMS_LINK`` and the
+    three broadcast legs (proposal, vote, commit) over ``link`` are drawn
+    from the link model, and the honest weight is the vote. A block
+    confirms when that weight reaches 2/3 and the legs end within four
+    slots; otherwise the height is a fork and time moves to the next slot.
 
     Byzantine strategies: ``withhold`` (elected Byzantine leaders stay
     silent and Byzantine validators never vote), ``equivocate`` (a
@@ -478,99 +474,67 @@ def _simulate_network(
     total_weight = sum(n.weight for n in nodes)
     if abs(total_weight - 1.0) > 1e-9:
         raise ValueError("validator weights must be normalized")
-    net = Network(seed=seed, default_link=link)
-    kms_link = kms_link or LinkModel(d0_ms=5.0, jitter_max_ms=5.0)
-    for node in nodes:
-        net.register_node(node.node_id)
-    net.register_node("kms")
-    net.set_link(nodes[0].node_id, "kms", kms_link)
-
+    delay_rng = substream(seed, "net")
     salt_rng = substream(seed, "porlite", "salt")
+    gossip_fanout = min(len(nodes), 16)
+
+    def broadcast_time() -> float:
+        # slowest of the sampled one-way deliveries, plus processing
+        jitter = delay_rng.uniform(0.0, link.jitter_max_ms / 2.0, size=gossip_fanout)
+        return link.d0_ms / 2.0 + float(jitter.max()) + DEFAULT_PROCESSING_MS
+
     h_q = _threshold_for_rate(params.target_block_rate, len(nodes))
+    h_max = min(1.0, 4.0 * h_q)
+    # honest validators vote; Byzantine weight is withheld
+    quorum = confirm_threshold_met(sum(n.weight for n in nodes if not n.byzantine))
     prev_hash = hashlib.sha256(b"genesis").digest()
     outcomes = np.zeros(horizon, dtype=np.int8)
     intervals = np.zeros(horizon)
-    observed_rate_window: list[int] = []
+    produced = 0   # heights with a leader in the current 100-height window
 
     t = 0.0
     for height in range(horizon):
         t_height = t
         # election salt: rented from the key service when one is attached
-        if kms is not None:
-            try:
-                record = kms.rent(128, int(t))
-                salt = record.key_bits[:16]
-            except InsufficientEntropy:
-                outcomes[height] = 0
-                t = _next_slot(t)
-                intervals[height] = t - t_height
-                observed_rate_window.append(0)
-                h_q = _maybe_adjust(h_q, observed_rate_window, params, len(nodes))
-                continue
-            rtt = net.sample_rtt(nodes[0].node_id, "kms")
-            t += rtt + 2 * net.processing_ms
-        else:
+        if kms is None:
             salt = salt_rng.bytes(16)
-
-        seed_bytes = election_seed(prev_hash, salt)
-        leaders = elect_leader(nodes, seed_bytes, h_q)
-        produced = bool(leaders)
-        if byz_strategy == "withhold":
-            leaders = [(n, y) for (n, y) in leaders if not n.byzantine]
-        if not leaders:
-            outcomes[height] = 0
-            t = _next_slot(t)
-            intervals[height] = t - t_height
-            observed_rate_window.append(1 if produced else 0)
-            h_q = _maybe_adjust(h_q, observed_rate_window, params, len(nodes))
-            continue
-
-        leader, _y = leaders[0]
-        proposal_delay = _broadcast_time(net, leader.node_id, nodes)
-        if leader.byzantine and byz_strategy == "private_fork":
-            proposal_delay += link.jitter_max_ms  # released at the jitter bound
-
-        if leader.byzantine and byz_strategy == "equivocate":
-            # conflicting blocks split the honest vote; neither side reaches 2/3
-            outcomes[height] = -1
-            t = _next_slot(t)
         else:
-            # honest validators vote; Byzantine weight is withheld
-            vote_weight = sum(n.weight for n in nodes if not n.byzantine)
-            vote_delay = _broadcast_time(net, leader.node_id, nodes)
-            commit_delay = _broadcast_time(net, leader.node_id, nodes)
-            done = t + proposal_delay + vote_delay + commit_delay
-            if confirm_threshold_met(vote_weight) and done <= t_height + 4 * SLOT_MS:
-                outcomes[height] = 1
-                t = done
-                prev_hash = hashlib.sha256(prev_hash + seed_bytes).digest()
+            try:
+                salt = kms.rent(128, int(t)).key_bits[:16]
+            except InsufficientEntropy:
+                salt = None   # no salt, no election: an empty slot
             else:
+                t += sample_rtt(KMS_LINK, delay_rng) + 2 * DEFAULT_PROCESSING_MS
+
+        if salt is not None:
+            seed_bytes = election_seed(prev_hash, salt)
+            leaders = elect_leader(nodes, seed_bytes, h_q)
+            produced += bool(leaders)
+            if byz_strategy == "withhold":
+                leaders = [(n, y) for (n, y) in leaders if not n.byzantine]
+            if leaders:
+                leader = leaders[0][0]
+                proposal_delay = broadcast_time()
+                if leader.byzantine and byz_strategy == "private_fork":
+                    proposal_delay += link.jitter_max_ms  # released at the jitter bound
+                # conflicting equivocated blocks split the honest vote, so
+                # neither side reaches 2/3: the height stays a fork
                 outcomes[height] = -1
-                t = _next_slot(t)
+                if not (leader.byzantine and byz_strategy == "equivocate"):
+                    done = t + proposal_delay + broadcast_time() + broadcast_time()  # vote, commit
+                    if quorum and done <= t_height + 4 * SLOT_MS:
+                        outcomes[height] = 1
+                        t = done
+                        prev_hash = hashlib.sha256(prev_hash + seed_bytes).digest()
+
+        if outcomes[height] != 1:
+            t = _next_slot(t)
         intervals[height] = t - t_height
-        observed_rate_window.append(1)   # a leader existed: block produced
-        h_q = _maybe_adjust(h_q, observed_rate_window, params, len(nodes))
+        if (height + 1) % 100 == 0:
+            h_q = adjust_threshold(h_q, produced / 100.0, params.target_block_rate, h_max=h_max)
+            produced = 0
 
-    return ChainTrace(
-        outcomes=outcomes,
-        block_interval_ms=float(np.mean(intervals)),
-        intervals_ms=intervals,
-    )
-
-
-def _broadcast_time(net: Network, src: str, nodes: list[ValidatorNode]) -> float:
-    """Time for a one-way broadcast leg to cover the validator set.
-
-    Modeled as the slowest one-way delivery plus the processing constant
-    (full N x N gossip is not materialized per height for speed, but draws
-    come from the same link model as the message fabric).
-    """
-    link = net.default_link
-    worst = 0.0
-    for _ in range(min(len(nodes), 16)):
-        one_way = link.d0_ms / 2.0 + net._rng.uniform(0.0, link.jitter_max_ms / 2.0)
-        worst = max(worst, one_way)
-    return worst + net.processing_ms
+    return ChainTrace(outcomes=outcomes, block_interval_ms=float(np.mean(intervals)))
 
 
 def _next_slot(t: float) -> float:
@@ -580,16 +544,6 @@ def _next_slot(t: float) -> float:
 def _threshold_for_rate(target_rate: float, n_nodes: int) -> float:
     """h_q such that P(at least one leader) matches the target block rate."""
     return 1.0 - (1.0 - target_rate) ** (1.0 / n_nodes)
-
-
-def _maybe_adjust(
-    h_q: float, window: list[int], params: ConsensusParams, n_nodes: int
-) -> float:
-    if len(window) % 100:
-        return h_q
-    observed = sum(window[-100:]) / 100.0
-    h_max = min(1.0, 4.0 * _threshold_for_rate(params.target_block_rate, n_nodes))
-    return adjust_threshold(h_q, observed, params.target_block_rate, h_max=h_max)
 
 
 def simulate_chain(
@@ -606,8 +560,9 @@ def simulate_chain(
     """Simulate ``horizon_heights`` block heights and compute the metrics.
 
     ``bernoulli`` draws the outcome sequence directly from the noise
-    abstraction; ``network`` runs elections, gossip, and voting through
-    the event-driven fabric.
+    abstraction; ``network`` runs real VRF elections and key-service salt
+    rentals, with link delays sampled from the link model, and sends no
+    messages (see ``_simulate_network``).
     """
     if horizon_heights < 1:
         raise ValueError("horizon must be >= 1")

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -199,7 +200,7 @@ def test_cp_violation_is_shifted_tail():
     outcomes = rng.choice([1, -1, 0], size=500, p=[0.6, 0.25, 0.15]).astype(np.int8)
     fork = fork_persistence_tail(outcomes, 11)
     cp = cp_violation_fraction(outcomes, 10)
-    assert np.allclose(cp, fork[1:])
+    assert np.array_equal(cp, fork[1:])
 
 
 def test_growth_violation_matches_brute_force():
@@ -232,6 +233,11 @@ def test_chain_trace_validation():
 # ---------------------------------------------------------------------------
 # simulation modes
 # ---------------------------------------------------------------------------
+
+
+def trace_digest(trace):
+    """Pins a network-mode run: its outcomes and its measured mean interval."""
+    return hashlib.sha256(trace.outcomes.tobytes() + repr(trace.block_interval_ms).encode()).hexdigest()
 
 
 def test_bernoulli_mode_mix_and_domination():
@@ -282,6 +288,23 @@ def test_network_mode_entropy_starvation_stalls_elections():
     empty_rich = float((trace_rich.outcomes == 0).mean())
     empty_poor = float((trace_poor.outcomes == 0).mean())
     assert empty_poor > empty_rich + 0.5
+    assert trace_digest(trace_poor) == "042a210f1c6e00c427c0a1cdecd415a9d60ed079a0bf9ef2272c4a77df75b414"
+
+
+def test_network_mode_full_target_rate_keeps_every_slot_led():
+    # at target rate 1 the threshold controller's operating point is
+    # h_q = h_max = 1, where every validator leads every height
+    params = ConsensusParams(target_block_rate=1.0)
+    trace, _ = simulate_chain(params, 150, seed=7, mode="network")
+    assert (trace.outcomes != 0).all()
+
+
+# sha256 of outcomes and mean interval per strategy (see trace_digest)
+STRATEGY_DIGESTS = {
+    "withhold": "391a5ba60ece5119bcf934bd156e3bb5aead16d37b3be336062f3d4be9743edd",
+    "equivocate": "05308f93ff496801bd0d6c470c6057c1ac6e7c25ea46b3e47a17ca0f558f5049",
+    "private_fork": "538b0b638232acc47ba9b88e6f7dd70f4e800b3464e6b6597f09fed12c16ae68",
+}
 
 
 @pytest.mark.parametrize("strategy", ["withhold", "equivocate", "private_fork"])
@@ -293,6 +316,7 @@ def test_network_mode_byzantine_strategies(strategy):
     )
     assert len(trace) == 500
     assert metrics.dominated()
+    assert trace_digest(trace) == STRATEGY_DIGESTS[strategy]
     if strategy == "withhold":
         # silent leaders produce no competing block, only lost slots
         assert (trace.outcomes != -1).all()
@@ -313,6 +337,7 @@ def test_metrics_shapes_and_bounds_pairing():
     assert len(metrics.depths) == 30
     assert metrics.fork_tail_bounds[0] == pytest.approx(fork_tail_bound(0.25, 1))
     assert metrics.cp_bounds[-1] == pytest.approx(cp_violation_bound(0.25, 30))
+    assert np.array_equal(metrics.cp_bounds, metrics.fork_tail_bounds)
     assert metrics.growth_bounds[9] == pytest.approx(chain_growth_bound(0.25, 0.10, 0.20, 10))
     # tails are monotone non-increasing
     assert (np.diff(metrics.fork_tail_empirical) <= 1e-12).all()
