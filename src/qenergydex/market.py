@@ -69,7 +69,8 @@ __all__ = [
 
 SCENARIOS = ("SOCIAL", "STACK", "BASE", "WBASE")
 DEFAULT_TOL = 1e-6
-MAX_ITER = 100_000
+_NEWTON_STEPS = 400             # projected Newton steps of solve_social
+_QP_STEPS_PER_START = 100_000   # bounds solve_stackelberg's descent from each start
 
 
 class NoConvergence(RuntimeError):
@@ -204,16 +205,21 @@ def solve_social(
     grid: GridModel,
     prosumers: list[Prosumer],
     tol: float = DEFAULT_TOL,
-    max_iter: int = MAX_ITER,
-    u0: np.ndarray | None = None,
 ) -> MarketOutcome:
     """Welfare maximum under caps and line limits, via the projected dual.
 
     The dual function g(u) = max_p [W(p) - u.(Hp - limits)] has the capped
     response as inner argmax and gradient limits - H p(u); it is minimized
-    over u >= 0 with projected Newton steps (the dual Hessian is the
-    line-flow sensitivity of the active prosumers) guarded by Armijo
-    backtracking on the dual value.
+    over u >= 0 from u = 0 with at most ``_NEWTON_STEPS`` projected Newton
+    steps (the dual Hessian is the line-flow sensitivity of the active
+    prosumers) guarded by Armijo backtracking on the dual value.
+
+    Each Newton direction is a descent direction. On the free lines it is
+    d = -S^-1 g with S = M + ridge I, where M = H diag(act alpha) H^T is
+    positive semidefinite (act >= 0, alpha > 0) and ridge > 0, so S is
+    symmetric positive definite: the solve cannot fail, and the slope
+    g.d = -g^T S^-1 g is negative unless g = 0 on the free lines, when d
+    is 0. Capping |d| scales it by a positive factor and keeps that sign.
     """
     alpha, pi, pmax = _vectors(prosumers)
     h = grid.ptdf
@@ -223,12 +229,11 @@ def solve_social(
         p = _response(alpha, pi, pmax, h, u)
         return welfare(prosumers, p) - float(u @ (h @ p - limits)), p
 
-    u = np.zeros(grid.n_lines) if u0 is None else np.maximum(0.0, np.asarray(u0, float))
+    u = np.zeros(grid.n_lines)
     g_u, p = g_val(u)
     iterations = 0
     residual = math.inf
-    newton_budget = min(max_iter, 400)
-    for iterations in range(1, newton_budget + 1):
+    for iterations in range(1, _NEWTON_STEPS + 1):
         raw = alpha * (pi - h.T @ u)
         p = np.clip(raw, -pmax, pmax)
         flows = h @ p
@@ -244,19 +249,15 @@ def solve_social(
         idx = np.nonzero(free)[0]
         if idx.size == 0:
             break
+        # symmetric positive definite (see the docstring), so the solve
+        # succeeds and d is a descent direction
         sub = m[np.ix_(idx, idx)] + ridge * np.eye(idx.size)
-        try:
-            d[idx] = np.linalg.solve(sub, -grad[idx])
-        except np.linalg.LinAlgError:
-            d[idx] = -grad[idx]
+        d[idx] = np.linalg.solve(sub, -grad[idx])
         cap = 1e3 * (1.0 + float(np.abs(u).max()))
         dmax = float(np.abs(d).max(initial=0.0))
         if dmax > cap:
             d *= cap / dmax
         slope = float(grad @ d)
-        if slope >= 0:
-            d = np.where(free, -grad, 0.0)
-            slope = float(grad @ d)
         t_step = 1.0
         accepted = False
         for _bt in range(60):
@@ -331,7 +332,6 @@ def solve_stackelberg(
     grid: GridModel,
     prosumers: list[Prosumer],
     tol: float = DEFAULT_TOL,
-    max_iter: int = MAX_ITER,
     u0: np.ndarray | None = None,
 ) -> MarketOutcome:
     """Leader problem min C_grid(u) s.t. H p(u) <= limits, u >= 0.
@@ -348,7 +348,7 @@ def solve_stackelberg(
     solved exactly). The cost is convex along the segment and no larger
     at its end, so it never increases; the next piece is the one the
     segment was in when it stopped. Steps repeat until the cost stops
-    decreasing, at most `max_iter` QP solves per start.
+    decreasing, at most `_QP_STEPS_PER_START` QP solves per start.
 
     Starts: SOCIAL's dual price (always feasible, p(u) is then the social
     optimum), the cheapest feasible point of the uniform-price ray, and
@@ -406,7 +406,7 @@ def solve_stackelberg(
         raw = alpha * (pi - h.T @ u)
         piece = raw
         iters = 0
-        while iters < max_iter:
+        while iters < _QP_STEPS_PER_START:
             iters += 1
             free = np.abs(piece) < pmax
             f0 = h @ np.where(free, alpha * pi, np.clip(piece, -pmax, pmax))
@@ -487,13 +487,12 @@ def solve_base(
         worst = int(np.argmax(flows0 - limits))
         row = h[worst]
         need = flows0[worst] - limits[worst]
+        # denom > 0: the worst line is violated, so row @ p0 = flows0[worst]
+        # > limits[worst] > 0 and row has a nonzero entry; every alpha > 0
         denom = float(np.sum(alpha * row * row))
-        if denom <= 0:
-            p_candidate = _scale(p0)
-        else:
-            relief = need * (alpha * row) / denom
-            p_candidate = np.clip(p0 - relief, -pmax, pmax)
-            p_candidate = _scale(p_candidate)   # no-op if targeted relief sufficed
+        relief = need * (alpha * row) / denom
+        p_candidate = np.clip(p0 - relief, -pmax, pmax)
+        p_candidate = _scale(p_candidate)   # no-op if targeted relief sufficed
         p_uniform = _scale(p0)
         if welfare(prosumers, p_candidate) < welfare(prosumers, p_uniform):
             p_candidate = p_uniform

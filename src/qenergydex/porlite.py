@@ -180,19 +180,18 @@ def elect_leader(
 
 
 def adjust_threshold(
-    h_q: float,
-    observed_rate: float,
-    target_rate: float,
-    h_min: float = 1e-6,
-    h_max: float = 1.0,
-    rate_floor: float = 1e-6,
+    h_q: float, observed_rate: float, target_rate: float, h_max: float = 1.0
 ) -> float:
-    """Multiplicative threshold controller toward the target block rate."""
+    """Multiplicative threshold controller toward the target block rate.
+
+    The result is clipped to [1e-6, h_max]; an observed rate below 1e-6
+    counts as 1e-6.
+    """
     if not 0.0 < target_rate <= 1.0:
         raise ValueError("target_rate must lie in (0, 1]")
     if not 0.0 <= observed_rate <= 1.0:
         raise ValueError("observed_rate must lie in [0, 1]")
-    return float(np.clip(h_q * target_rate / max(observed_rate, rate_floor), h_min, h_max))
+    return float(np.clip(h_q * target_rate / max(observed_rate, 1e-6), 1e-6, h_max))
 
 
 def confirm_threshold_met(vote_weight: float) -> bool:
@@ -409,13 +408,10 @@ def chain_metrics(trace: ChainTrace, params: ConsensusParams, max_depth: int = 8
 # ---------------------------------------------------------------------------
 
 
-def make_validators(
-    n: int, alpha: float, seed: int, byz_count: int | None = None
-) -> list[ValidatorNode]:
+def make_validators(n: int, alpha: float, seed: int) -> list[ValidatorNode]:
     """Equal-weight validator set with a Byzantine fraction close to alpha."""
     rng = substream(seed, "vrf", "keys")
-    if byz_count is None:
-        byz_count = int(round(alpha * n))
+    byz_count = int(round(alpha * n))
     nodes = []
     for i in range(n):
         nodes.append(

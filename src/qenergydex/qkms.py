@@ -246,7 +246,6 @@ def run_rate_controller(
     window_ms: int = 1,
     strategy: str = "rate_adapt",
     fixed_target_bps: float | None = None,
-    epsilon: float = DEFAULT_EPSILON,
 ) -> RateControllerResult:
     """Drive one emission strategy over a QBER trace at 1 ms resolution.
 
@@ -281,7 +280,7 @@ def run_rate_controller(
     if fixed_target_bps is None:
         fixed_target_bps = 0.8 * r_max
 
-    capacity = extractable_length_vec(n_raw, samples, epsilon) * 1000.0
+    capacity = extractable_length_vec(n_raw, samples, DEFAULT_EPSILON) * 1000.0
 
     if strategy == "fixed":
         state = np.full(n_iv, fixed_target_bps, dtype=float)
@@ -363,7 +362,7 @@ class KmsReplica:
         if delta > 0:
             self.pool = step_bucket(self.pool, delta)
 
-    def rent(self, n_bits: int, now_ms: int, session_id: str = "-") -> KeyRecord:
+    def rent(self, n_bits: int, now_ms: int) -> KeyRecord:
         """Issue ``n_bits`` of key material or raise InsufficientEntropy."""
         if n_bits <= 0:
             raise ValueError("n_bits must be positive")
@@ -473,9 +472,9 @@ class KmsCluster:
         self._route_rng = substream(seed, "kms", "ecmp")
         self.merged: dict[str, int] = {}
 
-    def rent(self, n_bits: int, now_ms: int, session_id: str = "-") -> KeyRecord:
+    def rent(self, n_bits: int, now_ms: int) -> KeyRecord:
         replica = self.replicas[self._route_rng.integers(len(self.replicas))]
-        return replica.rent(n_bits, now_ms, session_id)
+        return replica.rent(n_bits, now_ms)
 
     def retire(self, key_id: str, now_ms: int = 0) -> None:
         for replica in self.replicas:

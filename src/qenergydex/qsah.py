@@ -57,6 +57,7 @@ __all__ = [
 NONCE_LEN = 16
 TAG_LEN = 16
 KDF_CONTEXT = b"Q-EnergyDEX"   # 11 ASCII bytes
+_BATCH_GAP_MS = 500.0          # between the starts of latency_benchmark's batches
 
 
 class NoKey(RuntimeError):
@@ -263,15 +264,14 @@ def latency_benchmark(
     link: LinkModel,
     baseline: BaselineHandshakeModel,
     seed: int,
-    batch_gap_ms: float = 500.0,
 ) -> BenchmarkResult:
     """Measure handshake latency against the modeled baseline.
 
     The symmetric handshake runs as real protocol messages through the
     event-driven network (one round trip, per-message processing cost);
-    requests start in batches of ``batch_size``. The baseline arms are
-    sampled from the model: compute cost alone (loopback) and compute cost
-    plus ``round_trips`` round trips on the same link.
+    requests start in batches of ``batch_size``, 500 ms apart. The
+    baseline arms are sampled from the model: compute cost alone (loopback)
+    and compute cost plus ``round_trips`` round trips on the same link.
     """
     if n_handshakes < 1:
         raise ValueError("n_handshakes must be >= 1")
@@ -317,7 +317,7 @@ def latency_benchmark(
 
     for idx in range(n_handshakes):
         batch = idx // batch_size
-        net.call_at(batch * batch_gap_ms, (lambda i: (lambda: start_handshake(i)))(idx))
+        net.call_at(batch * _BATCH_GAP_MS, (lambda i: (lambda: start_handshake(i)))(idx))
     net.run_to_quiescence()
 
     # modeled baseline arms: same per-handshake structure, drawn from the model

@@ -19,11 +19,11 @@ __all__ = ["wilson_interval", "dkw_halfwidth", "Ecdf", "ecdf"]
 _Z95 = 1.96
 
 
-def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion.
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """Two-sided 95% Wilson score interval for a binomial proportion.
 
     Remains informative at the extremes: with zero successes the upper
-    bound is z^2 / (n + z^2) rather than collapsing to [0, 0].
+    bound is z^2 / (n + z^2), z = 1.96, rather than collapsing to [0, 0].
     """
     if trials <= 0:
         raise ValueError("trials must be positive")
@@ -31,6 +31,7 @@ def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple[float
         raise ValueError("successes must lie in [0, trials]")
     n = float(trials)
     p = successes / n
+    z = _Z95
     z2 = z * z
     denom = 1.0 + z2 / n
     center = (p + z2 / (2.0 * n)) / denom

@@ -63,10 +63,29 @@ def test_manifest_replay_is_byte_identical(tmp_path):
 
 
 def test_config_errors_exit_with_status_2(tmp_path, capsys):
-    for doc in ({"bogus": 1}, {"kms": {"bogus": 1}}):
+    docs = (
+        {"bogus": 1},
+        {"kms": {"bogus": 1}},
+        {"consensus": {"alpha": 0.4}},      # rejected by ConsensusParams
+        {"links": {"d0_ms": -1}},           # rejected by LinkModel
+        {"consensus": {"mode": "network"}},
+    )
+    for doc in docs:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
-        assert main(["rate-adapt", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        for command in ("rate-adapt", "porlite"):
+            assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     assert main(["rate-adapt", "--jobs", "0", "--out", str(tmp_path / "o")]) == 2
     assert not (tmp_path / "o").exists()
-    assert capsys.readouterr().err.count("config error") == 3
+    err = capsys.readouterr().err
+    assert err.count("config error") == 2 * len(docs) + 1
+    assert "unknown key consensus.mode" in err
+
+
+def test_porlite_finality_marker_holds_at_every_security_level(tmp_path, capsys):
+    # t_fin = ceil(30 ln 2 / (2 (1 - 2 alpha)^2)) = 42 at alpha = 0.25
+    doc = {"consensus": {"security_bits": 30, "horizon": 3000, "seeds": 2}}
+    path = tmp_path / "bits30.json"
+    path.write_text(json.dumps(doc))
+    assert main(["porlite", "--check", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    assert "[PASS] finality depth marker (t_fin=42)" in capsys.readouterr().out
