@@ -21,8 +21,9 @@ The ``consensus``, ``links`` and ``qsah`` sections carry the fields of
 those types' defaults) beside the harness's own keys: ``horizon``,
 ``seeds`` and ``max_depth`` for the PoR-Lite ensemble, ``n_handshakes``
 and ``batch_size`` for the handshake benchmark. A key that no section
-defines, or a value its parameter type rejects, exits with status 2
-before any output is written.
+defines, a value its parameter type rejects, or a harness key outside
+its range (a count below 1, a probability outside (0, 1), ...) exits with
+status 2 before any output is written.
 """
 
 from __future__ import annotations
@@ -210,6 +211,60 @@ def _params(config: dict, cls):
         return cls(**{f.name: section[f.name] for f in fields(cls)})
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"section {_PARAM_SECTIONS[cls]!r}: {exc}") from exc
+
+
+def _full_stack_consensus(config: dict) -> ConsensusParams:
+    """The consensus parameters with the full-stack run's adversary share."""
+    try:
+        return replace(_params(config, ConsensusParams), alpha=config["full_stack"]["alpha"])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"full_stack.alpha: {exc}") from exc
+
+
+# the harness's own keys and the range each must lie in: outside it a
+# command raises mid-run or counts something a negative number of times
+_HARNESS_RANGES = (
+    ("an integer >= 1", lambda v: type(v) is int and v >= 1, {
+        "kms": ("window_ms",),
+        "qsah": ("n_handshakes", "batch_size"),
+        "consensus": ("horizon", "seeds"),
+        "keypool": ("capacity", "max_events"),
+        "market": ("n_prosumers", "n_buses", "n_lines"),
+        "full_stack": ("heights", "n_validators", "pool_capacity_bits", "market_prosumers",
+                       "market_lines"),
+    }),
+    ("an integer >= 0", lambda v: type(v) is int and v >= 0, {
+        "trace": ("pulse_count",),
+        "consensus": ("max_depth",),
+        "keypool": ("n_epochs", "curve_points"),
+        "market": ("datasets",),
+        "full_stack": ("n_handshakes",),
+    }),
+    ("in (0, 1)", lambda v: type(v) in (int, float) and 0 < v < 1, {
+        "kms": ("gamma0",),
+        "keypool": ("target_pi0", "curve_rho_lo", "curve_rho_hi"),
+    }),
+    ("> 0", lambda v: type(v) in (int, float) and v > 0, {
+        "trace": ("duration_s",),
+        "kms": ("r_max_bps",),
+        "market": ("tol",),
+    }),
+)
+
+
+def _check_harness_keys(config: dict) -> None:
+    """Raise ConfigError for a harness key outside its range."""
+    for rule, holds, sections in _HARNESS_RANGES:
+        for section, keys in sections.items():
+            for key in keys:
+                value = config[section][key]
+                if not holds(value):
+                    raise ConfigError(f"{section}.{key} must be {rule}, got {value!r}")
+    t = config["trace"]
+    for lo, hi in (("amp_lo", "amp_hi"), ("width_lo", "width_hi")):
+        if not t[lo] <= t[hi]:
+            raise ConfigError(f"trace.{lo} must not exceed trace.{hi}")
+    _full_stack_consensus(config)
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +623,7 @@ def cmd_full_stack(config: dict, out: Path) -> list[tuple[str, bool, str]]:
             established += 1
 
     # consensus with salts rented from the same pool
-    params = replace(_params(config, ConsensusParams), alpha=fs["alpha"])
+    params = _full_stack_consensus(config)
     nodes = make_validators(fs["n_validators"], fs["alpha"], seed)
     trace_chain, metrics = simulate_chain(
         params,
@@ -685,6 +740,7 @@ def main(argv: list[str] | None = None) -> int:
         config = load_config(args.config, args.seed)
         for cls in _PARAM_SECTIONS:   # reject what a parameter type refuses, before any output
             _params(config, cls)
+        _check_harness_keys(config)
         if args.jobs < 1:
             raise ConfigError("--jobs must be >= 1")
     except ConfigError as exc:

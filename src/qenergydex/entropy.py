@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.special import gammaincc
 
 from .rng import substream
 
@@ -183,8 +182,9 @@ def chi_square_miss_probability(q0: float, delta_q: float, n: int) -> float:
 
     Returns Q_chi2( (delta_q)^2 n / q0 ) where Q_chi2 is the complementary
     CDF of a chi-square statistic with one degree of freedom (a single
-    scalar error-count statistic), evaluated through the regularized upper
-    incomplete gamma function.
+    scalar error-count statistic). That is the regularized upper incomplete
+    gamma function Q(1/2, x/2), and Gamma(1/2, z^2) = sqrt(pi) erfc(z)
+    (DLMF §8.4) gives the closed form erfc(sqrt(x/2)).
     """
     if q0 <= 0.0:
         raise ValueError("q0 must be positive")
@@ -193,7 +193,7 @@ def chi_square_miss_probability(q0: float, delta_q: float, n: int) -> float:
     if n < 1:
         raise ValueError("n must be a positive integer")
     statistic = delta_q * delta_q * n / q0
-    return float(gammaincc(0.5, statistic / 2.0))
+    return math.erfc(math.sqrt(statistic / 2.0))
 
 
 def statistical_distance_bound(epsilon_smooth: float, p_miss: float) -> float:
@@ -233,7 +233,7 @@ def generate_qber_trace(
     n = int(round(duration_s * SAMPLE_RATE_HZ))
     rng = substream(seed, "trace")
     t = np.arange(n, dtype=float)
-    q = np.full(n, base_q)
+    q = np.full(n, base_q, dtype=float)
     if noise_sigma > 0:
         noise = rng.normal(0.0, noise_sigma, size=n)
         np.clip(noise, -3.0 * noise_sigma, 3.0 * noise_sigma, out=noise)

@@ -13,8 +13,12 @@ gradient is the line slack, with the capped response as the inner argmax).
 The leader problem is nonconvex, but on each cap pattern (which followers
 sit at +-p_max) the flows are affine in u and it is a convex QP; the
 leader solver descends over cap patterns, one exact QP per step, checking
-each step against the true capped response. SOCIAL's dual price is always
-a feasible leader price and is one of its start points, so STACK never
+each step against the true capped response. Each QP is solved through its
+NNLS dual by an in-house Lawson-Hanson active-set method (`_nnls`, numpy
+only), warm-started from the constraints active at the previous QP of the
+same descent. The NNLS residual is unique, so each QP point is unique up
+to rounding however the NNLS is started. SOCIAL's dual price is always a
+feasible leader price and is one of its start points, so STACK never
 costs the leader more than SOCIAL's price does.
 
 Scenario set:
@@ -43,7 +47,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy import optimize
 
 from .rng import substream
 
@@ -71,6 +74,7 @@ SCENARIOS = ("SOCIAL", "STACK", "BASE", "WBASE")
 DEFAULT_TOL = 1e-6
 _NEWTON_STEPS = 400             # projected Newton steps of solve_social
 _QP_STEPS_PER_START = 100_000   # bounds solve_stackelberg's descent from each start
+_NNLS_SOLVES_PER_COLUMN = 3     # _nnls gives up after 3n least-squares solves, as scipy's nnls
 
 
 class NoConvergence(RuntimeError):
@@ -302,14 +306,102 @@ def _uniform_price_ray(h, alpha, pi, pmax):
         yield u, h @ _response(alpha, pi, pmax, h, u)
 
 
-def _leader_qp(m, b, q, c) -> np.ndarray:
+def _nnls(a, b, passive):
+    """argmin |a z - b| over z >= 0, by Lawson & Hanson's active-set method.
+
+    Lawson & Hanson, Solving Least Squares Problems (1974), ch. 23: the
+    column with the largest positive gradient w = a^T (b - a z) joins the
+    passive set P, unless the least squares on P then gives it a
+    nonpositive weight (their independence test); a step back into z >= 0
+    drops the columns that reach zero. Each least squares on P is solved
+    from the Gram submatrix a_P^T a_P (Bro & De Jong, J. Chemometrics 11,
+    1997) and corrected once from its residual (Bjorck, Numerical Methods
+    for Least Squares Problems, 1996, 2.2.4). The residual then agrees
+    with a QR solve's to rounding on well-conditioned passive sets, such as
+    the leader QPs' (cond(a_P) near 20); on nearly dependent columns
+    (cond(a_P) of 1e5 and more) it can end above scipy's.
+
+    `passive` (a column mask) warm-starts the method: the least squares on
+    that set, re-solved with its nonpositive entries dropped until the rest
+    are positive, is a feasible start; the empty set is a cold start. A set
+    whose Gram submatrix is not clearly positive definite is replaced by
+    the empty set. Raises NoConvergence after 3n least-squares solves, the
+    cap of scipy.optimize.nnls.
+    """
+    n = a.shape[1]
+    max_iter = _NNLS_SOLVES_PER_COLUMN * n
+    # gradients below this are rounding (Bro & De Jong's tolerance, scaled by |b|)
+    tol = 10 * np.finfo(float).eps * max(a.shape) * np.linalg.norm(a, axis=0).max()
+    tol *= np.linalg.norm(b)
+    solves = 0
+
+    def lstsq(p):
+        nonlocal solves
+        solves += 1
+        if solves > max_iter:
+            raise NoConvergence(f"NNLS not solved in {max_iter} iterations")
+        s = np.zeros(n)
+        ap = a[:, p]
+        gram = ap.T @ ap
+        s[p] = np.linalg.solve(gram, ap.T @ b)
+        s[p] += np.linalg.solve(gram, ap.T @ (b - ap @ s[p]))
+        return s
+
+    p = np.zeros(n, dtype=bool)
+    if passive.any():
+        # a squared Cholesky pivot is the squared distance of its column
+        # from the span of the columns before it
+        gram = a[:, passive].T @ a[:, passive]
+        try:
+            if (np.diag(np.linalg.cholesky(gram)) ** 2 > 1e-8 * np.diag(gram)).all():
+                p = passive.copy()
+        except np.linalg.LinAlgError:
+            pass
+    x = np.zeros(n)
+    while p.any():
+        s = lstsq(p)
+        if (s[p] > 0).all():
+            x = s
+            break
+        p &= s > 0
+    w = a.T @ (b - a @ x)
+    while True:
+        w[p] = -np.inf
+        j = int(np.argmax(w))
+        if w[j] <= tol:
+            return x
+        p[j] = True
+        s = lstsq(p)
+        if s[j] <= 0:                        # the independence test
+            p[j], w[j] = False, -np.inf
+            continue
+        while (s[p] <= 0).any():             # step back to z >= 0, drop the zeros
+            neg = np.flatnonzero(p & (s <= 0))
+            ratio = x[neg] / (x[neg] - s[neg])
+            k = np.argmin(ratio)
+            x += ratio[k] * (s - x)
+            x[neg[k]] = 0.0
+            p &= x > 0
+            x[~p] = 0.0
+            s = lstsq(p)
+        x = s
+        w = a.T @ (b - a @ x)
+
+
+def _leader_qp(m, b, q, c, passive):
     """min 0.5 u^T diag(q) u + c^T u  s.t.  m u >= b, u >= 0 (must be feasible).
 
     With w = sqrt(q) u + c / sqrt(q) the objective is |w|^2 / 2 plus a
     constant and the constraints stay linear, E w >= f. That least-distance
     problem is solved through its NNLS dual (Lawson & Hanson, Solving Least
     Squares Problems, 1974, ch. 23): minimize |[E^T; f^T] z - e_last| over
-    z >= 0; with residual r, w = -r[:-1] / r[-1].
+    z >= 0 with `_nnls`; with residual r, w = -r[:-1] / r[-1]. The NNLS
+    residual is unique, so the QP point is unique up to rounding, whatever
+    the dual z and however the NNLS is started.
+
+    `passive` marks the rows of [m; I] whose multipliers z were positive in
+    an earlier QP; it warm-starts the NNLS. Returns the point and the same
+    mask for this QP.
     """
     rq = np.sqrt(q)
     g = np.vstack((m, np.eye(len(q))))
@@ -322,10 +414,12 @@ def _leader_qp(m, b, q, c) -> np.ndarray:
     a = np.vstack(((e[rows] / norms[rows, None]).T, f[rows] / norms[rows]))
     rhs = np.zeros(len(q) + 1)
     rhs[-1] = 1.0
-    z, _ = optimize.nnls(a, rhs)
+    z = _nnls(a, rhs, passive[rows])
     r = a @ z - rhs
     w = -r[:-1] / r[-1]
-    return np.maximum(0.0, (w - c / rq) / rq)
+    active = np.zeros_like(rows)
+    active[rows] = z > 0
+    return np.maximum(0.0, (w - c / rq) / rq), active
 
 
 def solve_stackelberg(
@@ -341,14 +435,16 @@ def solve_stackelberg(
     free followers F, and the leader problem on that piece is the convex
     QP min C_grid(u) s.t. M u >= f0 - limits, u >= 0 (solved exactly by
     `_leader_qp`; lines already overloaded at the current price may not
-    get worse). Each step solves the QP of the current piece, then walks
-    the segment toward its solution under the true capped response and
-    stops at the first line overload (flows are piecewise linear along the
-    segment, so the crossing is located over the cap breakpoints and
-    solved exactly). The cost is convex along the segment and no larger
-    at its end, so it never increases; the next piece is the one the
-    segment was in when it stopped. Steps repeat until the cost stops
-    decreasing, at most `_QP_STEPS_PER_START` QP solves per start.
+    get worse; each QP's NNLS starts from the constraints active at the
+    previous QP of the same start). Each step solves the QP of the current
+    piece, then walks the segment toward its solution under the true
+    capped response and stops at the first line overload (flows are
+    piecewise linear along the segment, so the crossing is located over
+    the cap breakpoints and solved exactly). The cost is convex along the
+    segment and no larger at its end, so it never increases; the next
+    piece is the one the segment was in when it stopped. Steps repeat
+    until the cost stops decreasing, at most `_QP_STEPS_PER_START` QP
+    solves per start.
 
     Starts: SOCIAL's dual price (always feasible, p(u) is then the social
     optimum), the cheapest feasible point of the uniform-price ray, and
@@ -405,6 +501,7 @@ def solve_stackelberg(
         cost = leader_cost(grid, u)
         raw = alpha * (pi - h.T @ u)
         piece = raw
+        passive = np.zeros(2 * len(q), dtype=bool)   # NNLS warm start, rows of [M; I]
         iters = 0
         while iters < _QP_STEPS_PER_START:
             iters += 1
@@ -412,7 +509,7 @@ def solve_stackelberg(
             f0 = h @ np.where(free, alpha * pi, np.clip(piece, -pmax, pmax))
             h_free = h[:, free]
             m = (h_free * alpha[free]) @ h_free.T
-            u_qp = _leader_qp(m, np.minimum(f0 - limits, m @ u), q, c)
+            u_qp, passive = _leader_qp(m, np.minimum(f0 - limits, m @ u), q, c, passive)
             if leader_cost(grid, u_qp) >= cost - 1e-12 * (1.0 + abs(cost)):
                 break
             draw = -alpha * (h.T @ (u_qp - u))

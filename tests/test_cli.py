@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 
-from qenergydex.cli import _write_csv, main
+import qenergydex
+from qenergydex.cli import _HARNESS_RANGES, _write_csv, main
 
 
 def _fmt(v) -> str:
@@ -80,6 +86,72 @@ def test_config_errors_exit_with_status_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("config error") == 2 * len(docs) + 1
     assert "unknown key consensus.mode" in err
+
+
+def test_harness_key_errors_exit_with_status_2(tmp_path, capsys):
+    # each raised mid-run and left a manifest behind before they were checked
+    for command, doc, message in (
+        ("full-stack", {"full_stack": {"alpha": 0.4}},
+         "full_stack.alpha: alpha must lie in [0, 1/3)"),
+        ("qsah-bench", {"qsah": {"n_handshakes": 0}},
+         "qsah.n_handshakes must be an integer >= 1"),
+        ("rate-adapt", {"trace": {"amp_lo": 0.2}},
+         "trace.amp_lo must not exceed trace.amp_hi"),
+    ):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+BAD_VALUES = {
+    "an integer >= 1": (0, 2.0, True),
+    "an integer >= 0": (-1, 0.5),
+    "in (0, 1)": (0, 1, "0.5"),
+    "> 0": (0, -1.0, None),
+}
+
+
+@pytest.mark.parametrize("rule, section, key", [
+    (rule, section, key)
+    for rule, _holds, sections in _HARNESS_RANGES
+    for section, keys in sections.items()
+    for key in keys
+])
+def test_every_harness_range_is_checked_before_output(tmp_path, capsys, rule, section, key):
+    for value in BAD_VALUES[rule]:
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({section: {key: value}}))
+        assert main(["rate-adapt", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert f"{section}.{key} must be {rule}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_commands_run_without_scipy(tmp_path):
+    # scipy is a test-only dependency: a fresh interpreter that runs the
+    # leader QP and the chi-square audit path loads no scipy module
+    config = tmp_path / "small.json"
+    config.write_text(json.dumps({
+        "market": {"n_prosumers": 300, "n_buses": 30, "n_lines": 24},
+        "qsah": {"n_handshakes": 300, "batch_size": 100},
+        "full_stack": {"heights": 60, "n_handshakes": 8},
+    }))
+    code = "\n".join([
+        "import sys",
+        "from qenergydex.cli import main",
+        "for command in ('market', 'full-stack'):",
+        f"    out = {str(tmp_path)!r} + '/' + command",
+        f"    assert main([command, '--config', {str(config)!r}, '--out', out]) == 0",
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))",
+    ])
+    src = str(Path(qenergydex.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
+    rows = (tmp_path / "market" / "welfare_grid.csv").read_text().splitlines()[1:]
+    assert all(int(row.split(",")[4]) > 0 for row in rows if ",STACK," in row)   # QPs were solved
 
 
 def test_porlite_finality_marker_holds_at_every_security_level(tmp_path, capsys):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaincc
 
 from qenergydex.entropy import (
     EntropyParams,
@@ -16,6 +17,7 @@ from qenergydex.entropy import (
     min_entropy_lower_bound,
     statistical_distance_bound,
 )
+from qenergydex.qkms import KeyPoolState, KmsReplica
 
 mp.mp.dps = 40
 
@@ -185,6 +187,34 @@ def test_chi_square_domain():
         chi_square_miss_probability(0.01, -0.001, 100)
 
 
+def test_chi_square_closed_form_matches_incomplete_gamma():
+    # the chi-square(1) tail is Q(1/2, x/2), the regularized upper
+    # incomplete gamma function; the code evaluates erfc(sqrt(x/2))
+    def oracle(x):
+        return mp.gammainc(0.5, mp.mpf(x) / 2, regularized=True)
+
+    threshold = float(mp.findroot(lambda x: oracle(x) - mp.mpf("1e-6"), 24))
+    near = threshold * (1.0 + np.array([-1e-3, -1e-6, -1e-9, 1e-9, 1e-6, 1e-3]))
+    q0, n = 0.01, 10**6
+    alarms = set()
+    for x in np.concatenate((np.geomspace(1e-8, 700.0, 400), near)):
+        # the QBER reading whose deviation gives statistic x, and the
+        # statistic KmsReplica.audit computes from it
+        qber = q0 + math.sqrt(float(x) * q0 / n)
+        delta = abs(qber - q0)
+        statistic = delta * delta * n / q0
+        exact = oracle(statistic)
+        got = chi_square_miss_probability(q0, delta, n)
+        assert abs(got - exact) <= 1e-12 * exact
+        kms = KmsReplica(0, KeyPoolState(10**6, 10**6, 0.0), baseline_qber=q0)
+        kms.record_qber(qber)
+        alarm = "qber_alarm" in kms.audit("s", (0, 1), sample_bits=n).anomaly_flags
+        # the audit decides as the exact tail and as the gamma-function form did
+        assert alarm == (exact < 1e-6) == (gammaincc(0.5, statistic / 2.0) < 1e-6)
+        alarms.add(alarm)
+    assert alarms == {False, True}
+
+
 # ---------------------------------------------------------------------------
 # statistical distance
 # ---------------------------------------------------------------------------
@@ -220,6 +250,12 @@ def test_trace_deterministic():
     assert (a.samples == b.samples).all()
     c = generate_qber_trace(5.0, seed=100)
     assert not (a.samples == c.samples).all()
+
+
+def test_trace_integer_base_level():
+    # a config file may give the base level as an integer
+    a = generate_qber_trace(2.0, seed=3, base_q=0)
+    assert np.array_equal(a.samples, generate_qber_trace(2.0, seed=3, base_q=0.0).samples)
 
 
 def test_trace_clipping_many_seeds():

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from scipy.optimize import nnls as scipy_nnls
 
 from qenergydex.market import (
     GridModel,
     MarketOutcome,
+    NoConvergence,
     Prosumer,
     aggregate_response,
     clear_all_scenarios,
@@ -19,6 +21,8 @@ from qenergydex.market import (
     synthetic_grid_instance,
     welfare,
 )
+from qenergydex import market
+from qenergydex.market import _leader_qp, _nnls
 
 
 def toy_two_prosumer_one_line():
@@ -329,6 +333,167 @@ def test_welfare_dominance_chain_random_instances():
         assert line_violation(grid, prosumers, outs["STACK"].u) <= 1e-6
         social_cost = leader_cost(grid, outs["SOCIAL"].u)
         assert leader_cost(grid, outs["STACK"].u) <= social_cost * (1 + 1e-9) + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# NNLS and the leader QP
+# ---------------------------------------------------------------------------
+
+
+def nnls_problems():
+    """Seeded NNLS problems: tall and wide random ones, duplicated columns
+    (rank-deficient), zero columns, b = 0, and b inside the cone of the
+    columns (a zero residual). The second seed has wide problems whose
+    last passive set is ill-conditioned (cond 5e3): without the Gram
+    solve's correction step their residual is rounding times 1e4."""
+    problems = []
+    for i in range(200):
+        if i % 100 == 0:
+            rng = np.random.default_rng((2024, 10_003)[i // 100])
+        m, n = (int(v) for v in rng.integers(2, 30, size=2))
+        a = rng.normal(size=(m, n)) * np.exp(rng.uniform(-2.0, 2.0, size=n))
+        b = rng.normal(size=m)
+        kind = i % 5
+        if kind == 1 and n > 1:
+            src = rng.integers(0, n, size=max(1, n // 3))
+            a[:, rng.integers(0, n, size=src.size)] = a[:, src]
+        elif kind == 2:
+            a[:, rng.random(n) < 0.3] = 0.0
+        elif kind == 3:
+            b = np.zeros(m)
+        elif kind == 4:
+            b = a @ (rng.uniform(0.5, 2.0, size=n) * (rng.random(n) < 0.5))
+        problems.append((a, b))
+    return problems
+
+
+def assert_nnls_solution(a, b, z):
+    """Residual norm equal to scipy's and the NNLS KKT conditions."""
+    # both residuals evaluated alike (scipy's own rnorm is less accurate)
+    rnorm = float(np.linalg.norm(a @ scipy_nnls(a, b)[0] - b))
+    res = float(np.linalg.norm(a @ z - b))
+    b_norm = float(np.linalg.norm(b))
+    if rnorm > 1e-9 * b_norm:
+        # plus the rounding of evaluating either residual from terms of size |b|
+        assert abs(res - rnorm) <= 1e-12 * rnorm + 1e-14 * b_norm
+    else:
+        # b lies in the cone of the columns: both residuals are rounding
+        assert res <= 1e-12 * max(b_norm, 1.0)
+    tol = 1e-11 * float(np.linalg.norm(a, axis=0).max()) * max(b_norm, 1.0)
+    w = a.T @ (b - a @ z)
+    assert (z >= 0).all()
+    assert (w[z == 0] <= tol).all()
+    assert (np.abs(w[z > 0]) <= tol).all()
+
+
+def cold(a):
+    return np.zeros(a.shape[1], dtype=bool)
+
+
+def test_nnls_matches_scipy_and_kkt():
+    for a, b in nnls_problems():
+        assert_nnls_solution(a, b, _nnls(a, b, cold(a)))
+
+
+def test_nnls_warm_start_from_any_passive_set():
+    rng = np.random.default_rng(7)
+    for a, b in nnls_problems():
+        n = a.shape[1]
+        z_scipy, _ = scipy_nnls(a, b)
+        for passive in (
+            np.zeros(n, dtype=bool),
+            np.ones(n, dtype=bool),
+            rng.random(n) < 0.5,
+            z_scipy > 0,
+        ):
+            before = passive.copy()
+            assert_nnls_solution(a, b, _nnls(a, b, passive))
+            assert np.array_equal(passive, before)      # the caller's mask is not touched
+
+
+def test_nnls_terminates_on_nearly_dependent_columns():
+    # a third of the columns repeat others up to 1e-7: the independence
+    # test and the exact zero of the column that blocks a step keep the
+    # method from cycling to its cap. The Gram solves lose accuracy here,
+    # so the residual is held to scipy's within 1e-6 |b| only.
+    for seed in (4, 7):
+        rng = np.random.default_rng(seed)
+        for trial in range(40):
+            m, n = int(rng.integers(3, 40)), int(rng.integers(3, 80))
+            a = rng.normal(size=(m, n))
+            b = rng.normal(size=m)
+            a[:, : n // 3] = a[:, n - n // 3:] + 1e-7 * rng.normal(size=(m, n // 3))
+            if trial % 2:
+                b = a @ (np.abs(rng.normal(size=n)) * (rng.random(n) < 0.3))
+            z = _nnls(a, b, cold(a))
+            assert (z >= 0).all()
+            ref = np.linalg.norm(a @ scipy_nnls(a, b)[0] - b)
+            assert np.linalg.norm(a @ z - b) <= ref + 1e-6 * np.linalg.norm(b)
+
+
+def test_nnls_simple_cases():
+    a = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    z = _nnls(a, np.array([2.0, 1.0, 1.0]), cold(a))
+    assert z == pytest.approx([1.5, 1.0], abs=1e-15)
+    assert np.array_equal(_nnls(a, np.array([-1.0, -1.0, -1.0]), cold(a)), [0.0, 0.0])
+    assert np.array_equal(_nnls(a, np.zeros(3), np.ones(2, dtype=bool)), [0.0, 0.0])
+    assert np.array_equal(_nnls(np.zeros((3, 2)), np.ones(3), cold(a)), [0.0, 0.0])
+
+
+def test_nnls_iteration_cap_raises(monkeypatch):
+    rng = np.random.default_rng(11)
+    a = rng.normal(size=(40, 10))
+    b = a @ rng.uniform(1.0, 2.0, size=10)      # every column is needed
+    z = _nnls(a, b, cold(a))                      # within the cap of 3n solves
+    assert (z > 0).all()
+    # from a cold start each of the 10 positive weights costs one solve
+    monkeypatch.setattr(market, "_NNLS_SOLVES_PER_COLUMN", 0.9)
+    with pytest.raises(NoConvergence):
+        _nnls(a, b, cold(a))
+    monkeypatch.setattr(market, "_NNLS_SOLVES_PER_COLUMN", 1)
+    assert np.allclose(_nnls(a, b, cold(a)), z, rtol=0, atol=1e-12)
+
+
+def test_leader_qp_point_is_feasible_and_start_independent():
+    rng = np.random.default_rng(5)
+    for trial in range(30):
+        n_lines, n_free = int(rng.integers(1, 8)), int(rng.integers(1, 15))
+        h = rng.normal(size=(n_lines, n_free)) * (rng.random((n_lines, n_free)) < 0.6)
+        m = (h * rng.lognormal(0.0, 0.4, size=n_free)) @ h.T
+        u0 = np.abs(rng.normal(size=n_lines)) * (rng.random(n_lines) < 0.7)
+        b = m @ u0 - np.abs(rng.normal(size=n_lines))         # u0 is feasible
+        q = rng.uniform(0.5, 2.0, size=n_lines)
+        c = rng.normal(size=n_lines) * (trial % 2)
+        points = []
+        for passive in (np.zeros(2 * n_lines, dtype=bool), np.ones(2 * n_lines, dtype=bool)):
+            u, active = _leader_qp(m, b, q, c, passive)
+            tol = 1e-9 * (1.0 + np.abs(b))
+            assert (u >= 0).all()
+            assert (m @ u >= b - tol).all()
+            # no dearer than the feasible point it was given
+            cost = 0.5 * q @ (u * u) + c @ u
+            assert cost <= 0.5 * q @ (u0 * u0) + c @ u0 + 1e-9
+            assert active.shape == (2 * n_lines,)
+            # a row with a positive multiplier holds with equality, and rows
+            # of lines no free follower loads are never active
+            assert np.allclose((m @ u)[active[:n_lines]], b[active[:n_lines]], rtol=1e-9, atol=1e-9)
+            assert (u[active[n_lines:]] <= 1e-12).all()
+            assert not active[:n_lines][np.linalg.norm(m, axis=1) == 0].any()
+            points.append(u)
+        u_warm, _ = _leader_qp(m, b, q, c, active)
+        points.append(u_warm)
+        for other in points[1:]:
+            assert np.allclose(other, points[0], rtol=1e-10, atol=1e-10)
+
+
+def test_stackelberg_warm_start_state_is_per_call():
+    # the descent's NNLS warm start lives inside one call, so repeated
+    # solves in one process give the same bytes
+    grid, prosumers = random_instance(20, 5, seed=26)
+    first = solve_stackelberg(grid, prosumers)
+    second = solve_stackelberg(grid, prosumers)
+    assert first.u.tobytes() == second.u.tobytes()
+    assert first.iterations == second.iterations
 
 
 # ---------------------------------------------------------------------------
