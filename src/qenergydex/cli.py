@@ -222,7 +222,9 @@ def _full_stack_consensus(config: dict) -> ConsensusParams:
 
 
 # the harness's own keys and the range each must lie in: outside it a
-# command raises mid-run or counts something a negative number of times
+# command raises mid-run, counts something a negative number of times, or
+# runs to the end on a value with no meaning (a negative deadline, key cost
+# or noise level, a fraction or QBER outside its interval)
 _HARNESS_RANGES = (
     ("an integer >= 1", lambda v: type(v) is int and v >= 1, {
         "kms": ("window_ms",),
@@ -248,6 +250,16 @@ _HARNESS_RANGES = (
         "trace": ("duration_s",),
         "kms": ("r_max_bps",),
         "market": ("tol",),
+    }),
+    (">= 0", lambda v: type(v) in (int, float) and v >= 0, {
+        "trace": ("noise_sigma",),
+        "market": ("deadline_ms", "per_node_key_cost_bits"),
+    }),
+    ("in [0, 1]", lambda v: type(v) in (int, float) and 0 <= v <= 1, {
+        "kms": ("fixed_fraction",),
+    }),
+    ("in [0, 1)", lambda v: type(v) in (int, float) and 0 <= v < 1, {
+        "trace": ("base_q",),
     }),
 )
 
@@ -520,6 +532,7 @@ def cmd_market(config: dict, out: Path) -> list[tuple[str, bool, str]]:
             seed=config["seed"] + dataset,
         )
         budget = float(m["per_node_key_cost_bits"]) * m["n_prosumers"]
+        clears = {}   # admitted set -> its clear; stacks that admit the same nodes share one
         results = {}
         for stack, latencies in (
             ("qkd", bench.qsah_latencies),
@@ -533,6 +546,7 @@ def cmd_market(config: dict, out: Path) -> list[tuple[str, bool, str]]:
                 qsah_latencies=latencies,
                 per_node_key_cost_bits=m["per_node_key_cost_bits"],
                 tol=m["tol"],
+                clears=clears,
             )
             results[stack] = (keep, outcomes)
             for scenario in SCENARIOS:

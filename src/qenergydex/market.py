@@ -37,6 +37,11 @@ Scenario set:
 Security coupling: a node participates when its sampled handshake latency
 meets the deadline and the cumulative key cost fits the entropy budget
 (admission in node-id order); clearing then runs on the admitted subset.
+Clears are memoized per instance by admitted set, in a dict the caller
+creates and passes to each `security_coupled_clearing` call on that
+instance: `cmd_market` keeps one per dataset, so two stacks that admit the
+same nodes share one clear. Outcome arrays are read-only, since one
+outcome can then serve both stacks.
 """
 
 from __future__ import annotations
@@ -141,6 +146,8 @@ class GridModel:
 
 @dataclass(frozen=True)
 class MarketOutcome:
+    """One scenario's clearing; `u` and `p` are read-only views."""
+
     u: np.ndarray
     p: np.ndarray
     welfare: float
@@ -148,6 +155,12 @@ class MarketOutcome:
     feasible: bool
     iterations: int = 0
     kkt_residual: float = 0.0
+
+    def __post_init__(self):
+        for name in ("u", "p"):
+            view = np.asarray(getattr(self, name)).view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
 
 
 def _vectors(prosumers: list[Prosumer]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -427,6 +440,7 @@ def solve_stackelberg(
     prosumers: list[Prosumer],
     tol: float = DEFAULT_TOL,
     u0: np.ndarray | None = None,
+    social: MarketOutcome | None = None,
 ) -> MarketOutcome:
     """Leader problem min C_grid(u) s.t. H p(u) <= limits, u >= 0.
 
@@ -448,7 +462,9 @@ def solve_stackelberg(
 
     Starts: SOCIAL's dual price (always feasible, p(u) is then the social
     optimum), the cheapest feasible point of the uniform-price ray, and
-    `u0` when given and feasible; the cheapest result is kept. The problem
+    `u0` when given and feasible; the cheapest result is kept. `social`,
+    `solve_social`'s outcome on the same instance and tol, saves solving
+    SOCIAL again for the first start. The problem
     is nonconvex across patterns, so this certifies feasibility and the
     SOCIAL-price bound, not global optimality.
 
@@ -458,6 +474,8 @@ def solve_stackelberg(
     1 + |limit|. `feasible` is that residual <= tol. Raises NoConvergence
     when `solve_social` does.
     """
+    if social is None:
+        social = solve_social(grid, prosumers, tol)
     alpha, pi, pmax = _vectors(prosumers)
     h = grid.ptdf
     limits = grid.line_limits
@@ -523,7 +541,7 @@ def solve_stackelberg(
             raw = alpha * (pi - h.T @ u)
         return u, cost, iters
 
-    starts = [solve_social(grid, prosumers, tol).u]
+    starts = [social.u]
     ray = [u for u, flows in _uniform_price_ray(h, alpha, pi, pmax) if rel_viol(flows) <= tol]
     if ray:
         starts.append(min(ray, key=lambda u: leader_cost(grid, u)))
@@ -609,9 +627,10 @@ def solve_base(
 def clear_all_scenarios(
     grid: GridModel, prosumers: list[Prosumer], tol: float = DEFAULT_TOL
 ) -> dict[str, MarketOutcome]:
+    social = solve_social(grid, prosumers, tol)
     return {
-        "SOCIAL": solve_social(grid, prosumers, tol),
-        "STACK": solve_stackelberg(grid, prosumers, tol),
+        "SOCIAL": social,
+        "STACK": solve_stackelberg(grid, prosumers, tol, social=social),
         "BASE": solve_base(grid, prosumers, weighted=False),
         "WBASE": solve_base(grid, prosumers, weighted=True),
     }
@@ -630,6 +649,7 @@ def security_coupled_clearing(
     qsah_latencies: np.ndarray,
     per_node_key_cost_bits: float,
     tol: float = DEFAULT_TOL,
+    clears: dict[bytes, dict[str, MarketOutcome]] | None = None,
 ) -> tuple[np.ndarray, dict[str, MarketOutcome]]:
     """Filter participants by security constraints, then clear all scenarios.
 
@@ -637,6 +657,12 @@ def security_coupled_clearing(
     latency meets the deadline and the cumulative key cost of admitted
     nodes stays inside the entropy budget. The filter depends only on
     latency and key cost, never on the market data.
+
+    `clears` memoizes the clears of one instance, keyed by the admitted
+    indices' bytes (`keep.tobytes()`): an admitted set already in it is not
+    cleared again, and its read-only outcomes come back in a new dict. The
+    caller creates it and passes it only to calls with the same grid,
+    prosumers and tol; without it every call clears.
     """
     latencies = np.asarray(qsah_latencies, dtype=float)
     if latencies.size == 0:
@@ -655,9 +681,12 @@ def security_coupled_clearing(
         return keep, {
             s: MarketOutcome(u=u, p=p, welfare=0.0, scenario=s, feasible=True) for s in SCENARIOS
         }
-    sub = [prosumers[i] for i in keep]
-    outcomes = clear_all_scenarios(grid.restrict(keep), sub, tol)
-    return keep, outcomes
+    if clears is None:
+        clears = {}
+    key = keep.tobytes()
+    if key not in clears:
+        clears[key] = clear_all_scenarios(grid.restrict(keep), [prosumers[i] for i in keep], tol)
+    return keep, dict(clears[key])
 
 
 # ---------------------------------------------------------------------------

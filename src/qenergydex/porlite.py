@@ -39,7 +39,7 @@ import numpy as np
 
 from .netsim import DEFAULT_PROCESSING_MS, SLOT_MS, LinkModel, sample_rtt
 from .qkms import InsufficientEntropy, KmsReplica
-from .rng import substream
+from .rng import draw_bytes, substream
 
 __all__ = [
     "UnknownValidator",
@@ -417,7 +417,7 @@ def make_validators(n: int, alpha: float, seed: int) -> list[ValidatorNode]:
         nodes.append(
             ValidatorNode(
                 node_id=f"v{i}",
-                vrf_secret=rng.bytes(32),
+                vrf_secret=draw_bytes(rng, 32),
                 weight=1.0 / n,
                 byzantine=i < byz_count,
             )
@@ -493,7 +493,7 @@ def _simulate_network(
         t_height = t
         # election salt: rented from the key service when one is attached
         if kms is None:
-            salt = salt_rng.bytes(16)
+            salt = draw_bytes(salt_rng, 16)
         else:
             try:
                 salt = kms.rent(128, int(t)).key_bits[:16]

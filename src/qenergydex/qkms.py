@@ -50,7 +50,7 @@ from .entropy import (
     chi_square_miss_probability,
     extractable_length_vec,
 )
-from .rng import substream
+from .rng import draw_bytes, substream
 
 __all__ = [
     "KeyPoolState",
@@ -354,7 +354,7 @@ class KmsReplica:
 
     def _new_key_id(self) -> str:
         # 128-bit id, replica index in the top byte: replicas cannot collide
-        return (bytes([self.replica_id]) + self._rng.bytes(15)).hex()
+        return (bytes([self.replica_id]) + draw_bytes(self._rng, 15)).hex()
 
     def advance_clock(self, now_ms: int) -> None:
         """Accrue generation up to ``now_ms`` (no-op if clock already there)."""
@@ -375,9 +375,13 @@ class KmsReplica:
             )
         self.pool = replace(self.pool, balance_bits=self.pool.balance_bits - n_bits)
         key_id = self._new_key_id()
+        # key material comes in whole 64-bit words: the same bytes as
+        # Generator.bytes, which at lengths taking an odd number of 32-bit
+        # words would also buffer a half-word for the next key id
+        n_bytes = (n_bits + 7) // 8
         record = KeyRecord(
             key_id=key_id,
-            key_bits=self._rng.bytes((n_bits + 7) // 8),
+            key_bits=draw_bytes(self._rng, (n_bytes + 7) // 8 * 8)[:n_bytes],
             ttl_ms=self.ttl_ms,
             issued_at_ms=now_ms,
         )

@@ -33,7 +33,7 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from .netsim import LinkModel, Network
 from .qkms import KeyPoolState, KeyRecord, KmsReplica
-from .rng import substream
+from .rng import draw_bytes, substream
 from .stats import Ecdf, ecdf
 
 __all__ = [
@@ -155,7 +155,7 @@ class ClientSession:
         s = self.session
         if s.state != "init":
             raise RuntimeError("hello already sent")
-        s.n_c = self._rng.bytes(NONCE_LEN)
+        s.n_c = draw_bytes(self._rng, NONCE_LEN)
         s.t_start_ms = now_ms
         s.state = "challenged"
         tag = gmac_tag(s.shared_key, _m1_nonce(s.n_c), s.n_c)
@@ -218,7 +218,7 @@ class ServerEndpoint:
             raise Replay("client nonce reused")
         self._seen[key_id].add(n_c)
 
-        n_s = self._rng.bytes(NONCE_LEN)
+        n_s = draw_bytes(self._rng, NONCE_LEN)
         if n_s == n_c:
             raise AuthFail("nonce collision")
         session = HandshakeSession(key_id=key_id, shared_key=shared, n_c=n_c, n_s=n_s)

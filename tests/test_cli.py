@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import qenergydex
+from qenergydex import market
 from qenergydex.cli import _HARNESS_RANGES, _write_csv, main
 
 
@@ -110,6 +111,9 @@ BAD_VALUES = {
     "an integer >= 0": (-1, 0.5),
     "in (0, 1)": (0, 1, "0.5"),
     "> 0": (0, -1.0, None),
+    ">= 0": (-1, -0.5, "1"),
+    "in [0, 1]": (-0.1, 1.5, None),
+    "in [0, 1)": (-0.01, 1, 1.0),
 }
 
 
@@ -126,6 +130,27 @@ def test_every_harness_range_is_checked_before_output(tmp_path, capsys, rule, se
         assert main(["rate-adapt", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert f"{section}.{key} must be {rule}" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_market_clears_each_admitted_set_once(tmp_path, monkeypatch):
+    # paper config: at seed 1 both stacks admit all 3000 nodes and share one
+    # clear; at seed 2 they admit 3000 and 2995, so there are two; a second
+    # run in the same process clears again
+    calls = []
+    real = market.clear_all_scenarios
+
+    def counted(grid, prosumers, tol):
+        calls.append(len(prosumers))
+        return real(grid, prosumers, tol)
+
+    monkeypatch.setattr(market, "clear_all_scenarios", counted)
+    runs = []
+    for i, seed in enumerate((1, 1, 2)):
+        assert main(["market", "--seed", str(seed), "--out", str(tmp_path / str(i))]) == 0
+        runs.append(calls[:])
+        calls.clear()
+    assert runs == [[3000], [3000], [3000, 2995]]
+    assert _files(tmp_path / "0") == _files(tmp_path / "1")
 
 
 def test_commands_run_without_scipy(tmp_path):

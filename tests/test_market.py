@@ -3,6 +3,7 @@ import pytest
 from scipy.optimize import nnls as scipy_nnls
 
 from qenergydex.market import (
+    SCENARIOS,
     GridModel,
     MarketOutcome,
     NoConvergence,
@@ -496,6 +497,48 @@ def test_stackelberg_warm_start_state_is_per_call():
     assert first.iterations == second.iterations
 
 
+def _outcome_bytes(o):
+    return (o.u.tobytes(), o.p.tobytes(), o.welfare, o.scenario, o.feasible, o.iterations,
+            o.kkt_residual)
+
+
+def test_stackelberg_start_from_given_social_is_byte_equal():
+    for shape in ((12, 4), (20, 5), (8, 1), (10, 3)):
+        for seed in range(10):
+            grid, prosumers = random_instance(*shape, seed=seed)
+            given = solve_stackelberg(grid, prosumers, social=solve_social(grid, prosumers))
+            assert _outcome_bytes(given) == _outcome_bytes(solve_stackelberg(grid, prosumers))
+
+
+def test_clear_all_scenarios_solves_social_once(monkeypatch):
+    calls = []
+    real = market.solve_social
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(market, "solve_social", counted)
+    grid, prosumers = random_instance(20, 5, seed=3)
+    outcomes = clear_all_scenarios(grid, prosumers)
+    assert len(calls) == 1
+    assert _outcome_bytes(outcomes["STACK"]) == _outcome_bytes(solve_stackelberg(grid, prosumers))
+
+
+def test_outcome_arrays_are_read_only():
+    grid, prosumers = random_instance(12, 4, seed=3)
+    for o in clear_all_scenarios(grid, prosumers).values():
+        for arr in (o.u, o.p):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+            with pytest.raises(ValueError):
+                arr += 1.0
+    # the read-only arrays are views: the caller's own stay writeable
+    u = np.zeros(3)
+    MarketOutcome(u=u, p=u, welfare=0.0, scenario="SOCIAL", feasible=True)
+    u[0] = 1.0
+
+
 # ---------------------------------------------------------------------------
 # security-coupled participation
 # ---------------------------------------------------------------------------
@@ -530,6 +573,39 @@ def test_security_filter_latency_and_budget_interaction():
     )
     # nodes 1 and 4 miss the deadline; budget then admits 0, 2, 3 in order
     assert list(keep) == [0, 2, 3]
+
+
+def test_security_clears_are_memoized_by_admitted_set(monkeypatch):
+    calls = []
+    real = market.clear_all_scenarios
+
+    def counted(grid, prosumers, tol):
+        calls.append(len(prosumers))
+        return real(grid, prosumers, tol)
+
+    monkeypatch.setattr(market, "clear_all_scenarios", counted)
+    grid, prosumers = random_instance(10, 3, seed=4)
+    fast = np.full(10, 10.0)
+    slow = fast.copy()
+    slow[3] = 500.0
+    clears = {}
+
+    def clear(latencies, memo):
+        return security_coupled_clearing(grid, prosumers, 1e12, 100.0, latencies, 256.0,
+                                         clears=memo)
+
+    keep_a, a = clear(fast, clears)
+    keep_b, b = clear(2 * fast, clears)       # other latencies, the same admitted set
+    keep_c, c = clear(slow, clears)
+    assert calls == [10, 9]
+    assert list(keep_a) == list(keep_b) and 3 not in keep_c
+    assert set(clears) == {keep_a.tobytes(), keep_c.tobytes()}
+    assert all(b[s] is a[s] for s in SCENARIOS)
+    # without a dict, every call clears, to the same bytes
+    _, fresh = clear(fast, None)
+    clear(fast, None)
+    assert calls == [10, 9, 10, 10]
+    assert all(_outcome_bytes(a[s]) == _outcome_bytes(fresh[s]) for s in SCENARIOS)
 
 
 def test_security_filter_scale_invariance_in_valuations():

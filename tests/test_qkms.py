@@ -101,6 +101,16 @@ def test_rent_json_schema():
     assert doc["key_id"][:2] == "03"
 
 
+def test_rent_key_bits_match_generator_bytes():
+    # key material is drawn in whole 64-bit words; its bytes are the ones
+    # Generator.bytes gives at every length
+    for n_bits in range(1, 600, 7):
+        record = KmsReplica(0, make_pool(), seed=3).rent(n_bits, 0)
+        rng = substream(3, "kms", 0)
+        assert record.key_id == (b"\x00" + rng.bytes(15)).hex()
+        assert record.key_bits == rng.bytes((n_bits + 7) // 8)
+
+
 def test_rents_across_replicas_have_distinct_ids():
     a = KmsReplica(0, make_pool(), seed=1)
     b = KmsReplica(1, make_pool(), seed=1)
