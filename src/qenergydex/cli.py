@@ -396,9 +396,8 @@ def cmd_qsah_bench(config: dict, out: Path) -> list[tuple[str, bool, str]]:
         np.concatenate([e.upper() for e in ecdfs]),
     )
 
-    dominance = bool(
-        (np.sort(res.qsah_latencies) <= np.sort(res.baseline_rtt)).all()
-    )
+    # the ECDFs hold each arm's latencies sorted
+    dominance = bool((res.qsah_ecdf.x <= res.baseline_rtt_ecdf.x).all())
     checks = [
         (
             "all handshakes established",
@@ -678,10 +677,10 @@ def cmd_full_stack(config: dict, out: Path) -> list[tuple[str, bool, str]]:
     )
 
     bits_rented = total_rent_failures = 0
-    for (_t, ev, _r, _k, n, _b) in kms.events:
-        if ev == "rent":
-            bits_rented += n
-        elif ev == "rent_fail":
+    for ev in kms.events:
+        if ev.event == "rent":
+            bits_rented += ev.bits
+        elif ev.event == "rent_fail":
             total_rent_failures += 1
     report = {
         "entropy": {

@@ -193,7 +193,7 @@ class PoolSimResult:
     visits: np.ndarray          # time-weighted occupancy per state, sums to 1
     wilson_ci: tuple[float, float]
     events: int
-    horizon_s: float
+    horizon_s: float            # simulated time reached after ``events`` events
 
 
 # events per chunk: uniforms are drawn, scanned and tallied this many at a time
@@ -246,7 +246,6 @@ def _clamped_walk(x0: int, steps: np.ndarray, M: int) -> np.ndarray:
 
 def simulate_pool(
     p: BirthDeathParams,
-    horizon_s: float | None = None,
     seed: int = 0,
     max_events: int = 1_000_000,
     n_epochs: int = 10_000,
@@ -271,13 +270,10 @@ def simulate_pool(
     equal-event-count epochs and each contributes the state observed at
     its boundary.
 
-    Stops after ``max_events`` events or ``horizon_s`` simulated seconds,
-    whichever comes first (horizon may be None for event-limited runs).
-    The event that would cross the horizon is not counted; its state is
-    credited the time left up to the horizon.
+    Stops after ``max_events`` events.
     """
-    if horizon_s is not None and horizon_s <= 0:
-        raise ValueError("horizon_s must be positive")
+    if max_events < 1:
+        raise ValueError("max_events must be >= 1")
     rng = substream(seed, "keypool")
     M = p.capacity
     rate = p.mu + p.lam * p.k
@@ -293,8 +289,7 @@ def simulate_pool(
     epoch_empties = 0
     epoch_count = 0
 
-    limit_t = math.inf if horizon_s is None else horizon_s
-    while events < max_events and t < limit_t:
+    while events < max_events:
         # exponential holding times by inversion
         u_hold = rng.random(_BLOCK)
         u_dir = rng.random(_BLOCK)
@@ -305,31 +300,19 @@ def simulate_pool(
         t_after = dt.copy()
         t_after[0] += t
         np.cumsum(t_after, out=t_after)
-        # the events before the first one that ends past the horizon
-        used = int(np.searchsorted(t_after, limit_t, side="right"))
-        occupancy += np.bincount(path[:used], weights=dt[:used], minlength=M + 1)
+        occupancy += np.bincount(path[:n], weights=dt, minlength=M + 1)
         # step i of the chunk is event events + i + 1 of the run; an epoch
         # ends at each event number that is a multiple of the stride
         first = (-(events + 1)) % epoch_stride
-        marks = path[first + 1 : used + 1 : epoch_stride]
+        marks = path[first + 1 :: epoch_stride]
         epoch_count += len(marks)
         epoch_empties += int(np.count_nonzero(marks == 0))
-        events += used
-        state = int(path[used])
-        if used < n:
-            occupancy[state] += limit_t - (t_after[used - 1] if used else t)
-            t = limit_t
-            break
+        events += n
+        state = int(path[n])
         t = float(t_after[-1])
 
-    total = occupancy.sum()
-    if total <= 0:
-        raise RuntimeError("simulation accumulated no time")
-    visits = occupancy / total
-
-    if epoch_count == 0:
-        epoch_count = 1
-        epoch_empties = 1 if state == 0 else 0
+    visits = occupancy / occupancy.sum()
+    # the stride is at most max_events, so the run sees at least one epoch
     ci = wilson_interval(epoch_empties, epoch_count)
 
     return PoolSimResult(

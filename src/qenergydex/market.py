@@ -115,16 +115,13 @@ class GridModel:
         limits = np.asarray(self.line_limits, dtype=float)
         q = np.asarray(self.leader_q_diag, dtype=float)
         c = np.asarray(self.leader_c, dtype=float)
-        if q.ndim == 0:
-            q = np.full(ptdf.shape[0], float(q))
-        if c.ndim == 0:
-            c = np.full(ptdf.shape[0], float(c))
         object.__setattr__(self, "ptdf", ptdf)
         object.__setattr__(self, "line_limits", limits)
         object.__setattr__(self, "leader_q_diag", q)
         object.__setattr__(self, "leader_c", c)
-        if limits.shape != (ptdf.shape[0],):
-            raise ValueError("line_limits must have one entry per line")
+        for name, v in (("line_limits", limits), ("leader_q_diag", q), ("leader_c", c)):
+            if v.shape != (ptdf.shape[0],):
+                raise ValueError(f"{name} must have one entry per line")
         if (limits <= 0).any():
             raise ValueError("line limits must be positive")
         if (q <= 0).any():

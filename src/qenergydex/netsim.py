@@ -4,7 +4,8 @@ Single-threaded event loop over a virtual clock in integer microseconds
 (float timestamps would make event ordering platform-dependent). Links
 carry a baseline round-trip delay d0 plus bounded jitter; one-way delay is
 half the RTT with per-direction jitter U(0, jitter_max/2), which preserves
-the RTT bound d0 <= RTT <= d0 + jitter_max. Slot hooks fire every 100 ms.
+the RTT bound d0 <= RTT <= d0 + jitter_max. ``LinkModel`` is the one
+place that formula is written; every caller draws its delays from it.
 
 Messages are delivered in (time, sequence) order, so a run is a pure
 function of the seed and the registered handlers.
@@ -22,7 +23,7 @@ from .rng import substream
 
 __all__ = ["LinkModel", "Event", "Network", "UnknownNode", "SLOT_MS"]
 
-SLOT_MS = 100
+SLOT_MS = 100   # PoR-Lite's consensus slot
 DEFAULT_PROCESSING_MS = 1.0
 
 
@@ -32,7 +33,11 @@ class UnknownNode(KeyError):
 
 @dataclass(frozen=True)
 class LinkModel:
-    """Round-trip delay model: RTT = d0 + U(0, jitter_max)."""
+    """Round-trip delay model: RTT = d0 + U(0, jitter_max).
+
+    ``rtt`` and ``one_way`` draw one uniform per delay, so a call with
+    ``size=k`` makes the same draws as k scalar calls on the same stream.
+    """
 
     d0_ms: float = 20.0
     jitter_max_ms: float = 15.0
@@ -40,6 +45,14 @@ class LinkModel:
     def __post_init__(self):
         if self.d0_ms < 0 or self.jitter_max_ms < 0:
             raise ValueError("delays must be non-negative")
+
+    def rtt(self, rng: np.random.Generator, size=None):
+        """Round-trip time(s) in ms: d0 + U(0, jitter_max)."""
+        return self.d0_ms + rng.uniform(0.0, self.jitter_max_ms, size)
+
+    def one_way(self, rng: np.random.Generator, size=None):
+        """One-way delay(s) in ms: d0/2 + U(0, jitter_max/2)."""
+        return self.d0_ms / 2.0 + rng.uniform(0.0, self.jitter_max_ms / 2.0, size)
 
 
 @dataclass
@@ -50,11 +63,6 @@ class Event:
     dst: str = field(compare=False)
     payload: object = field(compare=False)
     kind: str = field(compare=False, default="msg")
-
-
-def sample_rtt(link: LinkModel, rng: np.random.Generator) -> float:
-    """Draw one round-trip time in ms: d0 plus uniform jitter."""
-    return link.d0_ms + rng.uniform(0.0, link.jitter_max_ms)
 
 
 class Network:
@@ -83,8 +91,6 @@ class Network:
         self._queue: list[tuple[int, int, Event]] = []
         self._seq = 0
         self._now_us = 0
-        self._slot_hooks: list[Callable[[int], None]] = []
-        self._next_slot_us = 0
         self._trace_rows: list[tuple] | None = [] if trace else None
 
     # -- topology ----------------------------------------------------------
@@ -105,10 +111,6 @@ class Network:
     def now_ms(self) -> float:
         return self._now_us / 1000.0
 
-    def add_slot_hook(self, hook: Callable[[int], None]) -> None:
-        """Register a callback invoked at every 100 ms slot boundary."""
-        self._slot_hooks.append(hook)
-
     def send(self, src: str, dst: str, payload, kind: str = "msg") -> Event:
         """Schedule delivery of ``payload`` after one-way delay plus processing."""
         if src not in self._handlers:
@@ -119,8 +121,7 @@ class Network:
             # partitioned link: message silently dropped
             ev = Event(deliver_at_us=-1, seq=-1, src=src, dst=dst, payload=payload, kind=kind)
             return ev
-        link = self.default_link
-        one_way = link.d0_ms / 2.0 + self._rng.uniform(0.0, link.jitter_max_ms / 2.0)
+        one_way = self.default_link.one_way(self._rng)
         delay_us = int(round((one_way + self.processing_ms) * 1000.0))
         ev = Event(
             deliver_at_us=self._now_us + delay_us,
@@ -150,12 +151,6 @@ class Network:
 
     # -- execution -----------------------------------------------------------
 
-    def _fire_slots_until(self, t_us: int) -> None:
-        while self._next_slot_us <= t_us:
-            for hook in self._slot_hooks:
-                hook(self._next_slot_us // 1000)
-            self._next_slot_us += SLOT_MS * 1000
-
     def run_until(self, t_ms: float) -> list[Event]:
         """Process events up to and including virtual time ``t_ms``.
 
@@ -166,8 +161,6 @@ class Network:
         queue = self._queue
         while queue and queue[0][0] <= limit_us:
             t_us, _seq, ev = heapq.heappop(queue)
-            if self._next_slot_us <= t_us:
-                self._fire_slots_until(t_us)
             self._now_us = t_us
             if ev.kind == "timer":
                 ev.payload()
@@ -177,7 +170,6 @@ class Network:
                     self._trace_rows.append((t_us, ev.src, ev.dst, ev.kind, size))
                 self._handlers[ev.dst](self, ev)
             delivered.append(ev)
-        self._fire_slots_until(limit_us)
         self._now_us = limit_us
         return delivered
 

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netsim import DEFAULT_PROCESSING_MS, SLOT_MS, LinkModel, sample_rtt
+from .netsim import DEFAULT_PROCESSING_MS, SLOT_MS, LinkModel
 from .qkms import InsufficientEntropy, KmsReplica
 from .rng import draw_bytes, substream
 
@@ -476,8 +476,7 @@ def _simulate_network(
 
     def broadcast_time() -> float:
         # slowest of the sampled one-way deliveries, plus processing
-        jitter = delay_rng.uniform(0.0, link.jitter_max_ms / 2.0, size=gossip_fanout)
-        return link.d0_ms / 2.0 + float(jitter.max()) + DEFAULT_PROCESSING_MS
+        return float(link.one_way(delay_rng, gossip_fanout).max()) + DEFAULT_PROCESSING_MS
 
     h_q = _threshold_for_rate(params.target_block_rate, len(nodes))
     h_max = min(1.0, 4.0 * h_q)
@@ -500,7 +499,7 @@ def _simulate_network(
             except InsufficientEntropy:
                 salt = None   # no salt, no election: an empty slot
             else:
-                t += sample_rtt(KMS_LINK, delay_rng) + 2 * DEFAULT_PROCESSING_MS
+                t += KMS_LINK.rtt(delay_rng) + 2 * DEFAULT_PROCESSING_MS
 
         if salt is not None:
             seed_bytes = election_seed(prev_hash, salt)

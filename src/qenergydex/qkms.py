@@ -40,6 +40,7 @@ from __future__ import annotations
 import base64
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,6 +58,7 @@ __all__ = [
     "KeyRecord",
     "RateAdaptState",
     "AuditReport",
+    "KmsEvent",
     "InsufficientEntropy",
     "UnknownKey",
     "AlreadyRetired",
@@ -315,6 +317,17 @@ def run_rate_controller(
 # ---------------------------------------------------------------------------
 
 
+class KmsEvent(NamedTuple):
+    """One line of a replica's event log; the field names are the CSV header."""
+
+    t_ms: int
+    event: str          # rent, rent_fail, retire or expire
+    replica: int
+    key_id: str         # "-" for a failed rental
+    bits: int
+    balance: int        # pool balance after the event
+
+
 @dataclass(frozen=True)
 class AuditReport:
     """Consumption statistics and anomaly flags for a session window."""
@@ -347,7 +360,7 @@ class KmsReplica:
         self._rng = substream(seed, "kms", replica_id)
         self.keys: dict[str, KeyRecord] = {}
         self.issuance: dict[str, int] = {}
-        self.events: list[tuple] = []          # (t_ms, event, replica, key_id, bits, balance)
+        self.events: list[KmsEvent] = []
         self._qber_window: list[float] = []
 
     # -- key lifecycle -------------------------------------------------------
@@ -368,8 +381,8 @@ class KmsReplica:
             raise ValueError("n_bits must be positive")
         self.advance_clock(now_ms)
         if n_bits > self.pool.balance_bits:
-            self.events.append((now_ms, "rent_fail", self.replica_id, "-", n_bits,
-                                self.pool.balance_bits))
+            self.events.append(KmsEvent(now_ms, "rent_fail", self.replica_id, "-", n_bits,
+                                        self.pool.balance_bits))
             raise InsufficientEntropy(
                 f"requested {n_bits} bits, balance {self.pool.balance_bits}"
             )
@@ -387,8 +400,8 @@ class KmsReplica:
         )
         self.keys[key_id] = record
         self.issuance[key_id] = 1
-        self.events.append((now_ms, "rent", self.replica_id, key_id, n_bits,
-                            self.pool.balance_bits))
+        self.events.append(KmsEvent(now_ms, "rent", self.replica_id, key_id, n_bits,
+                                    self.pool.balance_bits))
         return record
 
     def retire(self, key_id: str, now_ms: int = 0) -> None:
@@ -398,8 +411,8 @@ class KmsReplica:
         if record.state != "active":
             raise AlreadyRetired(key_id)
         record.state = "retired"
-        self.events.append((now_ms, "retire", self.replica_id, key_id, 0,
-                            self.pool.balance_bits))
+        self.events.append(KmsEvent(now_ms, "retire", self.replica_id, key_id, 0,
+                                    self.pool.balance_bits))
 
     def expire_sweep(self, now_ms: int) -> int:
         """Expire all active keys past their ttl; returns the count."""
@@ -408,8 +421,8 @@ class KmsReplica:
             if record.state == "active" and record.expired_at(now_ms):
                 record.state = "expired"
                 expired += 1
-                self.events.append((now_ms, "expire", self.replica_id, record.key_id,
-                                    0, self.pool.balance_bits))
+                self.events.append(KmsEvent(now_ms, "expire", self.replica_id, record.key_id,
+                                            0, self.pool.balance_bits))
         return expired
 
     # -- monitoring ----------------------------------------------------------
@@ -427,13 +440,13 @@ class KmsReplica:
         """
         lo, hi = window_ms
         bits = rents = failures = 0
-        for (t, event, _r, _k, n, _b) in self.events:
-            if not lo <= t <= hi:
+        for ev in self.events:
+            if not lo <= ev.t_ms <= hi:
                 continue
-            if event == "rent":
+            if ev.event == "rent":
                 rents += 1
-                bits += n
-            elif event == "rent_fail":
+                bits += ev.bits
+            elif ev.event == "rent_fail":
                 failures += 1
         flags = []
         if failures:
@@ -453,7 +466,7 @@ class KmsReplica:
 
     def write_event_log(self, path) -> None:
         with open(path, "w", newline="") as fh:
-            fh.write("t_ms,event,replica,key_id,bits,balance\n")
+            fh.write(",".join(KmsEvent._fields) + "\n")
             for row in self.events:
                 fh.write(",".join(str(v) for v in row) + "\n")
 

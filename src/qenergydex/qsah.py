@@ -324,11 +324,8 @@ def latency_benchmark(
     model_rng = substream(seed, "qsah", "baseline")
     ln_median = np.log(baseline.compute_median_ms)
     compute = model_rng.lognormal(ln_median, baseline.compute_sigma, size=n_handshakes)
-    # row i is handshake i's round trips, each d0 + U(0, jitter_max) as
-    # sample_rtt draws it; the columns add left to right
-    rtt_draws = link.d0_ms + model_rng.uniform(
-        0.0, link.jitter_max_ms, size=(n_handshakes, baseline.round_trips)
-    )
+    # row i is handshake i's round trips; the columns add left to right
+    rtt_draws = link.rtt(model_rng, (n_handshakes, baseline.round_trips))
     rtts = rtt_draws[:, 0]
     for j in range(1, baseline.round_trips):
         rtts = rtts + rtt_draws[:, j]

@@ -15,7 +15,7 @@ import numpy as np
 __all__ = ["wilson_interval", "dkw_halfwidth", "Ecdf", "ecdf"]
 
 # z for a two-sided 95% interval; fixed rather than recomputed so that
-# emitted tables are bit-stable across scipy versions.
+# emitted tables are bit-stable across platforms.
 _Z95 = 1.96
 
 
@@ -53,11 +53,11 @@ def dkw_halfwidth(n: int, alpha: float = 0.05) -> float:
 
 @dataclass(frozen=True)
 class Ecdf:
-    """Empirical CDF with an optional DKW band."""
+    """Empirical CDF with its 95% DKW band."""
 
     x: np.ndarray          # sorted sample values
     f: np.ndarray          # ECDF heights at x, i/n
-    band_halfwidth: float  # DKW halfwidth (0 if no band requested)
+    band_halfwidth: float  # 95% DKW halfwidth
 
     def lower(self) -> np.ndarray:
         return np.clip(self.f - self.band_halfwidth, 0.0, 1.0)
@@ -70,11 +70,10 @@ class Ecdf:
         return float(np.searchsorted(self.x, v, side="right")) / len(self.x)
 
 
-def ecdf(samples, alpha: float | None = 0.05) -> Ecdf:
-    """Build the ECDF of ``samples``, with a DKW band unless alpha is None."""
+def ecdf(samples) -> Ecdf:
+    """Build the ECDF of ``samples`` with its 95% DKW band."""
     x = np.sort(np.asarray(samples, dtype=float))
     if x.size == 0:
         raise ValueError("samples must be non-empty")
     f = np.arange(1, x.size + 1, dtype=float) / x.size
-    half = dkw_halfwidth(x.size, alpha) if alpha is not None else 0.0
-    return Ecdf(x=x, f=f, band_halfwidth=half)
+    return Ecdf(x=x, f=f, band_halfwidth=dkw_halfwidth(x.size))

@@ -158,12 +158,6 @@ def test_simulation_histogram_converges_to_closed_form():
     assert tv <= 0.01
 
 
-def test_simulation_horizon_limit():
-    p = BirthDeathParams(mu=100.0, lam=50.0, k=1.0, capacity=10)
-    res = simulate_pool(p, horizon_s=2.0, seed=4, max_events=10**9)
-    assert res.horizon_s == pytest.approx(2.0)
-
-
 def test_params_validation():
     with pytest.raises(ValueError):
         BirthDeathParams(mu=0.0, lam=1.0, k=1.0, capacity=5)
@@ -171,6 +165,12 @@ def test_params_validation():
         BirthDeathParams(mu=1.0, lam=1.0, k=1.0, capacity=0)
     with pytest.raises(ValueError):
         BirthDeathParams.from_rho(-0.5, 10)
+    p = BirthDeathParams(mu=100.0, lam=50.0, k=1.0, capacity=10)
+    for bad in (0, -1):
+        with pytest.raises(ValueError):
+            simulate_pool(p, max_events=bad)
+    with pytest.raises(ValueError):
+        simulate_pool(p, initial_state=11)
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +185,8 @@ def loop_clamped_walk(x0, steps, M):
     return np.asarray(path, dtype=np.int64)
 
 
-def loop_uniformized_pool(p, horizon_s=None, seed=0, max_events=1_000_000,
-                          n_epochs=10_000, initial_state=None):
+def loop_uniformized_pool(p, seed=0, max_events=1_000_000, n_epochs=10_000,
+                          initial_state=None):
     """One event at a time, on the same draws as simulate_pool."""
     rng = substream(seed, "keypool")
     M = p.capacity
@@ -197,9 +197,8 @@ def loop_uniformized_pool(p, horizon_s=None, seed=0, max_events=1_000_000,
     events = 0
     stride = max(1, max_events // max(1, n_epochs))
     marks = []
-    limit_t = math.inf if horizon_s is None else horizon_s
     idx = _BLOCK
-    while events < max_events and t < limit_t:
+    while events < max_events:
         if idx == _BLOCK:
             u_hold = rng.random(_BLOCK)
             u_dir = rng.random(_BLOCK)
@@ -207,18 +206,12 @@ def loop_uniformized_pool(p, horizon_s=None, seed=0, max_events=1_000_000,
         dt = -math.log1p(-u_hold[idx]) / rate
         step = 1 if u_dir[idx] < p.mu / rate else -1
         idx += 1
-        if t + dt > limit_t:
-            occupancy[state] += limit_t - t
-            t = limit_t
-            break
         occupancy[state] += dt
         t += dt
         state = min(M, max(0, state + step))
         events += 1
         if events % stride == 0:
             marks.append(state)
-    if not marks:
-        marks = [state]
     ci = wilson_interval(sum(1 for x in marks if x == 0), len(marks))
     return occupancy / occupancy.sum(), ci, events, t
 
@@ -261,21 +254,11 @@ def test_simulation_matches_loop_across_chunks():
     assert res.events == 2 * _BLOCK + 10_000
 
 
-def test_simulation_matches_loop_at_a_horizon_inside_a_chunk():
-    # about 150 events/s, so the 800 s horizon stops the second chunk
-    p = BirthDeathParams(mu=100.0, lam=50.0, k=1.0, capacity=4)
-    res = assert_matches_loop(p, horizon_s=800.0, seed=6, max_events=10**9, n_epochs=50)
-    assert _BLOCK < res.events < 2 * _BLOCK
-    assert res.horizon_s == 800.0
-    # a horizon inside the first holding time credits it all to the start
-    res = assert_matches_loop(p, horizon_s=1e-9, seed=6, initial_state=2)
-    assert res.events == 0 and res.visits[2] == 1.0
-
-
 def test_simulation_counts_self_loops():
     # events arrive at the uniformized rate mu + lam*k = 200/s in every
-    # state; the pool itself moves at only 100/s at capacity 1, so the
-    # clamped self-loops are half of the 20_000 expected events
+    # state; the pool itself moves at only 100/s at capacity 1, so 20_000
+    # events, half of them clamped self-loops, take about 100 s
     p = BirthDeathParams(mu=100.0, lam=100.0, k=1.0, capacity=1)
-    res = simulate_pool(p, horizon_s=100.0, seed=7, max_events=10**9)
-    assert 19_000 < res.events < 21_000
+    res = simulate_pool(p, seed=7, max_events=20_000)
+    assert res.events == 20_000
+    assert 95.0 < res.horizon_s < 105.0

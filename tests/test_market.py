@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from scipy.optimize import nnls as scipy_nnls
@@ -660,3 +662,21 @@ def test_grid_model_validation():
         )
     with pytest.raises(ValueError):
         Prosumer(0, -1.0, 5.0, 10.0, 0)
+
+
+@pytest.mark.parametrize("field", ["line_limits", "leader_q_diag", "leader_c"])
+@pytest.mark.parametrize("bad", [[1.0], [1.0, 1.0, 1.0], 1.0, [[1.0, 1.0]]])
+def test_grid_model_needs_one_entry_per_line(field, bad):
+    # two lines: a vector of another length, a scalar or a matrix is refused
+    # here rather than failing later inside a solver
+    good = {"line_limits": [1.0, 1.0], "leader_q_diag": [1.0, 1.0], "leader_c": [0.0, 0.0]}
+    ptdf = np.array([[1.0, 0.5], [0.0, 1.0]])
+    with pytest.raises(ValueError, match=field):
+        GridModel(ptdf=ptdf, **{**good, field: np.array(bad)})
+
+    grid, prosumers = random_instance(4, 2, seed=3)
+    doc = json.loads(instance_to_json(grid, prosumers))
+    section = doc if field == "line_limits" else doc["leader_cost"]
+    section[{"line_limits": "line_limits", "leader_q_diag": "q_diag", "leader_c": "c"}[field]] = bad
+    with pytest.raises(ValueError, match=field):
+        instance_from_json(json.dumps(doc))

@@ -1,20 +1,21 @@
 import numpy as np
 import pytest
 
-from qenergydex.netsim import SLOT_MS, LinkModel, Network, UnknownNode, sample_rtt
+from qenergydex.netsim import LinkModel, Network, UnknownNode
 from qenergydex.rng import substream
 
 
 def test_sample_rtt_zero_jitter():
     rng = substream(0, "t")
     link = LinkModel(d0_ms=20.0, jitter_max_ms=0.0)
-    assert all(sample_rtt(link, rng) == 20.0 for _ in range(10))
+    assert all(link.rtt(rng) == 20.0 for _ in range(10))
+    assert all(link.one_way(rng) == 10.0 for _ in range(10))
 
 
 def test_sample_rtt_bounds_and_mean():
     rng = substream(1, "t")
     link = LinkModel(d0_ms=20.0, jitter_max_ms=15.0)
-    draws = np.array([sample_rtt(link, rng) for _ in range(10**5)])
+    draws = np.array([link.rtt(rng) for _ in range(10**5)])
     assert draws.min() >= 20.0
     assert draws.max() <= 35.0
     assert abs(draws.mean() - 27.5) < 0.1
@@ -22,10 +23,27 @@ def test_sample_rtt_bounds_and_mean():
 
 def test_sample_rtt_deterministic():
     rng = substream(5, "x")
-    a = [sample_rtt(LinkModel(), rng) for _ in range(5)]
+    a = [LinkModel().rtt(rng) for _ in range(5)]
     rng = substream(5, "x")
-    b = [sample_rtt(LinkModel(), rng) for _ in range(5)]
+    b = [LinkModel().rtt(rng) for _ in range(5)]
     assert a == b
+
+
+@pytest.mark.parametrize("draw", ["rtt", "one_way"])
+def test_link_vector_draws_equal_scalar_draws(draw):
+    # size=k makes the same draws as k scalar calls, and leaves the stream
+    # at the same point
+    link = LinkModel(d0_ms=7.0, jitter_max_ms=3.0)
+    for k in (1, 2, 16, 257):
+        vec_rng, loop_rng = substream(k, "link"), substream(k, "link")
+        vec = getattr(link, draw)(vec_rng, k)
+        loop = [getattr(link, draw)(loop_rng) for _ in range(k)]
+        assert vec.shape == (k,)
+        assert vec.tolist() == loop
+        assert vec_rng.random() == loop_rng.random()
+    grid = link.rtt(substream(0, "link"), (5, 3))
+    rng = substream(0, "link")
+    assert grid.tolist() == [[link.rtt(rng) for _ in range(3)] for _ in range(5)]
 
 
 def test_zero_jitter_one_way_delivery():
@@ -75,16 +93,6 @@ def test_no_event_before_send_and_ordering():
     times = [ev.deliver_at_us for ev in delivered]
     assert times == sorted(times)
     assert min(times) > 0
-
-
-def test_slot_hooks_fire_on_boundaries():
-    net = Network(seed=0)
-    net.register_node("a")
-    hits = []
-    net.add_slot_hook(lambda t_ms: hits.append(t_ms))
-    net.run_until(250.0)
-    assert hits == [0, 100, 200]
-    assert SLOT_MS == 100
 
 
 def test_round_trip_equals_rtt_plus_processing():

@@ -9,6 +9,7 @@ from qenergydex.qkms import (
     InsufficientEntropy,
     KeyPoolState,
     KmsCluster,
+    KmsEvent,
     KmsReplica,
     RateAdaptState,
     UnknownKey,
@@ -161,6 +162,13 @@ def test_event_log_schema(tmp_path):
     assert lines[0] == "t_ms,event,replica,key_id,bits,balance"
     assert lines[1].split(",")[1] == "rent"
     assert lines[2].split(",")[1] == "rent_fail"
+    # each line is its event's fields in order
+    assert [type(ev) for ev in kms.events] == [KmsEvent, KmsEvent]
+    assert lines[1:] == [",".join(str(v) for v in ev) for ev in kms.events]
+    rent, fail = kms.events
+    assert (rent.t_ms, rent.replica, rent.bits, rent.balance) == (0, 0, 128, 172)
+    assert (fail.t_ms, fail.key_id, fail.bits, fail.balance) == (1, "-", 512, 172)
+    assert rent.key_id == next(iter(kms.keys))
 
 
 # ---------------------------------------------------------------------------

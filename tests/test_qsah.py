@@ -286,6 +286,18 @@ def test_benchmark_dominance_and_bands():
     assert dkw_halfwidth(3000) == pytest.approx(0.0248, abs=1e-4)
 
 
+# sha256 of latency_benchmark(400, 150, LinkModel(), BaselineHandshakeModel(),
+# seed=9): the Q-SAH, baseline-local and baseline-RTT latency arrays in order
+BENCHMARK_DIGEST = "b4728f86761467ea43c3ba4dd06b2ffb333f18aa9428bb3d7c5dde3d69d98093"
+
+
+def test_benchmark_latencies_pinned():
+    # guards the network's one-way draws and the baseline arm's round trips
+    res = latency_benchmark(400, 150, LinkModel(), BaselineHandshakeModel(), seed=9)
+    arrays = (res.qsah_latencies, res.baseline_local, res.baseline_rtt)
+    assert hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest() == BENCHMARK_DIGEST
+
+
 def test_benchmark_batch_size_does_not_change_distribution():
     from scipy.stats import ks_2samp
 

@@ -65,7 +65,7 @@ def test_ecdf_basic():
 
 
 def test_ecdf_band_clipping():
-    e = ecdf([1.0, 2.0], alpha=0.05)
+    e = ecdf([1.0, 2.0])
     assert (e.lower() >= 0.0).all()
     assert (e.upper() <= 1.0).all()
 
