@@ -173,14 +173,14 @@ class Network:
         self._now_us = limit_us
         return delivered
 
-    def run_to_quiescence(self, hard_limit_ms: float = 1e9) -> list[Event]:
-        """Run until no events remain (bounded by a hard time limit)."""
-        delivered: list[Event] = []
+    def run_to_quiescence(self, hard_limit_ms: float = 1e9) -> int:
+        """Deliver events until none remain or the hard limit; return how many."""
+        delivered = 0
         while self._queue:
             t_us = self._queue[0][0]
             if t_us > hard_limit_ms * 1000:
                 break
-            delivered.extend(self.run_until(t_us / 1000.0))
+            delivered += len(self.run_until(t_us / 1000.0))
         return delivered
 
     def write_trace(self, path) -> None:

@@ -309,16 +309,22 @@ def growth_violation_fraction(
     beta: float,
     max_depth: int,
 ) -> np.ndarray:
-    """Fraction of length-t windows growing slower than (1-eps)(1-alpha)(1-beta) t."""
-    confirmed = np.concatenate(([0], np.cumsum(outcomes == 1, dtype=np.int64)))
+    """Fraction of length-t windows growing slower than (1-eps)(1-alpha)(1-beta) t.
+
+    Window counts grow in place with t, in the narrowest type holding ``max_depth``.
+    """
+    n = len(outcomes)
+    x = (outcomes == 1).astype(np.min_scalar_type(max_depth))
+    grown = np.zeros(n, dtype=x.dtype)
+    below = np.empty(n, dtype=bool)
     rate = (1.0 - epsilon) * (1.0 - alpha) * (1.0 - beta)
     out = np.zeros(max_depth)
-    for t in range(1, max_depth + 1):
-        if t > len(outcomes):
-            break
-        grown = confirmed[t:] - confirmed[:-t]
+    for t in range(1, min(max_depth, n) + 1):
+        m = n - t + 1
+        grown[:m] += x[t - 1 :]
         # the counts are integers, so compare against the integer threshold
-        out[t - 1] = np.count_nonzero(grown <= math.floor(rate * t + 1e-12)) / len(grown)
+        np.less_equal(grown[:m], math.floor(rate * t + 1e-12), out=below[:m])
+        out[t - 1] = np.count_nonzero(below[:m]) / m
     return out
 
 
@@ -332,26 +338,32 @@ def finality_depths(outcomes: np.ndarray, max_depth: int = 200) -> np.ndarray:
     end of the trace to resolve, are skipped, as are blocks whose depth
     would exceed ``max_depth``.
 
-    With s the running outcome sum (s[0] = 0), the block at h is final at
-    the first j > h + 1 with s[j] >= s[h + 1] + 1. Each height moves s by
-    -1, 0 or +1, so that is a first passage: the first j > h + 1 at level
-    exactly s[h + 1] + 1. All of them come from one ``searchsorted`` over
-    the heights keyed by (level, index).
+    A block whose next height confirms has depth 1. For the others, with s
+    the running outcome sum (s[0] = 0), the block at h is final at the
+    first j > h + 1 with s[j] >= s[h + 1] + 1. Each height moves s by -1, 0
+    or +1, so that is the first j > h + 1 at level s[h + 1] + 1, and all of
+    them come from one ``searchsorted`` over heights keyed by (level, index).
     """
     outcomes = np.asarray(outcomes)
+    if max_depth < 1:
+        return np.zeros(0, dtype=np.int64)
+    blocks = np.flatnonzero(outcomes[: max(len(outcomes) - max_depth, 0)] == 1)
+    depths = np.ones(len(blocks), dtype=np.int64)
+    later = np.flatnonzero(outcomes[blocks + 1] != 1)
+    h = blocks[later]
     s = np.concatenate(([0], np.cumsum(outcomes, dtype=np.int64)))
     width = len(s)
     level = s - s.min()
     # one key per index, level * width + index: sorted, they run level by
     # level and, within a level, in index order
     keys = np.sort(level * width + np.arange(width))
-    blocks = np.flatnonzero(outcomes[: max(len(outcomes) - max_depth, 0)] == 1)
-    target = level[blocks + 1] + 1
-    pos = np.searchsorted(keys, target * width + blocks + 2)
+    target = level[h + 1] + 1
+    pos = np.searchsorted(keys, target * width + h + 2)
     hit = keys[np.minimum(pos, width - 1)]
     reached = (pos < width) & (hit // width == target)
-    depths = hit % width - blocks - 1
-    return depths[reached & (depths <= max_depth)]
+    d = hit % width - h - 1
+    depths[later] = np.where(reached & (d <= max_depth), d, 0)
+    return depths[depths > 0]
 
 
 @dataclass(frozen=True)

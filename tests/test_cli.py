@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -186,3 +187,36 @@ def test_porlite_finality_marker_holds_at_every_security_level(tmp_path, capsys)
     path.write_text(json.dumps(doc))
     assert main(["porlite", "--check", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
     assert "[PASS] finality depth marker (t_fin=42)" in capsys.readouterr().out
+
+
+# SHA-256 of each Monte Carlo CSV at a reduced config: a kernel change that
+# moves any byte of table2.csv or of the PoR-Lite curves fails here
+MONTE_CARLO_PINS = {
+    ("keypool", "paper"): {
+        "table2.csv": "12719708412ed2db23160cdc226aa6889c3b2b1c70b74f17cca6589d77ce47e4",
+    },
+    ("keypool", "capacity 12"): {
+        "table2.csv": "95a48421ae91cdbc2236faa46b252fbff9de435c683093edc2e7998266721807",
+    },
+    ("porlite", "paper"): {
+        "cp_violation.csv": "8c932459e0e5c812ffd5d54130f94639f65ee1b30dda50f9b355e9595ecfdeaa",
+        "finality_hist.csv": "010d586a321476063d076d5bb19f0954e489faff669a89d1dbae1ea6cee08098",
+        "fork_tail.csv": "775ecc376efe2274e0a95dc33bd64ab463be019bdff7f8a0d265f0584e4b87ce",
+        "growth_violation.csv": "4e085dd7d011534c94015d35faa74c1586091a904496e923e05195f3b98f6040",
+    },
+}
+
+
+@pytest.mark.parametrize("command,variant", sorted(MONTE_CARLO_PINS))
+def test_monte_carlo_outputs_pinned(tmp_path, command, variant):
+    doc = {"keypool": {"max_events": 200_000}, "consensus": {"horizon": 20_000, "seeds": 3}}
+    if variant == "capacity 12":   # rows shorter than _SCAN_COLS
+        doc["keypool"]["capacity"] = 12
+    path = tmp_path / "small.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, "--check", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / "o" / name).read_bytes()).hexdigest()
+        for name in MONTE_CARLO_PINS[command, variant]
+    }
+    assert digests == MONTE_CARLO_PINS[command, variant]

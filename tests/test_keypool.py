@@ -262,3 +262,18 @@ def test_simulation_counts_self_loops():
     res = simulate_pool(p, seed=7, max_events=20_000)
     assert res.events == 20_000
     assert 95.0 < res.horizon_s < 105.0
+
+
+def test_clamped_walk_one_barrier_rows_match_loop():
+    # rows of min(_SCAN_COLS, M) steps, starting on either barrier, with
+    # drifts that push the walk into one barrier or the other; each length
+    # ends mid-row wherever a row holds more than one step
+    rng = np.random.default_rng(23)
+    for M in (1, 2, _SCAN_COLS - 1, _SCAN_COLS, _SCAN_COLS + 1, 200):
+        L = min(_SCAN_COLS, M)
+        for p_up in (0.05, 0.5, 0.95):
+            for n in (1, L + 1, 7 * L - 1, 3001):
+                steps = (rng.random(n) < p_up).view(np.int8) * 2 - 1
+                for x0 in (0, M):
+                    fast = _clamped_walk(x0, steps, M)
+                    assert np.array_equal(fast, loop_clamped_walk(x0, steps, M)), (M, p_up, n, x0)

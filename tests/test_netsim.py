@@ -165,3 +165,21 @@ def test_same_microsecond_deliveries_follow_send_order():
     assert got == expected
     assert [ev.seq for ev in delivered] == list(range(40))
     assert {ev.deliver_at_us for ev in delivered} == {10_000}
+
+
+def test_run_to_quiescence_counts_deliveries():
+    # zero jitter: the ten messages share one delivery time, yet each is
+    # counted; a hard limit stops the run before the events after it
+    link = LinkModel(d0_ms=20.0, jitter_max_ms=0.0)
+    net = Network(seed=4, default_link=link, processing_ms=0.0)
+    got = []
+    net.register_node("a")
+    net.register_node("b", lambda n, ev: got.append(ev.payload))
+    for i in range(10):
+        net.send("a", "b", i)
+    net.call_at(500.0, lambda: net.send("a", "b", 10))
+    net.call_at(900.0, lambda: None)
+    assert net.run_to_quiescence(hard_limit_ms=800.0) == 12
+    assert got == list(range(11))
+    assert net.run_to_quiescence() == 1
+    assert net.run_to_quiescence() == 0

@@ -418,3 +418,27 @@ def test_growth_violation_identical_to_float_threshold():
             fast = growth_violation_fraction(outcomes, eps, alpha, beta, 80)
             slow = loop_growth_violation(outcomes, eps, alpha, beta, 80)
             assert fast.tobytes() == slow.tobytes()
+
+
+def test_growth_violation_identical_across_count_dtypes():
+    # the window counts are uint8 up to max_depth 255 and uint16 above; an
+    # all-confirm trace fills them to max_depth, and traces shorter than
+    # max_depth (down to empty) leave the deeper entries at zero
+    rng = np.random.default_rng(13)
+    traces = [np.ones(600, dtype=np.int8), np.zeros(0, dtype=np.int8)]
+    for n in (1, 100, 254, 255, 256, 299, 301, 1000):
+        traces.append(rng.choice(np.array([1, -1, 0], dtype=np.int8), size=n, p=[0.675, 0.225, 0.10]))
+    for outcomes in traces:
+        for max_depth in (255, 256, 300):
+            for eps, alpha, beta in ((0.2, 0.25, 0.1), (0.9, 0.0, 0.0)):
+                fast = growth_violation_fraction(outcomes, eps, alpha, beta, max_depth)
+                slow = loop_growth_violation(outcomes, eps, alpha, beta, max_depth)
+                assert fast.tobytes() == slow.tobytes(), (len(outcomes), max_depth)
+
+
+def test_finality_depths_below_depth_one_is_empty():
+    for outcomes in oracle_sequences():
+        for max_depth in (0, -1):
+            fast = finality_depths(outcomes, max_depth)
+            assert fast.dtype == np.int64
+            assert len(fast) == 0
