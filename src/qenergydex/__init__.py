@@ -52,12 +52,8 @@ from .qkms import (
     InsufficientEntropy,
     KeyPoolState,
     KeyRecord,
-    KmsCluster,
     KmsReplica,
     RateAdaptState,
-    crdt_merge,
-    rate_adapt_fixed_point,
-    rate_adapt_mse_bound,
     rate_adapt_step,
     run_rate_controller,
     step_bucket,

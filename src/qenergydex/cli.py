@@ -272,10 +272,16 @@ def _check_harness_keys(config: dict) -> None:
                 value = config[section][key]
                 if not holds(value):
                     raise ConfigError(f"{section}.{key} must be {rule}, got {value!r}")
-    t = config["trace"]
-    for lo, hi in (("amp_lo", "amp_hi"), ("width_lo", "width_hi")):
-        if not t[lo] <= t[hi]:
-            raise ConfigError(f"trace.{lo} must not exceed trace.{hi}")
+    rhos = config["keypool"]["rhos"]
+    if not (type(rhos) is list and rhos
+            and all(type(rho) in (int, float) and 0 < rho < np.inf for rho in rhos)):
+        raise ConfigError(
+            f"keypool.rhos must be a non-empty list of finite numbers > 0, got {rhos!r}"
+        )
+    for section, lo, hi in (("trace", "amp_lo", "amp_hi"), ("trace", "width_lo", "width_hi"),
+                            ("keypool", "curve_rho_lo", "curve_rho_hi")):
+        if not config[section][lo] <= config[section][hi]:
+            raise ConfigError(f"{section}.{lo} must not exceed {section}.{hi}")
     _full_stack_consensus(config)
 
 
@@ -630,8 +636,8 @@ def cmd_full_stack(config: dict, out: Path) -> list[tuple[str, bool, str]]:
         server.install_key(key)
         client = ClientSession(key, nonce_rng)
         msg1 = client.client_hello(now_ms)
-        msg2 = server.server_response(key.key_id, msg1, now_ms)
-        client.client_finish(msg2, now_ms)
+        msg2 = server.server_response(key.key_id, msg1)
+        client.client_finish(msg2)
         if client.session.state == "established":
             established += 1
 

@@ -17,9 +17,7 @@ All functions are pure; trace generation is deterministic per seed.
 from __future__ import annotations
 
 import math
-import struct
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,36 +68,6 @@ class QberTrace:
     @property
     def mean(self) -> float:
         return float(self.samples.mean())
-
-    @property
-    def variance(self) -> float:
-        return float(self.samples.var())
-
-    def to_csv(self, path: str | Path) -> None:
-        """Write the trace as CSV with header ``t_ms,qber``, one row per ms."""
-        with open(path, "w", newline="") as fh:
-            fh.write("t_ms,qber\n")
-            for t, q in enumerate(self.samples):
-                fh.write(f"{t},{float(q)!r}\n")
-
-    @classmethod
-    def from_csv(cls, path: str | Path, seed: int = 0) -> "QberTrace":
-        rows = Path(path).read_text().strip().splitlines()
-        if rows[0] != "t_ms,qber":
-            raise ValueError(f"unexpected CSV header: {rows[0]!r}")
-        samples = np.array([float(r.split(",")[1]) for r in rows[1:]])
-        return cls(samples=samples, seed=seed)
-
-    def to_binary(self, path: str | Path) -> None:
-        """Write samples as little-endian float64, for large runs."""
-        with open(path, "wb") as fh:
-            fh.write(struct.pack("<%dd" % len(self.samples), *self.samples))
-
-    @classmethod
-    def from_binary(cls, path: str | Path, seed: int = 0) -> "QberTrace":
-        raw = Path(path).read_bytes()
-        samples = np.frombuffer(raw, dtype="<f8")
-        return cls(samples=np.array(samples), seed=seed)
 
 
 @dataclass(frozen=True)

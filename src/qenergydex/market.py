@@ -46,10 +46,8 @@ outcome can then serve both stacks.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,8 +68,6 @@ __all__ = [
     "security_coupled_clearing",
     "random_instance",
     "synthetic_grid_instance",
-    "instance_to_json",
-    "instance_from_json",
     "SCENARIOS",
 ]
 
@@ -787,35 +783,3 @@ def synthetic_grid_instance(
     )
     return grid, prosumers
 
-
-def instance_to_json(grid: GridModel, prosumers: list[Prosumer]) -> str:
-    doc = {
-        "prosumers": [
-            {"alpha": pr.alpha, "pi": pr.pi, "p_max": pr.p_max, "bus": pr.bus}
-            for pr in prosumers
-        ],
-        "ptdf": [list(map(float, row)) for row in grid.ptdf],
-        "line_limits": [float(v) for v in grid.line_limits],
-        "leader_cost": {
-            "q_diag": [float(v) for v in grid.leader_q_diag],
-            "c": [float(v) for v in grid.leader_c],
-        },
-    }
-    return json.dumps(doc, sort_keys=True)
-
-
-def instance_from_json(text: str | Path) -> tuple[GridModel, list[Prosumer]]:
-    if isinstance(text, Path):
-        text = text.read_text()
-    doc = json.loads(text)
-    prosumers = [
-        Prosumer(id=i, alpha=d["alpha"], pi=d["pi"], p_max=d["p_max"], bus=d["bus"])
-        for i, d in enumerate(doc["prosumers"])
-    ]
-    grid = GridModel(
-        ptdf=np.array(doc["ptdf"], dtype=float),
-        line_limits=np.array(doc["line_limits"], dtype=float),
-        leader_q_diag=np.array(doc["leader_cost"]["q_diag"], dtype=float),
-        leader_c=np.array(doc["leader_cost"]["c"], dtype=float),
-    )
-    return grid, prosumers

@@ -7,8 +7,11 @@ half the RTT with per-direction jitter U(0, jitter_max/2), which preserves
 the RTT bound d0 <= RTT <= d0 + jitter_max. ``LinkModel`` is the one
 place that formula is written; every caller draws its delays from it.
 
-Messages are delivered in (time, sequence) order, so a run is a pure
-function of the seed and the registered handlers.
+An event is either a message from ``send``, handed to its destination's
+handler, or a timer from ``call_at``, whose callable runs at its time;
+``Event.kind`` tells the two apart. Events are delivered in (time,
+sequence) order, so a run is a pure function of the seed and the
+registered handlers.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ class Event:
     src: str = field(compare=False)
     dst: str = field(compare=False)
     payload: object = field(compare=False)
-    kind: str = field(compare=False, default="msg")
+    kind: str = field(compare=False, default="msg")   # "msg" or "timer"
 
 
 class Network:
@@ -79,9 +82,7 @@ class Network:
         seed: int = 0,
         default_link: LinkModel | None = None,
         processing_ms: float = DEFAULT_PROCESSING_MS,
-        trace: bool = False,
     ):
-        self.seed = seed
         self.default_link = default_link or LinkModel()
         self.processing_ms = processing_ms
         self._rng = substream(seed, "net")
@@ -91,7 +92,6 @@ class Network:
         self._queue: list[tuple[int, int, Event]] = []
         self._seq = 0
         self._now_us = 0
-        self._trace_rows: list[tuple] | None = [] if trace else None
 
     # -- topology ----------------------------------------------------------
 
@@ -111,7 +111,7 @@ class Network:
     def now_ms(self) -> float:
         return self._now_us / 1000.0
 
-    def send(self, src: str, dst: str, payload, kind: str = "msg") -> Event:
+    def send(self, src: str, dst: str, payload) -> Event:
         """Schedule delivery of ``payload`` after one-way delay plus processing."""
         if src not in self._handlers:
             raise UnknownNode(src)
@@ -119,8 +119,7 @@ class Network:
             raise UnknownNode(dst)
         if self._down and frozenset((src, dst)) in self._down:
             # partitioned link: message silently dropped
-            ev = Event(deliver_at_us=-1, seq=-1, src=src, dst=dst, payload=payload, kind=kind)
-            return ev
+            return Event(deliver_at_us=-1, seq=-1, src=src, dst=dst, payload=payload)
         one_way = self.default_link.one_way(self._rng)
         delay_us = int(round((one_way + self.processing_ms) * 1000.0))
         ev = Event(
@@ -129,13 +128,12 @@ class Network:
             src=src,
             dst=dst,
             payload=payload,
-            kind=kind,
         )
         self._seq += 1
         heapq.heappush(self._queue, (ev.deliver_at_us, ev.seq, ev))
         return ev
 
-    def call_at(self, t_ms: float, fn: Callable, kind: str = "timer") -> Event:
+    def call_at(self, t_ms: float, fn: Callable) -> Event:
         """Schedule ``fn()`` at an absolute virtual time."""
         ev = Event(
             deliver_at_us=max(self._now_us, int(round(t_ms * 1000.0))),
@@ -143,7 +141,7 @@ class Network:
             src="",
             dst="",
             payload=fn,
-            kind=kind,
+            kind="timer",
         )
         self._seq += 1
         heapq.heappush(self._queue, (ev.deliver_at_us, ev.seq, ev))
@@ -165,9 +163,6 @@ class Network:
             if ev.kind == "timer":
                 ev.payload()
             else:
-                if self._trace_rows is not None:
-                    size = len(ev.payload) if isinstance(ev.payload, (bytes, bytearray)) else 0
-                    self._trace_rows.append((t_us, ev.src, ev.dst, ev.kind, size))
                 self._handlers[ev.dst](self, ev)
             delivered.append(ev)
         self._now_us = limit_us
@@ -182,12 +177,3 @@ class Network:
                 break
             delivered += len(self.run_until(t_us / 1000.0))
         return delivered
-
-    def write_trace(self, path) -> None:
-        """Dump the delivery log as CSV ``t_us,src,dst,type,size``."""
-        if self._trace_rows is None:
-            raise RuntimeError("network was not created with trace=True")
-        with open(path, "w", newline="") as fh:
-            fh.write("t_us,src,dst,type,size\n")
-            for row in self._trace_rows:
-                fh.write(",".join(str(v) for v in row) + "\n")

@@ -3,10 +3,15 @@ and the concentration-bound analytics that certify it.
 
 Each height draws an election seed by hashing the previous block header
 with a 128-bit salt rented from the key service; every validator evaluates
-a keyed hash VRF on the seed and leads when its normalized output falls
-below the threshold h_q. Multiple leaders race and the lowest output wins;
-no leader means an empty slot. A block confirms when at least 2/3 of the
-total validator weight has signed it.
+its VRF on the seed and leads when its normalized output falls below the
+threshold h_q. Multiple leaders race and the lowest output wins; no leader
+means an empty slot. A block confirms when at least 2/3 of the total
+validator weight has signed it.
+
+The VRF is simulation grade: ``vrf_output`` is a keyed hash of (secret,
+seed) and produces no proof. No message carries an output to other
+validators, so nothing verifies one; proof checking belongs with a network
+mode that sends messages.
 
 Per-height outcomes are abstracted as +1 (honest block confirmed), 0
 (empty slot), or -1 (unresolved adversarial fork). A fork survives only
@@ -42,12 +47,11 @@ from .qkms import InsufficientEntropy, KmsReplica
 from .rng import draw_bytes, substream
 
 __all__ = [
-    "UnknownValidator",
     "ValidatorNode",
     "ConsensusParams",
     "ChainTrace",
     "ChainMetrics",
-    "VrfRegistry",
+    "vrf_output",
     "election_seed",
     "elect_leader",
     "adjust_threshold",
@@ -67,10 +71,6 @@ __all__ = [
 DEFAULT_BLOCK_INTERVAL_MS = 65.0
 CONFIRM_WEIGHT = 2.0 / 3.0
 KMS_LINK = LinkModel(d0_ms=5.0, jitter_max_ms=5.0)   # validator to key service
-
-
-class UnknownValidator(KeyError):
-    """VRF operation with an unregistered key handle or node."""
 
 
 @dataclass(frozen=True)
@@ -114,36 +114,9 @@ class ConsensusParams:
 # ---------------------------------------------------------------------------
 
 
-class VrfRegistry:
-    """Key-handle registry standing in for public VRF verification.
-
-    Outputs are keyed hashes of (secret, seed); verification recomputes
-    them through the registry, which plays the role of the public key
-    directory. A verifiable VRF can be substituted behind the same
-    interface.
-    """
-
-    def __init__(self):
-        self._secrets: dict[str, bytes] = {}
-
-    def register(self, secret: bytes) -> str:
-        handle = hashlib.sha256(b"vrf/handle" + secret).hexdigest()[:32]
-        self._secrets[handle] = secret
-        return handle
-
-    @staticmethod
-    def evaluate(secret: bytes, seed: bytes) -> tuple[bytes, bytes]:
-        """Deterministic per (secret, seed): returns (output, proof)."""
-        output = hashlib.sha256(b"vrf/out" + secret + seed).digest()
-        proof = hashlib.sha256(b"vrf/proof" + secret + seed).digest()
-        return output, proof
-
-    def verify(self, handle: str, seed: bytes, output: bytes, proof: bytes) -> bool:
-        secret = self._secrets.get(handle)
-        if secret is None:
-            raise UnknownValidator(handle)
-        expect_out, expect_proof = self.evaluate(secret, seed)
-        return expect_out == output and expect_proof == proof
+def vrf_output(secret: bytes, seed: bytes) -> bytes:
+    """The keyed hash standing in for a VRF output: sha256("vrf/out" || secret || seed)."""
+    return hashlib.sha256(b"vrf/out" + secret + seed).digest()
 
 
 def vrf_unit(output: bytes) -> float:
@@ -172,7 +145,7 @@ def elect_leader(
         raise ValueError("h_q must lie in [0, 1]")
     leaders = []
     for node in nodes:
-        y = vrf_unit(VrfRegistry.evaluate(node.vrf_secret, seed)[0])
+        y = vrf_unit(vrf_output(node.vrf_secret, seed))
         if y < h_q:
             leaders.append((node, y))
     leaders.sort(key=lambda pair: pair[1])

@@ -1,16 +1,13 @@
 """Cloud key-management service: token-bucket pool, rent/retire/audit,
-replica reconciliation, and the adaptive output-rate controller.
+and the adaptive output-rate controller.
 
 The pool is a token bucket: balance B accrues at the generation rate and
 is spent by Rent(n) calls, clamped to [0, capacity]. Rentals fail without
 side effects when n exceeds the balance. Issued keys carry a ttl (default
 30 s) and move through active -> retired/expired exactly once.
 
-Replicas are single-writer state machines; the only cross-replica
-operation is the min-merge of per-key issuance watermarks, which is
-commutative, associative, and idempotent, so reconciliation is safe under
-arbitrary interleavings. Key identifiers embed the replica index in their
-top byte, making cross-replica collisions structurally impossible.
+A key identifier's top byte is the replica index, so two replicas never
+issue the same identifier.
 
 The rate controller compares two emission strategies against the
 per-millisecond secure capacity given by the leftover-hash length of the
@@ -39,7 +36,7 @@ from __future__ import annotations
 
 import base64
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -63,15 +60,11 @@ __all__ = [
     "UnknownKey",
     "AlreadyRetired",
     "step_bucket",
-    "crdt_merge",
     "rate_adapt_step",
-    "rate_adapt_fixed_point",
-    "rate_adapt_mse_bound",
     "run_rate_controller",
     "RateControllerResult",
     "generation_rate",
     "KmsReplica",
-    "KmsCluster",
     "DEFAULT_TTL_MS",
 ]
 
@@ -124,11 +117,6 @@ def step_bucket(s: KeyPoolState, delta_ms: int, consumed_bits: int = 0) -> KeyPo
     return replace(s, balance_bits=max(0, balance), clock_ms=s.clock_ms + delta_ms)
 
 
-def crdt_merge(x: int, y: int) -> int:
-    """Merge per-key issuance watermarks from two replicas: min(x, y)."""
-    return min(x, y)
-
-
 @dataclass
 class KeyRecord:
     """An issued key: identifier, bits, lifetime, and lifecycle state."""
@@ -177,18 +165,6 @@ def rate_adapt_step(st: RateAdaptState, q_t: float) -> RateAdaptState:
     gamma_t = st.gamma0 / st.t
     r_next = max(RATE_FLOOR_FRACTION * st.r_max_bps, (1.0 - gamma_t * q_t) * st.r_t_bps)
     return replace(st, r_t_bps=r_next, t=st.t + 1)
-
-
-def rate_adapt_fixed_point(r_max: float, gamma: float, q_bar: float) -> float:
-    """Steady-state rate R_max (1 - gamma * q_bar) for a given gain value."""
-    return r_max * (1.0 - gamma * q_bar)
-
-
-def rate_adapt_mse_bound(gamma0: float, r_max: float, var_q: float) -> float:
-    """Steady-state mean-square error bound gamma_0 R_max^2 Var(q) / (2 - gamma_0)."""
-    if not 0.0 < gamma0 < 2.0:
-        raise ValueError("gamma0 must lie in (0, 2)")
-    return gamma0 * r_max * r_max * var_q / (2.0 - gamma0)
 
 
 def generation_rate(r0_bps: float, q_t: float, n_block: int, epsilon: float = DEFAULT_EPSILON) -> float:
@@ -348,18 +324,15 @@ class KmsReplica:
         replica_id: int,
         pool: KeyPoolState,
         seed: int = 0,
-        ttl_ms: int = DEFAULT_TTL_MS,
         baseline_qber: float = 0.01,
     ):
         if not 0 <= replica_id < 256:
             raise ValueError("replica_id must fit one byte")
         self.replica_id = replica_id
         self.pool = pool
-        self.ttl_ms = ttl_ms
         self.baseline_qber = baseline_qber
         self._rng = substream(seed, "kms", replica_id)
         self.keys: dict[str, KeyRecord] = {}
-        self.issuance: dict[str, int] = {}
         self.events: list[KmsEvent] = []
         self._qber_window: list[float] = []
 
@@ -395,11 +368,9 @@ class KmsReplica:
         record = KeyRecord(
             key_id=key_id,
             key_bits=draw_bytes(self._rng, (n_bytes + 7) // 8 * 8)[:n_bytes],
-            ttl_ms=self.ttl_ms,
             issued_at_ms=now_ms,
         )
         self.keys[key_id] = record
-        self.issuance[key_id] = 1
         self.events.append(KmsEvent(now_ms, "rent", self.replica_id, key_id, n_bits,
                                     self.pool.balance_bits))
         return record
@@ -470,57 +441,3 @@ class KmsReplica:
             for row in self.events:
                 fh.write(",".join(str(v) for v in row) + "\n")
 
-
-class KmsCluster:
-    """Active-active replica group with uniform-random request routing."""
-
-    def __init__(
-        self,
-        m: int,
-        pool: KeyPoolState,
-        seed: int = 0,
-        ttl_ms: int = DEFAULT_TTL_MS,
-    ):
-        if m < 1:
-            raise ValueError("need at least one replica")
-        self.replicas = [
-            KmsReplica(i, pool, seed=seed, ttl_ms=ttl_ms) for i in range(m)
-        ]
-        self._route_rng = substream(seed, "kms", "ecmp")
-        self.merged: dict[str, int] = {}
-
-    def rent(self, n_bits: int, now_ms: int) -> KeyRecord:
-        replica = self.replicas[self._route_rng.integers(len(self.replicas))]
-        return replica.rent(n_bits, now_ms)
-
-    def retire(self, key_id: str, now_ms: int = 0) -> None:
-        for replica in self.replicas:
-            if key_id in replica.keys:
-                replica.retire(key_id, now_ms)
-                return
-        raise UnknownKey(key_id)
-
-    def reconcile(self) -> dict[str, int]:
-        """Merge issuance watermarks across replicas with the min rule.
-
-        Collisions (two replicas having issued the same identifier) are
-        resolved by the merge and reported in ``self.collisions``; the
-        replica-prefixed id scheme makes them structurally impossible.
-        """
-        merged: dict[str, int] = {}
-        self.collisions: list[str] = []
-        for replica in self.replicas:
-            for key_id, count in replica.issuance.items():
-                if key_id in merged:
-                    merged[key_id] = crdt_merge(merged[key_id], count)
-                    self.collisions.append(key_id)
-                else:
-                    merged[key_id] = count
-        self.merged = merged
-        return merged
-
-    def all_key_ids(self) -> list[str]:
-        ids: list[str] = []
-        for replica in self.replicas:
-            ids.extend(replica.keys.keys())
-        return ids

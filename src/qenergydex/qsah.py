@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import hmac as hmac_mod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
@@ -138,7 +138,6 @@ class HandshakeSession:
     session_key: bytes = b""
     state: str = "init"        # init | challenged | established | failed
     t_start_ms: float = 0.0
-    t_done_ms: float = 0.0
 
 
 class ClientSession:
@@ -161,7 +160,7 @@ class ClientSession:
         tag = gmac_tag(s.shared_key, _m1_nonce(s.n_c), s.n_c)
         return s.n_c + tag
 
-    def client_finish(self, message2: bytes, now_ms: float = 0.0) -> bytes:
+    def client_finish(self, message2: bytes) -> bytes:
         """Verify message 2 and derive the session key."""
         s = self.session
         if s.state != "challenged":
@@ -179,7 +178,6 @@ class ClientSession:
         s.n_s = n_s
         s.session_key = derive_session_key(s.shared_key, s.n_c, n_s)
         s.state = "established"
-        s.t_done_ms = now_ms
         return s.session_key
 
 
@@ -204,7 +202,7 @@ class ServerEndpoint:
         self._keys.pop(key_id, None)
         self._seen.pop(key_id, None)
 
-    def server_response(self, key_id: str, message1: bytes, now_ms: float = 0.0) -> bytes:
+    def server_response(self, key_id: str, message1: bytes) -> bytes:
         """Verify message 1, enforce nonce freshness, build message 2."""
         shared = self._keys.get(key_id)
         if shared is None:
@@ -224,7 +222,6 @@ class ServerEndpoint:
         session = HandshakeSession(key_id=key_id, shared_key=shared, n_c=n_c, n_s=n_s)
         session.session_key = derive_session_key(shared, n_c, n_s)
         session.state = "established"
-        session.t_done_ms = now_ms
         self.sessions.append(session)
         return n_s + gmac_tag(shared, _m2_nonce(n_s, n_c), n_s + n_c)
 
@@ -293,14 +290,14 @@ def latency_benchmark(
 
     def server_handler(network: Network, event) -> None:
         idx, key_id, message1 = event.payload
-        reply = server.server_response(key_id, message1, now_ms=network.now_ms)
-        network.send("server", "client", (idx, reply), kind="qsah2")
+        reply = server.server_response(key_id, message1)
+        network.send("server", "client", (idx, reply))
 
     def client_handler(network: Network, event) -> None:
         nonlocal established
         idx, message2 = event.payload
         client = clients[idx]
-        client.client_finish(message2, now_ms=network.now_ms)
+        client.client_finish(message2)
         latencies[idx] = network.now_ms - client.session.t_start_ms
         established += 1
 
@@ -313,7 +310,7 @@ def latency_benchmark(
         client = ClientSession(key, nonce_rng)
         clients[idx] = client
         message1 = client.client_hello(now_ms=net.now_ms)
-        net.send("client", "server", (idx, client.session.key_id, message1), kind="qsah1")
+        net.send("client", "server", (idx, client.session.key_id, message1))
 
     for idx in range(n_handshakes):
         batch = idx // batch_size

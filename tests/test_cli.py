@@ -99,6 +99,23 @@ def test_harness_key_errors_exit_with_status_2(tmp_path, capsys):
          "qsah.n_handshakes must be an integer >= 1"),
         ("rate-adapt", {"trace": {"amp_lo": 0.2}},
          "trace.amp_lo must not exceed trace.amp_hi"),
+        # an empty table whose checks passed; a traceback after the manifest;
+        # a True row; an inf row of NaNs whose checks passed; a failed check
+        # on a curve that runs backwards
+        ("keypool", {"keypool": {"rhos": []}},
+         "keypool.rhos must be a non-empty list of finite numbers > 0, got []"),
+        ("keypool", {"keypool": {"rhos": [0]}},
+         "keypool.rhos must be a non-empty list of finite numbers > 0, got [0]"),
+        ("keypool", {"keypool": {"rhos": [0.9, -0.5]}},
+         "keypool.rhos must be a non-empty list of finite numbers > 0, got [0.9, -0.5]"),
+        ("keypool", {"keypool": {"rhos": "abc"}},
+         "keypool.rhos must be a non-empty list of finite numbers > 0, got 'abc'"),
+        ("keypool", {"keypool": {"rhos": [True]}},
+         "keypool.rhos must be a non-empty list of finite numbers > 0, got [True]"),
+        ("keypool", {"keypool": {"rhos": [float("inf")]}},
+         "keypool.rhos must be a non-empty list of finite numbers > 0, got [inf]"),
+        ("keypool", {"keypool": {"curve_rho_lo": 0.9, "curve_rho_hi": 0.5}},
+         "keypool.curve_rho_lo must not exceed keypool.curve_rho_hi"),
     ):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))

@@ -265,25 +265,6 @@ def test_trace_clipping_many_seeds():
         assert tr.samples.max() <= 0.08
 
 
-def test_trace_csv_roundtrip(tmp_path):
-    tr = generate_qber_trace(1.0, seed=5)
-    path = tmp_path / "trace.csv"
-    tr.to_csv(path)
-    header = path.read_text().splitlines()[0]
-    assert header == "t_ms,qber"
-    back = QberTrace.from_csv(path, seed=5)
-    assert (back.samples == tr.samples).all()
-
-
-def test_trace_binary_roundtrip(tmp_path):
-    tr = generate_qber_trace(2.0, seed=6)
-    path = tmp_path / "trace.bin"
-    tr.to_binary(path)
-    back = QberTrace.from_binary(path, seed=6)
-    assert (back.samples == tr.samples).all()
-    assert path.stat().st_size == 8 * len(tr)
-
-
 def test_trace_rejects_out_of_range_samples():
     with pytest.raises(ValueError):
         QberTrace(samples=np.array([0.5]), seed=0)

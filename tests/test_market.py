@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from scipy.optimize import nnls as scipy_nnls
@@ -13,8 +11,6 @@ from qenergydex.market import (
     aggregate_response,
     clear_all_scenarios,
     follower_response,
-    instance_from_json,
-    instance_to_json,
     leader_cost,
     random_instance,
     security_coupled_clearing,
@@ -622,19 +618,8 @@ def test_security_filter_scale_invariance_in_valuations():
 
 
 # ---------------------------------------------------------------------------
-# instances and serialization
+# instances
 # ---------------------------------------------------------------------------
-
-
-def test_instance_json_roundtrip():
-    grid, prosumers = random_instance(5, 2, seed=11)
-    text = instance_to_json(grid, prosumers)
-    grid2, prosumers2 = instance_from_json(text)
-    assert np.allclose(grid.ptdf, grid2.ptdf)
-    assert np.allclose(grid.line_limits, grid2.line_limits)
-    assert np.allclose(grid.leader_q_diag, grid2.leader_q_diag)
-    assert [p.alpha for p in prosumers] == [p.alpha for p in prosumers2]
-    assert [p.bus for p in prosumers] == [p.bus for p in prosumers2]
 
 
 def test_synthetic_grid_shape():
@@ -673,10 +658,3 @@ def test_grid_model_needs_one_entry_per_line(field, bad):
     ptdf = np.array([[1.0, 0.5], [0.0, 1.0]])
     with pytest.raises(ValueError, match=field):
         GridModel(ptdf=ptdf, **{**good, field: np.array(bad)})
-
-    grid, prosumers = random_instance(4, 2, seed=3)
-    doc = json.loads(instance_to_json(grid, prosumers))
-    section = doc if field == "line_limits" else doc["leader_cost"]
-    section[{"line_limits": "line_limits", "leader_q_diag": "q_diag", "leader_c": "c"}[field]] = bad
-    with pytest.raises(ValueError, match=field):
-        instance_from_json(json.dumps(doc))

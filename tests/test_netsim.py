@@ -129,19 +129,6 @@ def test_partitioned_link_drops():
     assert got == [b"through"]
 
 
-def test_trace_csv(tmp_path):
-    net = Network(seed=0, trace=True)
-    net.register_node("a")
-    net.register_node("b")
-    net.send("a", "b", b"xyz", kind="data")
-    net.run_until(100.0)
-    path = tmp_path / "trace.csv"
-    net.write_trace(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "t_us,src,dst,type,size"
-    assert lines[1].endswith("a,b,data,3")
-
-
 def test_link_model_validation():
     with pytest.raises(ValueError):
         LinkModel(d0_ms=-1.0)
