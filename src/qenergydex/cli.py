@@ -31,6 +31,7 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import math
 import sys
 from dataclasses import asdict, fields, replace
 from pathlib import Path
@@ -77,6 +78,7 @@ from .qsah import (
     latency_benchmark,
 )
 from .rng import substream
+from .stats import ecdf
 
 DEFAULT_CONFIG = {
     "seed": 1,
@@ -113,7 +115,6 @@ DEFAULT_CONFIG = {
         "n_prosumers": 3000,
         "n_buses": 118,
         "n_lines": 186,
-        "datasets": 1,
         "deadline_ms": 105.0,
         "per_node_key_cost_bits": 256,
         "tol": 1e-6,
@@ -221,44 +222,50 @@ def _full_stack_consensus(config: dict) -> ConsensusParams:
         raise ConfigError(f"full_stack.alpha: {exc}") from exc
 
 
+def _real(v) -> bool:
+    """An int (not a bool) or a finite float: JSON admits Infinity and NaN."""
+    return type(v) is int or (type(v) is float and math.isfinite(v))
+
+
 # the harness's own keys and the range each must lie in: outside it a
-# command raises mid-run, counts something a negative number of times, or
-# runs to the end on a value with no meaning (a negative deadline, key cost
-# or noise level, a fraction or QBER outside its interval)
+# command raises mid-run, counts something a negative number of times,
+# passes its checks on an empty output, or runs to the end on a value with
+# no meaning (a negative deadline, key cost or noise level, a fraction or
+# QBER outside its interval, an infinite duration or rate)
 _HARNESS_RANGES = (
     ("an integer >= 1", lambda v: type(v) is int and v >= 1, {
         "kms": ("window_ms",),
         "qsah": ("n_handshakes", "batch_size"),
-        "consensus": ("horizon", "seeds"),
+        "consensus": ("horizon", "seeds", "max_depth"),
         "keypool": ("capacity", "max_events"),
         "market": ("n_prosumers", "n_buses", "n_lines"),
-        "full_stack": ("heights", "n_validators", "pool_capacity_bits", "market_prosumers",
-                       "market_lines"),
+        "full_stack": ("heights", "n_handshakes", "n_validators", "pool_capacity_bits",
+                       "market_prosumers", "market_lines"),
+    }),
+    ("an integer >= 2", lambda v: type(v) is int and v >= 2, {
+        "keypool": ("curve_points",),
     }),
     ("an integer >= 0", lambda v: type(v) is int and v >= 0, {
         "trace": ("pulse_count",),
-        "consensus": ("max_depth",),
-        "keypool": ("n_epochs", "curve_points"),
-        "market": ("datasets",),
-        "full_stack": ("n_handshakes",),
+        "keypool": ("n_epochs",),
     }),
-    ("in (0, 1)", lambda v: type(v) in (int, float) and 0 < v < 1, {
+    ("in (0, 1)", lambda v: _real(v) and 0 < v < 1, {
         "kms": ("gamma0",),
         "keypool": ("target_pi0", "curve_rho_lo", "curve_rho_hi"),
     }),
-    ("> 0", lambda v: type(v) in (int, float) and v > 0, {
+    ("> 0", lambda v: _real(v) and v > 0, {
         "trace": ("duration_s",),
         "kms": ("r_max_bps",),
         "market": ("tol",),
     }),
-    (">= 0", lambda v: type(v) in (int, float) and v >= 0, {
+    (">= 0", lambda v: _real(v) and v >= 0, {
         "trace": ("noise_sigma",),
         "market": ("deadline_ms", "per_node_key_cost_bits"),
     }),
-    ("in [0, 1]", lambda v: type(v) in (int, float) and 0 <= v <= 1, {
+    ("in [0, 1]", lambda v: _real(v) and 0 <= v <= 1, {
         "kms": ("fixed_fraction",),
     }),
-    ("in [0, 1)", lambda v: type(v) in (int, float) and 0 <= v < 1, {
+    ("in [0, 1)", lambda v: _real(v) and 0 <= v < 1, {
         "trace": ("base_q",),
     }),
 )
@@ -274,7 +281,7 @@ def _check_harness_keys(config: dict) -> None:
                     raise ConfigError(f"{section}.{key} must be {rule}, got {value!r}")
     rhos = config["keypool"]["rhos"]
     if not (type(rhos) is list and rhos
-            and all(type(rho) in (int, float) and 0 < rho < np.inf for rho in rhos)):
+            and all(_real(rho) and rho > 0 for rho in rhos)):
         raise ConfigError(
             f"keypool.rhos must be a non-empty list of finite numbers > 0, got {rhos!r}"
         )
@@ -391,7 +398,7 @@ def cmd_qsah_bench(config: dict, out: Path) -> list[tuple[str, bool, str]]:
         np.concatenate(arms),
     )
 
-    ecdfs = (res.qsah_ecdf, res.baseline_local_ecdf, res.baseline_rtt_ecdf)
+    ecdfs = [ecdf(arr) for arr in arms]
     _write_csv(
         out / "ecdf.csv",
         "scenario,latency_ms,ecdf,band_lo,band_hi",
@@ -403,7 +410,7 @@ def cmd_qsah_bench(config: dict, out: Path) -> list[tuple[str, bool, str]]:
     )
 
     # the ECDFs hold each arm's latencies sorted
-    dominance = bool((res.qsah_ecdf.x <= res.baseline_rtt_ecdf.x).all())
+    dominance = bool((ecdfs[0].x <= ecdfs[2].x).all())
     checks = [
         (
             "all handshakes established",
@@ -517,92 +524,69 @@ def cmd_keypool(config: dict, out: Path) -> list[tuple[str, bool, str]]:
 
 def cmd_market(config: dict, out: Path) -> list[tuple[str, bool, str]]:
     m = config["market"]
-    qs = config["qsah"]
-    link = _params(config, LinkModel)
-    baseline = _params(config, BaselineHandshakeModel)
+    grid, prosumers = synthetic_grid_instance(
+        n_prosumers=m["n_prosumers"],
+        n_buses=m["n_buses"],
+        n_lines=m["n_lines"],
+        # the substream path from when a run cleared several datasets; it
+        # stays so that the instance, and every output, keeps its bytes
+        seed=substream(config["seed"], "market", "dataset", 0).integers(2 ** 63),
+    )
+    # one handshake per prosumer: node i is admitted on latency i
+    bench = latency_benchmark(
+        m["n_prosumers"],
+        config["qsah"]["batch_size"],
+        _params(config, LinkModel),
+        _params(config, BaselineHandshakeModel),
+        seed=config["seed"],
+    )
+    budget = float(m["per_node_key_cost_bits"]) * m["n_prosumers"]
+    clears = {}   # admitted set -> its clear; stacks that admit the same nodes share one
+    results = {}
     rows = []
-    checks = []
-    for dataset in range(m["datasets"]):
-        grid, prosumers = synthetic_grid_instance(
-            n_prosumers=m["n_prosumers"],
-            n_buses=m["n_buses"],
-            n_lines=m["n_lines"],
-            seed=substream(config["seed"], "market", "dataset", dataset).integers(2 ** 63),
+    for stack, latencies in (("qkd", bench.qsah_latencies), ("baseline", bench.baseline_rtt)):
+        keep, outcomes = security_coupled_clearing(
+            grid, prosumers, key_budget_bits=budget, handshake_deadline_ms=m["deadline_ms"],
+            qsah_latencies=latencies, per_node_key_cost_bits=m["per_node_key_cost_bits"],
+            tol=m["tol"], clears=clears,
         )
-        bench = latency_benchmark(
-            min(qs["n_handshakes"], m["n_prosumers"]),
-            qs["batch_size"],
-            link,
-            baseline,
-            seed=config["seed"] + dataset,
-        )
-        budget = float(m["per_node_key_cost_bits"]) * m["n_prosumers"]
-        clears = {}   # admitted set -> its clear; stacks that admit the same nodes share one
-        results = {}
-        for stack, latencies in (
-            ("qkd", bench.qsah_latencies),
-            ("baseline", bench.baseline_rtt),
-        ):
-            keep, outcomes = security_coupled_clearing(
-                grid,
-                prosumers,
-                key_budget_bits=budget,
-                handshake_deadline_ms=m["deadline_ms"],
-                qsah_latencies=latencies,
-                per_node_key_cost_bits=m["per_node_key_cost_bits"],
-                tol=m["tol"],
-                clears=clears,
-            )
-            results[stack] = (keep, outcomes)
-            for scenario in SCENARIOS:
-                o = outcomes[scenario]
-                rows.append(
-                    (stack, scenario, o.welfare, len(keep), o.iterations, o.kkt_residual)
-                )
+        results[stack] = (keep, outcomes)
         for scenario in SCENARIOS:
-            w_q = results["qkd"][1][scenario].welfare
-            w_b = results["baseline"][1][scenario].welfare
-            rel = abs(w_q - w_b) / max(abs(w_b), 1e-9)
-            checks.append(
-                (
-                    f"dataset {dataset} {scenario}: stack welfare within 2%",
-                    rel <= 0.02,
-                    f"qkd {w_q:.1f} vs baseline {w_b:.1f} ({100*rel:.3f}%)",
-                )
-            )
-        for stack in ("qkd", "baseline"):
-            outcomes = results[stack][1]
-            w_social = outcomes["SOCIAL"].welfare
-            dominated = all(
-                w_social >= outcomes[s].welfare - 1e-6 * (1.0 + abs(w_social))
-                for s in SCENARIOS
-            )
-            checks.append(
-                (f"dataset {dataset} {stack}: SOCIAL dominates row", dominated, "")
-            )
-            # STACK's prices, re-checked from the capped responses: line
-            # flows within tol, and no dearer for the leader than SOCIAL's
-            # dual price (always a feasible leader price)
-            keep = results[stack][0]
-            h = grid.ptdf[:, keep]
-            u = outcomes["STACK"].u
-            flows = h @ aggregate_response([prosumers[i] for i in keep], u, h)
-            limits = grid.line_limits
-            viol = float((np.maximum(0.0, flows - limits) / (1.0 + np.abs(limits))).max())
-            cost = leader_cost(grid, u)
-            social_cost = leader_cost(grid, outcomes["SOCIAL"].u)
-            checks.append(
-                (
-                    f"dataset {dataset} {stack}: STACK certified",
-                    viol <= m["tol"] and cost <= social_cost * (1 + 1e-9) + 1e-9,
-                    f"violation {viol:.1e}, leader cost {cost:.2f} vs SOCIAL price {social_cost:.2f}",
-                )
-            )
+            o = outcomes[scenario]
+            rows.append((stack, scenario, o.welfare, len(keep), o.iterations, o.kkt_residual))
     _write_csv(
-        out / "welfare_grid.csv",
-        "stack,scenario,welfare,participants,iterations,kkt_residual",
+        out / "welfare_grid.csv", "stack,scenario,welfare,participants,iterations,kkt_residual",
         *zip(*rows),
     )
+
+    checks = []
+    for scenario in SCENARIOS:
+        w_q = results["qkd"][1][scenario].welfare
+        w_b = results["baseline"][1][scenario].welfare
+        rel = abs(w_q - w_b) / max(abs(w_b), 1e-9)
+        checks.append((f"{scenario}: stack welfare within 2%", rel <= 0.02,
+                       f"qkd {w_q:.1f} vs baseline {w_b:.1f} ({100*rel:.3f}%)"))
+    for stack, (keep, outcomes) in results.items():
+        w_social = outcomes["SOCIAL"].welfare
+        dominated = all(
+            w_social >= outcomes[s].welfare - 1e-6 * (1.0 + abs(w_social)) for s in SCENARIOS
+        )
+        checks.append((f"{stack}: SOCIAL dominates row", dominated, ""))
+        # STACK's prices, re-checked from the capped responses: line flows
+        # within tol, and no dearer for the leader than SOCIAL's dual price
+        # (always a feasible leader price)
+        h = grid.ptdf[:, keep]
+        u = outcomes["STACK"].u
+        flows = h @ aggregate_response([prosumers[i] for i in keep], u, h)
+        limits = grid.line_limits
+        viol = float((np.maximum(0.0, flows - limits) / (1.0 + np.abs(limits))).max())
+        cost = leader_cost(grid, u)
+        social_cost = leader_cost(grid, outcomes["SOCIAL"].u)
+        checks.append((
+            f"{stack}: STACK certified",
+            viol <= m["tol"] and cost <= social_cost * (1 + 1e-9) + 1e-9,
+            f"violation {viol:.1e}, leader cost {cost:.2f} vs SOCIAL price {social_cost:.2f}",
+        ))
     return checks
 
 

@@ -184,8 +184,6 @@ def generate_qber_trace(
     base_q: float = 0.01,
     amp_range: tuple[float, float] = (0.01, 0.05),
     width_range: tuple[float, float] = (50.0, 500.0),
-    q_lo: float = QBER_CLIP_LO,
-    q_hi: float = QBER_CLIP_HI,
 ) -> QberTrace:
     """Synthesize a 1 kHz QBER trace.
 
@@ -194,7 +192,7 @@ def generate_qber_trace(
     uniform over the trace, widths (Gaussian sigma, in samples) uniform
     over ``width_range`` and amplitudes uniform over ``amp_range``.
     ``pulse_count`` is interpreted per 60 s and scaled with duration.
-    Samples are finally clipped to [q_lo, q_hi].
+    Samples are finally clipped to [QBER_CLIP_LO, QBER_CLIP_HI].
     """
     if duration_s <= 0:
         raise ValueError("duration_s must be positive")
@@ -212,5 +210,5 @@ def generate_qber_trace(
         width = rng.uniform(*width_range)
         amp = rng.uniform(*amp_range)
         q += amp * np.exp(-0.5 * ((t - center) / width) ** 2)
-    np.clip(q, q_lo, q_hi, out=q)
-    return QberTrace(samples=q, seed=seed, q_lo=q_lo, q_hi=q_hi)
+    np.clip(q, QBER_CLIP_LO, QBER_CLIP_HI, out=q)
+    return QberTrace(samples=q, seed=seed)

@@ -13,8 +13,7 @@ so the empty-pool probability pi_0 = rho^M (1 - rho) / (1 - rho^(M+1))
 decays geometrically in M. The widely quoted geometric form pi_s
 proportional to rho^s (mass at the EMPTY state for rho < 1) contradicts
 the local balance recursion pi_s * lambda*k = pi_(s-1) * mu that defines
-this chain; it is kept available behind ``as_printed=True`` purely for
-comparison.
+this chain.
 
 The Monte Carlo check ``simulate_pool`` runs the chain uniformized at the
 constant rate mu + lambda*k (Jensen 1953): holding times are i.i.d.
@@ -100,15 +99,11 @@ class StationaryDistribution:
         return len(self.pi)
 
 
-def stationary_distribution(
-    p: BirthDeathParams, as_printed: bool = False
-) -> StationaryDistribution:
+def stationary_distribution(p: BirthDeathParams) -> StationaryDistribution:
     """Closed-form stationary distribution of the finite pool chain.
 
-    Default orientation puts mass near the full state for rho < 1
-    (pi_s proportional to rho^(M-s)); ``as_printed=True`` selects the
-    mirrored geometric variant pi_s proportional to rho^s. rho == 1 uses
-    the uniform limit 1/(M+1).
+    pi_s is proportional to rho^(M-s), so for rho < 1 the mass sits near
+    the full state. rho == 1 uses the uniform limit 1/(M+1).
     """
     M = p.capacity
     rho = p.rho
@@ -116,9 +111,8 @@ def stationary_distribution(
     if abs(rho - 1.0) < 1e-14:
         pi = np.full(M + 1, 1.0 / (M + 1))
         return StationaryDistribution(pi=pi)
-    exponent = s if as_printed else (M - s)
     # work in logs: rho^M underflows for large M at small rho
-    logw = exponent * math.log(rho)
+    logw = (M - s) * math.log(rho)
     logw -= logw.max()
     w = np.exp(logw)
     pi = w / w.sum()

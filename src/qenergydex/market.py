@@ -646,9 +646,10 @@ def security_coupled_clearing(
 ) -> tuple[np.ndarray, dict[str, MarketOutcome]]:
     """Filter participants by security constraints, then clear all scenarios.
 
-    Node i (in node-id order) is admitted when its sampled handshake
-    latency meets the deadline and the cumulative key cost of admitted
-    nodes stays inside the entropy budget. The filter depends only on
+    Node i (in node-id order) is admitted when its handshake latency
+    ``qsah_latencies[i]`` meets the deadline and the cumulative key cost of
+    admitted nodes stays inside the entropy budget; a latency count other
+    than the prosumer count raises ValueError. The filter depends only on
     latency and key cost, never on the market data.
 
     `clears` memoizes the clears of one instance, keyed by the admitted
@@ -658,13 +659,15 @@ def security_coupled_clearing(
     prosumers and tol; without it every call clears.
     """
     latencies = np.asarray(qsah_latencies, dtype=float)
-    if latencies.size == 0:
-        raise ValueError("need at least one latency sample")
+    if len(latencies) != len(prosumers):
+        raise ValueError(
+            f"need one latency per prosumer, not {len(latencies)} for {len(prosumers)}"
+        )
     admitted = []
     cost = 0.0
     order = sorted(range(len(prosumers)), key=lambda i: prosumers[i].id)
     for i in order:
-        lat = latencies[i % len(latencies)]
+        lat = latencies[i]
         if lat <= handshake_deadline_ms and cost + per_node_key_cost_bits <= key_budget_bits:
             admitted.append(i)
             cost += per_node_key_cost_bits
@@ -683,7 +686,7 @@ def security_coupled_clearing(
 
 
 # ---------------------------------------------------------------------------
-# instance generation and serialization
+# instance generation
 # ---------------------------------------------------------------------------
 
 
@@ -744,14 +747,14 @@ def synthetic_grid_instance(
     n_buses: int = 118,
     n_lines: int = 186,
     seed: int = 0,
-    congestion: float = 0.85,
 ) -> tuple[GridModel, list[Prosumer]]:
     """Transmission-scale synthetic instance: prosumers mapped to buses.
 
     The PTDF over buses is sparse zero-mean with unit row normalization;
     prosumer columns are the PTDF entries of their bus. Valuations are
-    normal, capacities lognormal. Limits are calibrated from the
-    congestion-blind flows so that a moderate share of lines binds.
+    normal, capacities lognormal. Each line's limit is its congestion-blind
+    flow times U(0.85, 1.8), above a floor, so that a moderate share of
+    lines binds.
     """
     rng = substream(seed, "market", "grid118")
     prosumers = [
@@ -773,7 +776,7 @@ def synthetic_grid_instance(
     alpha, pi, pmax = _vectors(prosumers)
     flows0 = np.abs(h @ np.clip(alpha * pi, -pmax, pmax))
     floor = max(float(flows0.max()), 1.0) * 0.02
-    limits = np.maximum(flows0 * rng.uniform(congestion, 1.8, size=n_lines), floor)
+    limits = np.maximum(flows0 * rng.uniform(0.85, 1.8, size=n_lines), floor)
     limits = _ensure_price_reachable(limits, h, alpha, pi, pmax)
     grid = GridModel(
         ptdf=h,

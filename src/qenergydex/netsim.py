@@ -24,9 +24,8 @@ import numpy as np
 
 from .rng import substream
 
-__all__ = ["LinkModel", "Event", "Network", "UnknownNode", "SLOT_MS"]
+__all__ = ["LinkModel", "Event", "Network", "UnknownNode"]
 
-SLOT_MS = 100   # PoR-Lite's consensus slot
 DEFAULT_PROCESSING_MS = 1.0
 
 
@@ -168,12 +167,9 @@ class Network:
         self._now_us = limit_us
         return delivered
 
-    def run_to_quiescence(self, hard_limit_ms: float = 1e9) -> int:
-        """Deliver events until none remain or the hard limit; return how many."""
+    def run_to_quiescence(self) -> int:
+        """Deliver events until none remain; return how many."""
         delivered = 0
         while self._queue:
-            t_us = self._queue[0][0]
-            if t_us > hard_limit_ms * 1000:
-                break
-            delivered += len(self.run_until(t_us / 1000.0))
+            delivered += len(self.run_until(self._queue[0][0] / 1000.0))
         return delivered

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netsim import DEFAULT_PROCESSING_MS, SLOT_MS, LinkModel
+from .netsim import DEFAULT_PROCESSING_MS, LinkModel
 from .qkms import InsufficientEntropy, KmsReplica
 from .rng import draw_bytes, substream
 
@@ -69,6 +69,7 @@ __all__ = [
 ]
 
 DEFAULT_BLOCK_INTERVAL_MS = 65.0
+SLOT_MS = 100   # consensus slot
 CONFIRM_WEIGHT = 2.0 / 3.0
 KMS_LINK = LinkModel(d0_ms=5.0, jitter_max_ms=5.0)   # validator to key service
 

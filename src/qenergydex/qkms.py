@@ -34,7 +34,6 @@ near zero while the fixed strategy pays for every channel excursion.
 
 from __future__ import annotations
 
-import base64
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -102,19 +101,17 @@ class KeyPoolState:
             raise ValueError("generation rate must be non-negative")
 
 
-def step_bucket(s: KeyPoolState, delta_ms: int, consumed_bits: int = 0) -> KeyPoolState:
-    """Advance the bucket by ``delta_ms``: B' = min(M, B - consumed + floor(R_gen * delta)).
+def step_bucket(s: KeyPoolState, delta_ms: int) -> KeyPoolState:
+    """Advance the bucket by ``delta_ms``: B' = min(M, B + floor(R_gen * delta)).
 
-    Over-consumption clamps at zero (rental paths never reach that branch;
-    direct callers get saturating semantics).
+    Only accrual happens here; ``KmsReplica.rent`` spends bits, and only
+    bits the balance holds.
     """
     if delta_ms <= 0:
         raise ValueError("delta_ms must be positive")
-    if consumed_bits < 0:
-        raise ValueError("consumed_bits must be non-negative")
     replenished = math.floor(s.gen_rate_bps * delta_ms / 1000.0)
-    balance = min(s.capacity_bits, s.balance_bits - consumed_bits + replenished)
-    return replace(s, balance_bits=max(0, balance), clock_ms=s.clock_ms + delta_ms)
+    balance = min(s.capacity_bits, s.balance_bits + replenished)
+    return replace(s, balance_bits=balance, clock_ms=s.clock_ms + delta_ms)
 
 
 @dataclass
@@ -129,14 +126,6 @@ class KeyRecord:
 
     def expired_at(self, now_ms: int) -> bool:
         return now_ms - self.issued_at_ms > self.ttl_ms
-
-    def to_json(self) -> dict:
-        """Wire form of a Rent response."""
-        return {
-            "key_id": self.key_id,
-            "key": base64.b64encode(self.key_bits).decode("ascii"),
-            "ttl_ms": self.ttl_ms,
-        }
 
 
 @dataclass(frozen=True)
@@ -167,13 +156,14 @@ def rate_adapt_step(st: RateAdaptState, q_t: float) -> RateAdaptState:
     return replace(st, r_t_bps=r_next, t=st.t + 1)
 
 
-def generation_rate(r0_bps: float, q_t: float, n_block: int, epsilon: float = DEFAULT_EPSILON) -> float:
+def generation_rate(r0_bps: float, q_t: float, n_block: int) -> float:
     """Replenishment rate R_0 (1 - eta(q)) with the extractor's loss model.
 
-    eta(q) = h2(q) + 2 log2(1/epsilon) / n_block is the fractional loss the
-    leftover-hash extraction imposes on an n_block-bit raw block.
+    eta(q) = h2(q) + 2 log2(1/epsilon) / n_block, epsilon = DEFAULT_EPSILON,
+    is the fractional loss the leftover-hash extraction imposes on an
+    n_block-bit raw block.
     """
-    eta = binary_entropy(q_t) + 2.0 * math.log2(1.0 / epsilon) / n_block
+    eta = binary_entropy(q_t) + 2.0 * math.log2(1.0 / DEFAULT_EPSILON) / n_block
     return max(0.0, r0_bps * (1.0 - eta))
 
 

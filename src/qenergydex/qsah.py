@@ -34,7 +34,6 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from .netsim import LinkModel, Network
 from .qkms import KeyPoolState, KeyRecord, KmsReplica
 from .rng import draw_bytes, substream
-from .stats import Ecdf, ecdf
 
 __all__ = [
     "NoKey",
@@ -249,9 +248,6 @@ class BenchmarkResult:
     qsah_latencies: np.ndarray
     baseline_local: np.ndarray
     baseline_rtt: np.ndarray
-    qsah_ecdf: Ecdf
-    baseline_local_ecdf: Ecdf
-    baseline_rtt_ecdf: Ecdf
     established: int
 
 
@@ -269,6 +265,9 @@ def latency_benchmark(
     requests start in batches of ``batch_size``, 500 ms apart. The
     baseline arms are sampled from the model: compute cost alone (loopback)
     and compute cost plus ``round_trips`` round trips on the same link.
+
+    Returns the three arms' latencies in ms, ``n_handshakes`` each, in
+    handshake order (unsorted), and the count of handshakes established.
     """
     if n_handshakes < 1:
         raise ValueError("n_handshakes must be >= 1")
@@ -333,8 +332,5 @@ def latency_benchmark(
         qsah_latencies=latencies,
         baseline_local=baseline_local,
         baseline_rtt=baseline_rtt,
-        qsah_ecdf=ecdf(latencies),
-        baseline_local_ecdf=ecdf(baseline_local),
-        baseline_rtt_ecdf=ecdf(baseline_rtt),
         established=established,
     )

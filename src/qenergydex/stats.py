@@ -39,16 +39,14 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     return (max(0.0, center - half), min(1.0, center + half))
 
 
-def dkw_halfwidth(n: int, alpha: float = 0.05) -> float:
-    """Half-width of the (1 - alpha) DKW confidence band for an ECDF of n samples.
+def dkw_halfwidth(n: int) -> float:
+    """Half-width of the 95% DKW confidence band for an ECDF of n samples.
 
-    halfwidth = sqrt(ln(2 / alpha) / (2 n))
+    halfwidth = sqrt(ln(2 / alpha) / (2 n)) with alpha = 0.05
     """
     if n <= 0:
         raise ValueError("n must be positive")
-    if not 0 < alpha < 1:
-        raise ValueError("alpha must lie in (0, 1)")
-    return math.sqrt(math.log(2.0 / alpha) / (2.0 * n))
+    return math.sqrt(math.log(2.0 / 0.05) / (2.0 * n))
 
 
 @dataclass(frozen=True)
@@ -64,10 +62,6 @@ class Ecdf:
 
     def upper(self) -> np.ndarray:
         return np.clip(self.f + self.band_halfwidth, 0.0, 1.0)
-
-    def evaluate(self, v: float) -> float:
-        """Fraction of samples <= v."""
-        return float(np.searchsorted(self.x, v, side="right")) / len(self.x)
 
 
 def ecdf(samples) -> Ecdf:

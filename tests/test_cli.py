@@ -116,6 +116,15 @@ def test_harness_key_errors_exit_with_status_2(tmp_path, capsys):
          "keypool.rhos must be a non-empty list of finite numbers > 0, got [inf]"),
         ("keypool", {"keypool": {"curve_rho_lo": 0.9, "curve_rho_hi": 0.5}},
          "keypool.curve_rho_lo must not exceed keypool.curve_rho_hi"),
+        # each of these passed every check on an empty or one-row output
+        ("keypool", {"keypool": {"curve_points": 1}},
+         "keypool.curve_points must be an integer >= 2, got 1"),
+        ("full-stack", {"full_stack": {"n_handshakes": 0}},
+         "full_stack.n_handshakes must be an integer >= 1, got 0"),
+        ("porlite", {"consensus": {"max_depth": 0}},
+         "consensus.max_depth must be an integer >= 1, got 0"),
+        # a key that is gone: a run clears the one dataset its seed picks
+        ("market", {"market": {"datasets": 0}}, "unknown key market.datasets"),
     ):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
@@ -124,14 +133,18 @@ def test_harness_key_errors_exit_with_status_2(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+# json.dumps writes the infinities as Infinity and -Infinity, which
+# json.loads reads back
+INFINITIES = (float("inf"), float("-inf"))
 BAD_VALUES = {
     "an integer >= 1": (0, 2.0, True),
+    "an integer >= 2": (1, 0, 2.0, True),
     "an integer >= 0": (-1, 0.5),
-    "in (0, 1)": (0, 1, "0.5"),
-    "> 0": (0, -1.0, None),
-    ">= 0": (-1, -0.5, "1"),
-    "in [0, 1]": (-0.1, 1.5, None),
-    "in [0, 1)": (-0.01, 1, 1.0),
+    "in (0, 1)": (0, 1, "0.5", *INFINITIES),
+    "> 0": (0, -1.0, None, *INFINITIES),
+    ">= 0": (-1, -0.5, "1", *INFINITIES),
+    "in [0, 1]": (-0.1, 1.5, None, *INFINITIES),
+    "in [0, 1)": (-0.01, 1, 1.0, *INFINITIES),
 }
 
 
@@ -148,6 +161,16 @@ def test_every_harness_range_is_checked_before_output(tmp_path, capsys, rule, se
         assert main(["rate-adapt", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert f"{section}.{key} must be {rule}" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_porlite_jobs_2_writes_the_bytes_of_jobs_1(tmp_path):
+    # --jobs 2 is the one path that runs the ensemble in worker processes (two)
+    config = tmp_path / "small.json"
+    config.write_text(json.dumps({"consensus": {"horizon": 20_000, "seeds": 6}}))
+    for jobs in ("1", "2"):
+        argv = ["porlite", "--check", "--jobs", jobs, "--config", str(config)]
+        assert main([*argv, "--out", str(tmp_path / jobs)]) == 0
+    assert _files(tmp_path / "1") == _files(tmp_path / "2")
 
 
 def test_market_clears_each_admitted_set_once(tmp_path, monkeypatch):

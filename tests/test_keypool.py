@@ -48,16 +48,6 @@ def test_uniform_limit_at_rho_one():
     assert np.allclose(stationary_oracle(p).pi, 1.0 / 11.0, atol=1e-12)
 
 
-def test_as_printed_variant_is_mirrored():
-    p = BirthDeathParams.from_rho(0.5, 5)
-    default = stationary_distribution(p).pi
-    printed = stationary_distribution(p, as_printed=True).pi
-    assert np.allclose(default, printed[::-1], atol=1e-15)
-    # default orientation: stable pool concentrates near full
-    assert default[-1] > default[0]
-    assert printed[0] > printed[-1]
-
-
 def test_closed_form_matches_oracle_random_instances():
     rng = np.random.default_rng(4)
     for _ in range(100):

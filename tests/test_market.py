@@ -573,6 +573,14 @@ def test_security_filter_latency_and_budget_interaction():
     assert list(keep) == [0, 2, 3]
 
 
+def test_security_filter_needs_one_latency_per_prosumer():
+    # any other length is refused, not wrapped round onto the prosumers
+    grid, prosumers = random_instance(6, 2, seed=9)
+    for latencies in (np.full(3, 10.0), np.full(7, 10.0), np.zeros(0)):
+        with pytest.raises(ValueError, match="one latency per prosumer"):
+            security_coupled_clearing(grid, prosumers, 1e12, 100.0, latencies, 256.0)
+
+
 def test_security_clears_are_memoized_by_admitted_set(monkeypatch):
     calls = []
     real = market.clear_all_scenarios

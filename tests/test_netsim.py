@@ -156,7 +156,7 @@ def test_same_microsecond_deliveries_follow_send_order():
 
 def test_run_to_quiescence_counts_deliveries():
     # zero jitter: the ten messages share one delivery time, yet each is
-    # counted; a hard limit stops the run before the events after it
+    # counted, as are the two timers and the message one of them sends
     link = LinkModel(d0_ms=20.0, jitter_max_ms=0.0)
     net = Network(seed=4, default_link=link, processing_ms=0.0)
     got = []
@@ -166,7 +166,7 @@ def test_run_to_quiescence_counts_deliveries():
         net.send("a", "b", i)
     net.call_at(500.0, lambda: net.send("a", "b", 10))
     net.call_at(900.0, lambda: None)
-    assert net.run_to_quiescence(hard_limit_ms=800.0) == 12
+    assert net.run_to_quiescence() == 13
     assert got == list(range(11))
-    assert net.run_to_quiescence() == 1
+    assert net.now_ms == 900.0
     assert net.run_to_quiescence() == 0

@@ -1,5 +1,3 @@
-import base64
-
 import numpy as np
 import pytest
 
@@ -30,32 +28,63 @@ def make_pool(balance=10**6, capacity=10**6, rate=0.0):
 
 
 def test_step_bucket_inside_bounds():
-    s = KeyPoolState(balance_bits=1000, capacity_bits=1200, gen_rate_bps=200_000.0)
-    out = step_bucket(s, delta_ms=1, consumed_bits=300)
-    assert out.balance_bits == 900  # 1000 - 300 + 200
+    # 200 bits accrue over the 1 ms before the rent, which spends 300
+    kms = KmsReplica(0, KeyPoolState(balance_bits=1000, capacity_bits=1200,
+                                     gen_rate_bps=200_000.0), seed=1)
+    kms.rent(300, now_ms=1)
+    assert kms.pool.balance_bits == 900  # 1000 + 200 - 300
+    assert kms.pool.clock_ms == 1
 
 
 def test_step_bucket_capacity_clamp():
     s = KeyPoolState(balance_bits=1150, capacity_bits=1200, gen_rate_bps=500_000.0)
-    assert step_bucket(s, 1, 0).balance_bits == 1200
+    assert step_bucket(s, 1).balance_bits == 1200
 
 
 def test_step_bucket_exact_depletion():
-    s = KeyPoolState(balance_bits=100, capacity_bits=1200, gen_rate_bps=0.0)
-    assert step_bucket(s, 1, 100).balance_bits == 0
+    kms = KmsReplica(0, KeyPoolState(balance_bits=100, capacity_bits=1200, gen_rate_bps=0.0), seed=1)
+    kms.rent(100, now_ms=1)
+    assert kms.pool.balance_bits == 0
 
 
 def test_step_bucket_over_consumption_clamps_at_zero():
-    s = KeyPoolState(balance_bits=100, capacity_bits=1200, gen_rate_bps=0.0)
-    assert step_bucket(s, 1, 500).balance_bits == 0
+    # a rent above the balance is refused without side effects, so an
+    # emptied pool stays at zero
+    kms = KmsReplica(0, KeyPoolState(balance_bits=100, capacity_bits=1200, gen_rate_bps=0.0), seed=1)
+    kms.rent(100, now_ms=1)
+    pool = kms.pool
+    with pytest.raises(InsufficientEntropy):
+        kms.rent(1, now_ms=1)
+    assert kms.pool == pool and pool.balance_bits == 0
+    assert len(kms.keys) == 1
+    # the refused rent drew nothing: the next key is a fresh replica's second
+    kms.pool = fresh_pool = KeyPoolState(balance_bits=512, capacity_bits=1200, gen_rate_bps=0.0)
+    fresh = KmsReplica(0, fresh_pool, seed=1)
+    fresh.rent(100, now_ms=1)
+    assert kms.rent(256, now_ms=3).key_bits == fresh.rent(256, now_ms=3).key_bits
 
 
 def test_bucket_never_leaves_bounds_random_walk():
+    # rents of random size at random clock steps, against the bucket law
+    # B' = min(M, B + floor(R_gen * delta)) and a rent above B refused
     rng = np.random.default_rng(8)
-    s = KeyPoolState(balance_bits=500, capacity_bits=1000, gen_rate_bps=123_456.0)
-    for _ in range(10**6):
-        s = step_bucket(s, int(rng.integers(1, 5)), int(rng.integers(0, 400)))
-        assert 0 <= s.balance_bits <= 1000
+    rate = 123_456.0
+    kms = KmsReplica(0, KeyPoolState(balance_bits=500, capacity_bits=1000, gen_rate_bps=rate), seed=8)
+    balance = 500
+    now = 0
+    for _ in range(20_000):
+        delta = int(rng.integers(0, 5))
+        n_bits = int(rng.integers(1, 400))
+        now += delta
+        balance = min(1000, balance + int(rate * delta / 1000.0))
+        if n_bits <= balance:
+            kms.rent(n_bits, now)
+            balance -= n_bits
+        else:
+            with pytest.raises(InsufficientEntropy):
+                kms.rent(n_bits, now)
+        assert kms.pool.balance_bits == balance
+        assert 0 <= balance <= 1000
 
 
 def test_pool_state_validation():
@@ -84,18 +113,6 @@ def test_rent_failure_leaves_state_unchanged():
         kms.rent(256, now_ms=0)
     assert kms.pool.balance_bits == 100
     assert kms.keys == {}
-
-
-def test_rent_json_schema():
-    kms = KmsReplica(3, make_pool(), seed=1)
-    doc = kms.rent(256, now_ms=5).to_json()
-    assert set(doc) == {"key_id", "key", "ttl_ms"}
-    assert len(doc["key_id"]) == 32
-    int(doc["key_id"], 16)
-    assert len(base64.b64decode(doc["key"])) == 32
-    assert doc["ttl_ms"] == 30_000
-    # replica index lives in the top byte of the identifier
-    assert doc["key_id"][:2] == "03"
 
 
 def test_rent_key_bits_match_generator_bytes():

@@ -24,7 +24,7 @@ from qenergydex.qsah import (
     latency_benchmark,
 )
 from qenergydex.rng import substream
-from qenergydex.stats import dkw_halfwidth
+from qenergydex.stats import dkw_halfwidth, ecdf
 
 # ---------------------------------------------------------------------------
 # GMAC: known-answer vector plus an independent GHASH reimplementation
@@ -282,7 +282,7 @@ def test_benchmark_dominance_and_bands():
         res = latency_benchmark(1000, 500, LinkModel(), BaselineHandshakeModel(), seed=seed)
         assert res.established == 1000
         assert (np.sort(res.qsah_latencies) <= np.sort(res.baseline_rtt)).all()
-    assert res.qsah_ecdf.band_halfwidth == pytest.approx(dkw_halfwidth(1000))
+    assert ecdf(res.qsah_latencies).band_halfwidth == pytest.approx(dkw_halfwidth(1000))
     assert dkw_halfwidth(3000) == pytest.approx(0.0248, abs=1e-4)
 
 
