@@ -23,7 +23,10 @@ those types' defaults) beside the harness's own keys: ``horizon``,
 and ``batch_size`` for the handshake benchmark. A key that no section
 defines, a value its parameter type rejects, or a harness key outside
 its range (a count below 1, a probability outside (0, 1), ...) exits with
-status 2 before any output is written.
+status 2 before any output is written. So does a link on which a batch of
+handshakes may still be sending hellos when the next batch starts, since
+``qsah-bench`` and ``market`` take their latencies from the closed form
+(``qsah.check_batch_separation``).
 """
 
 from __future__ import annotations
@@ -57,7 +60,6 @@ from .market import (
 from .netsim import LinkModel
 from .porlite import (
     ConsensusParams,
-    chain_metrics,
     finality_depth,
     fork_tail_bound,
     make_validators,
@@ -75,6 +77,9 @@ from .qsah import (
     BaselineHandshakeModel,
     ClientSession,
     ServerEndpoint,
+    baseline_latencies,
+    check_batch_separation,
+    handshake_latencies,
     latency_benchmark,
 )
 from .rng import substream
@@ -237,7 +242,7 @@ _HARNESS_RANGES = (
         "kms": ("window_ms",),
         "qsah": ("n_handshakes", "batch_size"),
         "consensus": ("horizon", "seeds", "max_depth"),
-        "keypool": ("capacity", "max_events"),
+        "keypool": ("capacity", "max_events", "n_epochs"),
         "market": ("n_prosumers", "n_buses", "n_lines"),
         "full_stack": ("heights", "n_handshakes", "n_validators", "pool_capacity_bits",
                        "market_prosumers", "market_lines"),
@@ -247,7 +252,6 @@ _HARNESS_RANGES = (
     }),
     ("an integer >= 0", lambda v: type(v) is int and v >= 0, {
         "trace": ("pulse_count",),
-        "keypool": ("n_epochs",),
     }),
     ("in (0, 1)", lambda v: _real(v) and 0 < v < 1, {
         "kms": ("gamma0",),
@@ -290,6 +294,16 @@ def _check_harness_keys(config: dict) -> None:
         if not config[section][lo] <= config[section][hi]:
             raise ConfigError(f"{section}.{lo} must not exceed {section}.{hi}")
     _full_stack_consensus(config)
+    # the handshake runs whose latencies come from the closed form
+    link = _params(config, LinkModel)
+    batch_size = config["qsah"]["batch_size"]
+    for section, key in (("qsah", "n_handshakes"), ("market", "n_prosumers")):
+        try:
+            check_batch_separation(config[section][key], batch_size, link)
+        except ValueError as exc:
+            raise ConfigError(
+                f"links: {exc} when {section}.{key} exceeds qsah.batch_size"
+            ) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -423,6 +437,13 @@ def cmd_qsah_bench(config: dict, out: Path) -> list[tuple[str, bool, str]]:
             f"{np.median(res.qsah_latencies):.2f} vs {np.median(res.baseline_rtt):.2f} ms",
         ),
         ("latency ECDF dominates baseline at every quantile", dominance, ""),
+        (
+            "event-driven latencies equal the closed form",
+            res.qsah_latencies.tobytes() == handshake_latencies(
+                qs["n_handshakes"], qs["batch_size"], link, config["seed"]
+            ).tobytes(),
+            "",
+        ),
     ]
     return checks
 
@@ -532,19 +553,20 @@ def cmd_market(config: dict, out: Path) -> list[tuple[str, bool, str]]:
         # stays so that the instance, and every output, keeps its bytes
         seed=substream(config["seed"], "market", "dataset", 0).integers(2 ** 63),
     )
-    # one handshake per prosumer: node i is admitted on latency i
-    bench = latency_benchmark(
-        m["n_prosumers"],
-        config["qsah"]["batch_size"],
-        _params(config, LinkModel),
-        _params(config, BaselineHandshakeModel),
-        seed=config["seed"],
+    # one handshake per prosumer: node i is admitted on latency i. The
+    # closed form gives the latencies of latency_benchmark's event-driven
+    # run byte for byte (qsah-bench --check compares the two) without
+    # running its crypto and key rents, which move no latency
+    link = _params(config, LinkModel)
+    qkd = handshake_latencies(m["n_prosumers"], config["qsah"]["batch_size"], link, config["seed"])
+    _local, baseline = baseline_latencies(
+        m["n_prosumers"], link, _params(config, BaselineHandshakeModel), config["seed"]
     )
     budget = float(m["per_node_key_cost_bits"]) * m["n_prosumers"]
     clears = {}   # admitted set -> its clear; stacks that admit the same nodes share one
     results = {}
     rows = []
-    for stack, latencies in (("qkd", bench.qsah_latencies), ("baseline", bench.baseline_rtt)):
+    for stack, latencies in (("qkd", qkd), ("baseline", baseline)):
         keep, outcomes = security_coupled_clearing(
             grid, prosumers, key_budget_bits=budget, handshake_deadline_ms=m["deadline_ms"],
             qsah_latencies=latencies, per_node_key_cost_bits=m["per_node_key_cost_bits"],
@@ -649,6 +671,8 @@ def cmd_full_stack(config: dict, out: Path) -> list[tuple[str, bool, str]]:
         n_lines=fs["market_lines"],
         seed=substream(seed, "fullstack", "market").integers(2 ** 63),
     )
+    # the real protocol through the network, as a run of every module
+    # should; market takes the same latencies in closed form
     qs = config["qsah"]
     bench = latency_benchmark(
         fs["market_prosumers"],

@@ -12,11 +12,16 @@ handler, or a timer from ``call_at``, whose callable runs at its time;
 ``Event.kind`` tells the two apart. Events are delivered in (time,
 sequence) order, so a run is a pure function of the seed and the
 registered handlers.
+
+There is no server queue: a message is delivered its one-way delay plus
+``processing_ms`` after it is sent, however many others are in flight or
+arrive at the same node at once. So load moves no delay.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -45,8 +50,9 @@ class LinkModel:
     jitter_max_ms: float = 15.0
 
     def __post_init__(self):
-        if self.d0_ms < 0 or self.jitter_max_ms < 0:
-            raise ValueError("delays must be non-negative")
+        # NaN fails both comparisons; an infinite delay has no microsecond
+        if not all(0 <= v < math.inf for v in (self.d0_ms, self.jitter_max_ms)):
+            raise ValueError("delays must be finite and non-negative")
 
     def rtt(self, rng: np.random.Generator, size=None):
         """Round-trip time(s) in ms: d0 + U(0, jitter_max)."""

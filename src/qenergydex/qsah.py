@@ -20,6 +20,25 @@ even though its tag verifies.
 The latency benchmark races this one-round-trip handshake against a
 modeled multi-round-trip PKI baseline over the same simulated links; no
 real TLS stack is involved.
+
+``handshake_latencies`` gives the benchmark's Q-SAH latencies in closed
+form, without running the protocol, and ``latency_benchmark`` stays its
+oracle. The two agree byte for byte because:
+
+* ``Network`` has no server queue: a message takes its one-way delay plus
+  the processing cost, rounded to a microsecond, whatever else is in
+  flight, so neither the crypto nor the load moves a latency;
+* only the network's one generator, ``substream(seed, "net")``, draws
+  delays, one per message, at send time;
+* within a batch the draws come in a fixed order: the k hello delays in
+  handshake order, then the k reply delays in the order the hellos
+  arrive, ties going to send order as the event heap breaks them.
+
+The last point needs every hello of a batch to arrive before the next
+batch starts, which holds when the worst hello delay,
+``round((d0/2 + jitter_max/2 + processing) * 1000)`` µs, is below the
+500 ms between batch starts. ``check_batch_separation`` raises where it
+does not and more than one batch runs.
 """
 
 from __future__ import annotations
@@ -31,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
-from .netsim import LinkModel, Network
+from .netsim import DEFAULT_PROCESSING_MS, LinkModel, Network
 from .qkms import KeyPoolState, KeyRecord, KmsReplica
 from .rng import draw_bytes, substream
 
@@ -50,6 +69,9 @@ __all__ = [
     "ServerEndpoint",
     "BenchmarkResult",
     "latency_benchmark",
+    "baseline_latencies",
+    "handshake_latencies",
+    "check_batch_separation",
     "KDF_CONTEXT",
 ]
 
@@ -251,6 +273,80 @@ class BenchmarkResult:
     established: int
 
 
+def _check_counts(n_handshakes: int, batch_size: int) -> None:
+    if n_handshakes < 1:
+        raise ValueError("n_handshakes must be >= 1")
+    if batch_size < 1:
+        raise ValueError("batch_size must be >= 1")
+
+
+def _start_us(batch: int) -> int:
+    """When a batch starts, in µs, rounded as ``Network.call_at`` rounds it."""
+    return int(round(batch * _BATCH_GAP_MS * 1000.0))
+
+
+def _delays_us(link: LinkModel, rng: np.random.Generator, k: int) -> np.ndarray:
+    """k message delays in µs, drawn and rounded as ``Network.send`` does."""
+    return np.rint((link.one_way(rng, k) + DEFAULT_PROCESSING_MS) * 1000.0).astype(np.int64)
+
+
+def check_batch_separation(n_handshakes: int, batch_size: int, link: LinkModel) -> None:
+    """Raise ValueError where ``handshake_latencies``' draw order may fail.
+
+    With more than one batch, every hello of a batch must arrive before
+    the next batch starts; see the module docstring.
+    """
+    _check_counts(n_handshakes, batch_size)
+    if n_handshakes <= batch_size:
+        return
+    worst_us = int(round((link.d0_ms / 2.0 + link.jitter_max_ms / 2.0
+                          + DEFAULT_PROCESSING_MS) * 1000.0))
+    if worst_us >= _start_us(1):
+        raise ValueError(
+            f"the worst hello delay, {worst_us / 1000.0} ms with processing, must be"
+            f" below the {_BATCH_GAP_MS} ms between batch starts"
+        )
+
+
+def handshake_latencies(
+    n_handshakes: int, batch_size: int, link: LinkModel, seed: int
+) -> np.ndarray:
+    """``latency_benchmark(...).qsah_latencies``, byte for byte, in closed form.
+
+    Per batch: the hello delays in handshake order, then the reply delays,
+    handed out in the order the hellos arrive (a stable sort keeps send
+    order among ties), and the latency as the event loop computes it from
+    its µs clock. Raises ValueError as ``check_batch_separation`` does.
+    """
+    check_batch_separation(n_handshakes, batch_size, link)
+    rng = substream(seed, "net")
+    latencies = np.empty(n_handshakes)
+    for batch, lo in enumerate(range(0, n_handshakes, batch_size)):
+        k = min(batch_size, n_handshakes - lo)
+        start_us = _start_us(batch)
+        hello = _delays_us(link, rng, k)
+        reply = np.empty(k, dtype=np.int64)
+        reply[np.argsort(hello, kind="stable")] = _delays_us(link, rng, k)
+        latencies[lo:lo + k] = (start_us + hello + reply) / 1000.0 - start_us / 1000.0
+    return latencies
+
+
+def baseline_latencies(
+    n_handshakes: int, link: LinkModel, baseline: BaselineHandshakeModel, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The modeled baseline arms in ms: compute cost alone (loopback), and
+    compute cost plus ``round_trips`` round trips on ``link``."""
+    rng = substream(seed, "qsah", "baseline")
+    compute = rng.lognormal(np.log(baseline.compute_median_ms), baseline.compute_sigma,
+                            size=n_handshakes)
+    # row i is handshake i's round trips; the columns add left to right
+    rtt_draws = link.rtt(rng, (n_handshakes, baseline.round_trips))
+    rtts = rtt_draws[:, 0]
+    for j in range(1, baseline.round_trips):
+        rtts = rtts + rtt_draws[:, j]
+    return compute, compute + rtts
+
+
 def latency_benchmark(
     n_handshakes: int,
     batch_size: int,
@@ -263,16 +359,12 @@ def latency_benchmark(
     The symmetric handshake runs as real protocol messages through the
     event-driven network (one round trip, per-message processing cost);
     requests start in batches of ``batch_size``, 500 ms apart. The
-    baseline arms are sampled from the model: compute cost alone (loopback)
-    and compute cost plus ``round_trips`` round trips on the same link.
+    baseline arms come from ``baseline_latencies``.
 
     Returns the three arms' latencies in ms, ``n_handshakes`` each, in
     handshake order (unsorted), and the count of handshakes established.
     """
-    if n_handshakes < 1:
-        raise ValueError("n_handshakes must be >= 1")
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
+    _check_counts(n_handshakes, batch_size)
 
     net = Network(seed=seed, default_link=link)
     nonce_rng = substream(seed, "qsah", "nonces")
@@ -316,18 +408,7 @@ def latency_benchmark(
         net.call_at(batch * _BATCH_GAP_MS, (lambda i: (lambda: start_handshake(i)))(idx))
     net.run_to_quiescence()
 
-    # modeled baseline arms: same per-handshake structure, drawn from the model
-    model_rng = substream(seed, "qsah", "baseline")
-    ln_median = np.log(baseline.compute_median_ms)
-    compute = model_rng.lognormal(ln_median, baseline.compute_sigma, size=n_handshakes)
-    # row i is handshake i's round trips; the columns add left to right
-    rtt_draws = link.rtt(model_rng, (n_handshakes, baseline.round_trips))
-    rtts = rtt_draws[:, 0]
-    for j in range(1, baseline.round_trips):
-        rtts = rtts + rtt_draws[:, j]
-    baseline_local = compute
-    baseline_rtt = compute + rtts
-
+    baseline_local, baseline_rtt = baseline_latencies(n_handshakes, link, baseline, seed)
     return BenchmarkResult(
         qsah_latencies=latencies,
         baseline_local=baseline_local,

@@ -125,6 +125,20 @@ def test_harness_key_errors_exit_with_status_2(tmp_path, capsys):
          "consensus.max_depth must be an integer >= 1, got 0"),
         # a key that is gone: a run clears the one dataset its seed picks
         ("market", {"market": {"datasets": 0}}, "unknown key market.datasets"),
+        # each wrote a manifest, then died in Network.send or Generator.uniform
+        ("qsah-bench", {"links": {"d0_ms": float("inf")}},
+         "section 'links': delays must be finite and non-negative"),
+        ("qsah-bench", {"links": {"d0_ms": float("nan")}},
+         "section 'links': delays must be finite and non-negative"),
+        ("qsah-bench", {"links": {"jitter_max_ms": float("nan")}},
+         "section 'links': delays must be finite and non-negative"),
+        # hellos that may land after the next batch starts: the closed-form
+        # latencies would not be the event-driven run's
+        ("qsah-bench", {"links": {"d0_ms": 1000.0}},
+         "links: the worst hello delay, 508.5 ms with processing, must be below the"
+         " 500.0 ms between batch starts when qsah.n_handshakes exceeds qsah.batch_size"),
+        ("qsah-bench", {"links": {"d0_ms": 1000.0}, "qsah": {"n_handshakes": 10}},
+         "when market.n_prosumers exceeds qsah.batch_size"),
     ):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
@@ -161,6 +175,18 @@ def test_every_harness_range_is_checked_before_output(tmp_path, capsys, rule, se
         assert main(["rate-adapt", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert f"{section}.{key} must be {rule}" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("doc", [
+    # small batches on a slow link; and one batch on a link too slow for two
+    {"qsah": {"n_handshakes": 300, "batch_size": 7}, "links": {"d0_ms": 900.0, "jitter_max_ms": 50.0}},
+    {"qsah": {"n_handshakes": 20, "batch_size": 3000}, "links": {"d0_ms": 1000.0}},
+])
+def test_qsah_bench_checks_the_closed_form(tmp_path, capsys, doc):
+    path = tmp_path / "shape.json"
+    path.write_text(json.dumps(doc))
+    assert main(["qsah-bench", "--check", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    assert "[PASS] event-driven latencies equal the closed form" in capsys.readouterr().out
 
 
 def test_porlite_jobs_2_writes_the_bytes_of_jobs_1(tmp_path):

@@ -130,8 +130,11 @@ def test_partitioned_link_drops():
 
 
 def test_link_model_validation():
-    with pytest.raises(ValueError):
-        LinkModel(d0_ms=-1.0)
+    for bad in (-1.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            LinkModel(d0_ms=bad)
+        with pytest.raises(ValueError):
+            LinkModel(jitter_max_ms=bad)
 
 
 def test_same_microsecond_deliveries_follow_send_order():

@@ -17,9 +17,11 @@ from qenergydex.qsah import (
     Replay,
     ServerEndpoint,
     advantage_bound,
+    baseline_latencies,
     derive_session_key,
     gmac_tag,
     gmac_verify,
+    handshake_latencies,
     hkdf_sha256,
     latency_benchmark,
 )
@@ -311,3 +313,61 @@ def test_benchmark_validation():
         latency_benchmark(0, 1, LinkModel(), BaselineHandshakeModel(), seed=1)
     with pytest.raises(ValueError):
         BaselineHandshakeModel(round_trips=0)
+
+
+# ---------------------------------------------------------------------------
+# closed-form latencies, with the event-driven run as their oracle
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n, batch, link, seed", [
+    *[(3000, 500, LinkModel(), seed) for seed in (1, 2, 3)],
+    *[(n, batch, LinkModel(), seed)
+      for n, batch in ((400, 150), (64, 64), (1000, 7), (10, 64)) for seed in (1, 2, 3)],
+    # a slow link: hellos land 451-476 ms after their batch starts
+    *[(1000, 7, LinkModel(900.0, 50.0), seed) for seed in (1, 2, 3)],
+    # one batch needs no separation, however slow the link
+    (40, 40, LinkModel(5000.0, 50.0), 1),
+])
+def test_closed_form_equals_event_driven_run(n, batch, link, seed):
+    res = latency_benchmark(n, batch, link, BaselineHandshakeModel(), seed=seed)
+    assert handshake_latencies(n, batch, link, seed).tobytes() == res.qsah_latencies.tobytes()
+    local, rtt = baseline_latencies(n, link, BaselineHandshakeModel(), seed)
+    assert local.tobytes() == res.baseline_local.tobytes()
+    assert rtt.tobytes() == res.baseline_rtt.tobytes()
+
+
+def test_baseline_latencies_equal_the_benchmark_arms_at_every_round_trip_count():
+    link = LinkModel()
+    for round_trips in (1, 2, 5):
+        model = BaselineHandshakeModel(round_trips=round_trips, compute_sigma=0.8)
+        res = latency_benchmark(50, 20, link, model, seed=4)
+        local, rtt = baseline_latencies(50, link, model, seed=4)
+        assert local.tobytes() == res.baseline_local.tobytes()
+        assert rtt.tobytes() == res.baseline_rtt.tobytes()
+
+
+def test_closed_form_latencies_pinned():
+    # the digest latency_benchmark's three arms are pinned to
+    arrays = (
+        handshake_latencies(400, 150, LinkModel(), 9),
+        *baseline_latencies(400, LinkModel(), BaselineHandshakeModel(), 9),
+    )
+    assert hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest() == BENCHMARK_DIGEST
+
+
+def test_closed_form_refuses_batches_that_may_interleave():
+    # worst hello delay d0/2 + jitter/2 + 1 ms: 526 ms, and exactly 500 ms
+    for link in (LinkModel(1000.0, 50.0), LinkModel(948.0, 50.0)):
+        with pytest.raises(ValueError, match="worst hello delay"):
+            handshake_latencies(1000, 7, link, 1)
+        with pytest.raises(ValueError, match="worst hello delay"):
+            handshake_latencies(8, 7, link, 1)
+        handshake_latencies(7, 7, link, 1)          # one batch
+    # 499.999 ms: every hello lands before the next batch starts
+    link = LinkModel(947.998, 50.0)
+    res = latency_benchmark(100, 7, link, BaselineHandshakeModel(), seed=1)
+    assert handshake_latencies(100, 7, link, 1).tobytes() == res.qsah_latencies.tobytes()
+    for n, batch in ((0, 1), (1, 0)):
+        with pytest.raises(ValueError):
+            handshake_latencies(n, batch, LinkModel(), 1)
