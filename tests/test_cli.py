@@ -270,6 +270,18 @@ MONTE_CARLO_PINS = {
         "fork_tail.csv": "775ecc376efe2274e0a95dc33bd64ab463be019bdff7f8a0d265f0584e4b87ce",
         "growth_violation.csv": "4e085dd7d011534c94015d35faa74c1586091a904496e923e05195f3b98f6040",
     },
+    ("porlite", "alpha 0"): {
+        "cp_violation.csv": "e42aa96396354f633b40dc56e741e93c9ce37ad2391d8f455dfaf79ea21ed9f1",
+        "finality_hist.csv": "682fce61828cb3908ecea2d74a3bf235f80e00551a75e2117a2a8557dc0ae17b",
+        "fork_tail.csv": "e42aa96396354f633b40dc56e741e93c9ce37ad2391d8f455dfaf79ea21ed9f1",
+        "growth_violation.csv": "9b1506cabe32d95cca41675ac3c919e1ae6124dbc2e088adc84e46e519ae631c",
+    },
+    ("porlite", "alpha 0.3 beta 0"): {
+        "cp_violation.csv": "60f2229a5028195dce634d23be744cd20b8cdcbc567f3d9506fc0c866cdcdfbb",
+        "finality_hist.csv": "53b6fd3f118b4ca7d84e547a00624f69913247dc192fb859a0749bfa70b1ca27",
+        "fork_tail.csv": "97cb3d24d2343ad15e9bc5d16ce0d172bd388763971aa644e4492acfdef3c9bc",
+        "growth_violation.csv": "ed13deec78274160313f51319429fee0338ef5adfd249bf84e1983a99e9a00e6",
+    },
 }
 
 
@@ -278,6 +290,10 @@ def test_monte_carlo_outputs_pinned(tmp_path, command, variant):
     doc = {"keypool": {"max_events": 200_000}, "consensus": {"horizon": 20_000, "seeds": 3}}
     if variant == "capacity 12":   # rows shorter than _SCAN_COLS
         doc["keypool"]["capacity"] = 12
+    elif variant == "alpha 0":   # no forks: the CDF repeats an entry
+        doc["consensus"]["alpha"] = 0.0
+    elif variant == "alpha 0.3 beta 0":   # no empty slots
+        doc["consensus"].update(alpha=0.3, beta=0.0)
     path = tmp_path / "small.json"
     path.write_text(json.dumps(doc))
     assert main([command, "--check", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
