@@ -227,26 +227,18 @@ class ChainTrace:
     block_interval_ms: float = DEFAULT_BLOCK_INTERVAL_MS
 
     def __post_init__(self):
-        outcomes = np.asarray(self.outcomes, dtype=np.int8)
-        object.__setattr__(self, "outcomes", outcomes)
-        if not np.isin(outcomes, (-1, 0, 1)).all():
+        raw = np.asarray(self.outcomes)
+        outcomes = raw.astype(np.int8, copy=False)
+        # check the values themselves: the int8 cast alone would turn 255
+        # into -1 and 0.5 into 0
+        if outcomes.size and not (
+            (outcomes == raw).all() and -1 <= outcomes.min() and outcomes.max() <= 1
+        ):
             raise ValueError("outcomes must be -1, 0, or +1")
+        object.__setattr__(self, "outcomes", outcomes)
 
     def __len__(self) -> int:
         return len(self.outcomes)
-
-
-def _forward_streaks(outcomes: np.ndarray) -> np.ndarray:
-    """Length of the unresolved-fork streak starting at each height.
-
-    The streak at h runs up to the next height that is not a fork, so it
-    is that height's index minus h (the trace length when none follows).
-    """
-    n = len(outcomes)
-    idx = np.arange(n, dtype=np.int64)
-    next_settled = np.where(outcomes != -1, idx, n)
-    next_settled = np.minimum.accumulate(next_settled[::-1])[::-1]
-    return next_settled - idx
 
 
 def fork_persistence_tail(outcomes: np.ndarray, max_depth: int) -> np.ndarray:
@@ -257,13 +249,25 @@ def fork_persistence_tail(outcomes: np.ndarray, max_depth: int) -> np.ndarray:
     slot falling back to the canonical branch) settles the race. The
     frequency at depth t is the fraction of heights that open an
     uninterrupted adversarial streak of length at least t.
+
+    It is counted from the maximal runs of forks. A run of L forks opens
+    streaks L, L - 1, ..., 1, so L - t + 1 of its heights open a streak of
+    at least t (none when L < t). With N(t) the number of runs with L >= t
+    and W(t) the sum of their lengths, W(t) - (t - 1) N(t) heights do;
+    both are suffix sums over one histogram of the run lengths.
     """
-    streaks = _forward_streaks(np.asarray(outcomes))
-    total = len(streaks)
-    counts = np.bincount(np.minimum(streaks, max_depth), minlength=max_depth + 1)
-    # tail: number of positions with streak >= t
-    tail = np.cumsum(counts[::-1])[::-1]
-    return tail[1 : max_depth + 1] / float(total)
+    n = len(outcomes)
+    fork = np.zeros(n + 2, dtype=bool)
+    np.equal(outcomes, -1, out=fork[1:-1])
+    # a run starts and ends where the padded fork mask flips
+    edges = np.flatnonzero(fork[1:] != fork[:-1])
+    runs = np.bincount(edges[1::2] - edges[::2], minlength=max_depth + 1)
+    length = np.arange(len(runs))
+    n_runs = np.cumsum(runs[::-1])[::-1]
+    covered = np.cumsum((runs * length)[::-1])[::-1]
+    t = length[1 : max_depth + 1]
+    count = covered[1 : max_depth + 1] - (t - 1) * n_runs[1 : max_depth + 1]
+    return count / float(n)
 
 
 def cp_violation_fraction(outcomes: np.ndarray, max_depth: int) -> np.ndarray:
@@ -312,32 +316,34 @@ def finality_depths(outcomes: np.ndarray, max_depth: int = 200) -> np.ndarray:
     end of the trace to resolve, are skipped, as are blocks whose depth
     would exceed ``max_depth``.
 
-    A block whose next height confirms has depth 1. For the others, with s
-    the running outcome sum (s[0] = 0), the block at h is final at the
-    first j > h + 1 with s[j] >= s[h + 1] + 1. Each height moves s by -1, 0
-    or +1, so that is the first j > h + 1 at level s[h + 1] + 1, and all of
-    them come from one ``searchsorted`` over heights keyed by (level, index).
+    A block whose next height confirms has depth 1. The others advance
+    together one height per round: the block at h is final at the least d
+    with outcomes[h + 1] + ... + outcomes[h + d] >= 1, its lead. Each round
+    adds one height to every open block's lead, retires the blocks whose
+    lead reached 1 and gathers the rest, so a round costs only the blocks
+    still open, and at most ``max_depth - 1`` rounds run.
     """
     outcomes = np.asarray(outcomes)
     if max_depth < 1:
         return np.zeros(0, dtype=np.int64)
-    blocks = np.flatnonzero(outcomes[: max(len(outcomes) - max_depth, 0)] == 1)
-    depths = np.ones(len(blocks), dtype=np.int64)
-    later = np.flatnonzero(outcomes[blocks + 1] != 1)
-    h = blocks[later]
-    s = np.concatenate(([0], np.cumsum(outcomes, dtype=np.int64)))
-    width = len(s)
-    level = s - s.min()
-    # one key per index, level * width + index: sorted, they run level by
-    # level and, within a level, in index order
-    keys = np.sort(level * width + np.arange(width))
-    target = level[h + 1] + 1
-    pos = np.searchsorted(keys, target * width + h + 2)
-    hit = keys[np.minimum(pos, width - 1)]
-    reached = (pos < width) & (hit // width == target)
-    d = hit % width - h - 1
-    depths[later] = np.where(reached & (d <= max_depth), d, 0)
-    return depths[depths > 0]
+    m = max(len(outcomes) - max_depth, 0)
+    block = outcomes[:m] == 1
+    sealed = block & (outcomes[1 : m + 1] == 1)
+    # depth per height, 0 where no block resolves; a lead lies in [-d, 1]
+    depth = sealed.astype(np.min_scalar_type(max_depth))
+    at = np.flatnonzero(block ^ sealed) + 1
+    lead = outcomes.take(at).astype(np.min_scalar_type(-max_depth))
+    for d in range(2, max_depth + 1):
+        if not len(at):
+            break
+        at += 1
+        lead += outcomes.take(at)
+        depth[at.take(np.flatnonzero(lead > 0)) - d] = d
+        # compact by gathering: cheaper than a boolean mask per array
+        open_ = np.flatnonzero(lead <= 0)
+        at = at.take(open_)
+        lead = lead.take(open_)
+    return depth.take(np.flatnonzero(depth)).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -418,11 +424,17 @@ def _simulate_bernoulli(params: ConsensusParams, horizon: int, seed: int) -> Cha
     p_confirm = (1.0 - params.beta) * (1.0 - params.alpha)
     p_fork = (1.0 - params.beta) * params.alpha
     p_empty = params.beta
-    outcomes = rng.choice(
-        np.array([1, -1, 0], dtype=np.int8),
-        size=horizon,
-        p=[p_confirm, p_fork, p_empty],
-    )
+    # the draw of rng.choice([1, -1, 0], horizon, p=...): the same CDF and
+    # uniforms, and the same index as its searchsorted(u, side="right"),
+    # which is 0 below cdf[0], 1 below cdf[1] and 2 above; the outcome is
+    # 2 [u < cdf[0]] - [u < cdf[1]], since cdf[0] <= cdf[1]
+    # (test_bernoulli_draw_matches_choice checks it byte for byte)
+    cdf = np.array([p_confirm, p_fork, p_empty]).cumsum()
+    cdf /= cdf[-1]
+    u = rng.random(horizon)
+    outcomes = np.less(u, cdf[0]).view(np.int8)
+    outcomes += outcomes
+    outcomes -= np.less(u, cdf[1]).view(np.int8)
     return ChainTrace(outcomes=outcomes, block_interval_ms=params.block_interval_ms)
 
 

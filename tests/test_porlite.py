@@ -28,8 +28,9 @@ from qenergydex.porlite import (
     vrf_output,
     vrf_unit,
 )
-from qenergydex.porlite import _forward_streaks
+from qenergydex.porlite import _simulate_bernoulli
 from qenergydex.qkms import KeyPoolState, KmsReplica
+from qenergydex.rng import substream
 
 # ---------------------------------------------------------------------------
 # VRF
@@ -214,9 +215,27 @@ def test_finality_depths_simple_sequence():
     assert list(depths) == [1, 3, 1]
 
 
-def test_chain_trace_validation():
+@pytest.mark.parametrize(
+    "outcomes",
+    [
+        np.array([2, 0, 1]),
+        np.array([255, 1, 257, 0]),   # -1, 1, 1, 0 after an int8 cast
+        np.array([0.5, 1.0]),   # 0, 1 after an int8 cast
+    ],
+)
+def test_chain_trace_validation(outcomes):
     with pytest.raises(ValueError):
-        ChainTrace(outcomes=np.array([2, 0, 1]))
+        ChainTrace(outcomes=outcomes)
+
+
+@pytest.mark.parametrize(
+    "outcomes",
+    [np.array([1, -1, 0], dtype=np.int8), [1, -1, 0], np.array([1.0, -1.0]), np.zeros(0)],
+)
+def test_chain_trace_accepts_whole_outcomes(outcomes):
+    trace = ChainTrace(outcomes=outcomes)
+    assert trace.outcomes.dtype == np.int8
+    assert np.array_equal(trace.outcomes, np.asarray(outcomes))
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +363,33 @@ def loop_forward_streaks(outcomes):
     return streak[:-1]
 
 
+def streak_fork_tail(outcomes, max_depth):
+    """The fork tail as a histogram of every height's streak, capped at max_depth."""
+    streaks = loop_forward_streaks(outcomes)
+    counts = np.bincount(np.minimum(streaks, max_depth), minlength=max_depth + 1)
+    tail = np.cumsum(counts[::-1])[::-1]
+    return tail[1 : max_depth + 1] / float(len(streaks))
+
+
+def sort_finality_depths(outcomes, max_depth):
+    """finality_depths by one sort of every height's (level, index) key."""
+    blocks = np.flatnonzero(outcomes[: max(len(outcomes) - max_depth, 0)] == 1)
+    depths = np.ones(len(blocks), dtype=np.int64)
+    later = np.flatnonzero(outcomes[blocks + 1] != 1)
+    h = blocks[later]
+    s = np.concatenate(([0], np.cumsum(outcomes, dtype=np.int64)))
+    width = len(s)
+    level = s - s.min()
+    keys = np.sort(level * width + np.arange(width))
+    target = level[h + 1] + 1
+    pos = np.searchsorted(keys, target * width + h + 2)
+    hit = keys[np.minimum(pos, width - 1)]
+    reached = (pos < width) & (hit // width == target)
+    d = hit % width - h - 1
+    depths[later] = np.where(reached & (d <= max_depth), d, 0)
+    return depths[depths > 0]
+
+
 def loop_finality_depths(outcomes, max_depth):
     s = np.concatenate(([0], np.cumsum(outcomes, dtype=np.int64)))
     total = len(outcomes)
@@ -382,11 +428,40 @@ def oracle_sequences():
             yield np.full(n, value, dtype=np.int8)
 
 
-def test_forward_streaks_match_loop():
-    for outcomes in oracle_sequences():
-        fast = _forward_streaks(outcomes)
-        assert fast.dtype == np.int64
-        assert np.array_equal(fast, loop_forward_streaks(outcomes))
+def test_fork_tail_matches_loop_streaks():
+    with np.errstate(invalid="ignore"):   # the empty trace's tail is 0 / 0
+        for outcomes in oracle_sequences():
+            for max_depth in (1, 2, 5, 81):
+                fast = fork_persistence_tail(outcomes, max_depth)
+                slow = streak_fork_tail(outcomes, max_depth)
+                assert fast.tobytes() == slow.tobytes(), (len(outcomes), max_depth)
+
+
+# (alpha, beta): the paper mix, no forks (the CDF repeats an entry), no
+# empty slots, neither, and a mostly empty chain
+BERNOULLI_MIXES = ((0.25, 0.10), (0.0, 0.10), (0.3, 0.0), (0.0, 0.0), (0.1, 0.5))
+
+
+@pytest.mark.parametrize("alpha,beta", BERNOULLI_MIXES)
+def test_bernoulli_draw_matches_choice(alpha, beta):
+    params = ConsensusParams(alpha=alpha, beta=beta)
+    p = [(1.0 - beta) * (1.0 - alpha), (1.0 - beta) * alpha, beta]
+    for seed in range(50):
+        for horizon in (1, 2, 7, 1000):
+            expected = substream(seed, "porlite", "bernoulli").choice(
+                np.array([1, -1, 0], dtype=np.int8), size=horizon, p=p
+            )
+            trace = _simulate_bernoulli(params, horizon, seed)
+            assert trace.outcomes.dtype == np.int8
+            assert trace.outcomes.tobytes() == expected.tobytes(), (seed, horizon)
+
+
+def test_finality_depths_match_sort_on_paper_traces():
+    for seed in range(3):
+        outcomes = _simulate_bernoulli(ConsensusParams(), 100_000, seed).outcomes
+        for max_depth in (80, 200):
+            fast = finality_depths(outcomes, max_depth)
+            assert fast.tobytes() == sort_finality_depths(outcomes, max_depth).tobytes()
 
 
 def test_finality_depths_match_loop():
