@@ -265,8 +265,7 @@ def fork_persistence_tail(outcomes: np.ndarray, max_depth: int) -> np.ndarray:
     length = np.arange(len(runs))
     n_runs = np.cumsum(runs[::-1])[::-1]
     covered = np.cumsum((runs * length)[::-1])[::-1]
-    t = length[1 : max_depth + 1]
-    count = covered[1 : max_depth + 1] - (t - 1) * n_runs[1 : max_depth + 1]
+    count = covered[1 : max_depth + 1] - length[:max_depth] * n_runs[1 : max_depth + 1]
     return count / float(n)
 
 
@@ -323,14 +322,15 @@ def finality_depths(outcomes: np.ndarray, max_depth: int = 200) -> np.ndarray:
     lead reached 1 and gathers the rest, so a round costs only the blocks
     still open, and at most ``max_depth - 1`` rounds run.
     """
-    outcomes = np.asarray(outcomes)
+    outcomes = np.asarray(outcomes, dtype=np.int8)
     if max_depth < 1:
         return np.zeros(0, dtype=np.int64)
     m = max(len(outcomes) - max_depth, 0)
     block = outcomes[:m] == 1
     sealed = block & (outcomes[1 : m + 1] == 1)
-    # depth per height, 0 where no block resolves; a lead lies in [-d, 1]
+    # depth per height, 0 until a block there resolves
     depth = sealed.astype(np.min_scalar_type(max_depth))
+    # in round d an open block h reads height h + d; its lead lies in [-d, 1]
     at = np.flatnonzero(block ^ sealed) + 1
     lead = outcomes.take(at).astype(np.min_scalar_type(-max_depth))
     for d in range(2, max_depth + 1):
