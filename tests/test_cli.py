@@ -302,3 +302,22 @@ def test_monte_carlo_outputs_pinned(tmp_path, command, variant):
         for name in MONTE_CARLO_PINS[command, variant]
     }
     assert digests == MONTE_CARLO_PINS[command, variant]
+
+
+# SHA-256 of full-stack's pipeline_report.json at a reduced config. The KMS
+# key and salt bytes, the elections and the handshake latencies all feed
+# it; alpha 0.25 is the one setting that reaches a Byzantine branch
+# (equivocate). The same bytes with one BLAS thread and with the default.
+PIPELINE_PINS = {
+    0.0: "831b909ff82435089d08f0780330a7d20b91b789bccc00115a9297c7755149f4",
+    0.25: "faf663018f64a036a2f15863da600772e30a78644263d80fcaf96257682cb906",
+}
+
+
+@pytest.mark.parametrize("alpha", sorted(PIPELINE_PINS))
+def test_full_stack_report_pinned(tmp_path, alpha):
+    path = tmp_path / "small.json"
+    path.write_text(json.dumps({"full_stack": {"alpha": alpha, "heights": 60, "n_handshakes": 8}}))
+    assert main(["full-stack", "--check", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    report = (tmp_path / "o" / "pipeline_report.json").read_bytes()
+    assert hashlib.sha256(report).hexdigest() == PIPELINE_PINS[alpha]
