@@ -44,13 +44,11 @@ SAMPLE_RATE_HZ = 1000.0
 class QberTrace:
     """A 1 kHz quantum-bit-error-rate time series.
 
-    Samples are fractions clipped to [q_lo, q_hi]. Regenerating with the
-    same seed and parameters yields a bit-identical sequence.
+    Samples are fractions clipped to [q_lo, q_hi]. ``generate_qber_trace``
+    regenerates a bit-identical sequence from the same seed and parameters.
     """
 
     samples: np.ndarray
-    seed: int
-    sample_rate_hz: float = SAMPLE_RATE_HZ
     q_lo: float = QBER_CLIP_LO
     q_hi: float = QBER_CLIP_HI
 
@@ -211,4 +209,4 @@ def generate_qber_trace(
         amp = rng.uniform(*amp_range)
         q += amp * np.exp(-0.5 * ((t - center) / width) ** 2)
     np.clip(q, QBER_CLIP_LO, QBER_CLIP_HI, out=q)
-    return QberTrace(samples=q, seed=seed)
+    return QberTrace(samples=q)

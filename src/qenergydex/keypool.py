@@ -186,8 +186,6 @@ class PoolSimResult:
     empty_fraction: float
     visits: np.ndarray          # time-weighted occupancy per state, sums to 1
     wilson_ci: tuple[float, float]
-    events: int
-    horizon_s: float            # simulated time reached after ``events`` events
 
 
 # events per chunk: uniforms are drawn, scanned and tallied this many at a time
@@ -234,7 +232,6 @@ def simulate_pool(
     seed: int = 0,
     max_events: int = 1_000_000,
     n_epochs: int = 10_000,
-    initial_state: int | None = None,
 ) -> PoolSimResult:
     """Continuous-time simulation of the pool chain, uniformized.
 
@@ -242,14 +239,15 @@ def simulate_pool(
     exponential holding time at that rate and steps +1 with probability
     mu / (mu + lambda*k), else -1, clamped to [0, M]. A step that the
     clamp cancels (a birth at capacity, a death when empty) is a
-    self-loop; it counts in ``events`` like any other event, and it leaves
-    the stationary distribution unchanged (Jensen 1953).
+    self-loop; it counts towards ``max_events`` like any other event, and
+    it leaves the stationary distribution unchanged (Jensen 1953).
 
-    Events are processed in chunks of ``_BLOCK``, carrying the state and
-    the clock from one chunk to the next, so memory is O(block) whatever
-    ``max_events``. Within a chunk the ±1 steps are drawn as int8, the
-    states come from a row scan of the clamp maps (``_clamped_walk``) and
-    the time-weighted occupancy from one weighted ``bincount``.
+    The walk starts full, at state M. Events are processed in chunks of
+    ``_BLOCK``, carrying the state from one chunk to the next, so memory
+    is O(block) whatever ``max_events``. Within a chunk the ±1 steps are
+    drawn as int8, the states come from a row scan of the clamp maps
+    (``_clamped_walk``) and the time-weighted occupancy from one weighted
+    ``bincount``.
     ``empty_fraction`` is the time-weighted occupancy of state 0. The
     Wilson 95% interval is computed over per-epoch empty indicators: the
     run splits into ``n_epochs`` equal-event-count epochs and each
@@ -263,12 +261,9 @@ def simulate_pool(
     M = p.capacity
     rate = p.mu + p.lam * p.k
     p_up = p.mu / rate
-    state = M if initial_state is None else int(initial_state)
-    if not 0 <= state <= M:
-        raise ValueError("initial_state out of range")
+    state = M
 
     occupancy = np.zeros(M + 1)
-    t = 0.0
     events = 0
     epoch_stride = max(1, max_events // max(1, n_epochs))
     epoch_empties = 0
@@ -290,8 +285,6 @@ def simulate_pool(
         epoch_empties += int(np.count_nonzero(marks == 0))
         events += n
         state = int(path[n])
-        # the clock summed in event order, as a scalar loop would
-        t = float(np.cumsum(np.concatenate(([t], dt)))[-1])
 
     visits = occupancy / occupancy.sum()
     # the stride is at most max_events, so the run sees at least one epoch
@@ -301,6 +294,4 @@ def simulate_pool(
         empty_fraction=float(visits[0]),
         visits=visits,
         wilson_ci=ci,
-        events=events,
-        horizon_s=t,
     )

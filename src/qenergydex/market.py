@@ -39,8 +39,8 @@ meets the deadline and the cumulative key cost fits the entropy budget
 (admission in node-id order); clearing then runs on the admitted subset.
 Clears are memoized per instance by admitted set, in a dict the caller
 creates and passes to each `security_coupled_clearing` call on that
-instance: `cmd_market` keeps one per dataset, so two stacks that admit the
-same nodes share one clear. Outcome arrays are read-only, since one
+instance: `cmd_market` keeps one per run, so its two stacks share one clear
+when they admit the same nodes. Outcome arrays are read-only, since one
 outcome can then serve both stacks.
 """
 
@@ -432,7 +432,6 @@ def solve_stackelberg(
     grid: GridModel,
     prosumers: list[Prosumer],
     tol: float = DEFAULT_TOL,
-    u0: np.ndarray | None = None,
     social: MarketOutcome | None = None,
 ) -> MarketOutcome:
     """Leader problem min C_grid(u) s.t. H p(u) <= limits, u >= 0.
@@ -454,12 +453,11 @@ def solve_stackelberg(
     solves per start.
 
     Starts: SOCIAL's dual price (always feasible, p(u) is then the social
-    optimum), the cheapest feasible point of the uniform-price ray, and
-    `u0` when given and feasible; the cheapest result is kept. `social`,
-    `solve_social`'s outcome on the same instance and tol, saves solving
-    SOCIAL again for the first start. The problem
-    is nonconvex across patterns, so this certifies feasibility and the
-    SOCIAL-price bound, not global optimality.
+    optimum) and the cheapest feasible point of the uniform-price ray; the
+    cheapest result is kept. `social`, `solve_social`'s outcome on the same
+    instance and tol, saves solving SOCIAL again for the first start. The
+    problem is nonconvex across patterns, so this certifies feasibility and
+    the SOCIAL-price bound, not global optimality.
 
     `iterations` counts QP solves over all starts. `kkt_residual` is the
     primal part of the KKT residual: the worst line overload of the
@@ -538,10 +536,6 @@ def solve_stackelberg(
     ray = [u for u, flows in _uniform_price_ray(h, alpha, pi, pmax) if rel_viol(flows) <= tol]
     if ray:
         starts.append(min(ray, key=lambda u: leader_cost(grid, u)))
-    if u0 is not None:
-        u0 = np.maximum(0.0, np.asarray(u0, dtype=float))
-        if rel_viol(h @ _response(alpha, pi, pmax, h, u0)) <= tol:
-            starts.append(u0)
     best_cost, u, total_iters = math.inf, starts[0], 0
     for start in starts:
         u_k, cost_k, used = descend(start)

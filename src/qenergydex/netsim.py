@@ -14,8 +14,9 @@ sequence) order, so a run is a pure function of the seed and the
 registered handlers.
 
 There is no server queue: a message is delivered its one-way delay plus
-``processing_ms`` after it is sent, however many others are in flight or
-arrive at the same node at once. So load moves no delay.
+the fixed processing cost ``DEFAULT_PROCESSING_MS`` after it is sent,
+however many others are in flight or arrive at the same node at once. So
+load moves no delay.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ from .rng import substream
 
 __all__ = ["LinkModel", "Event", "Network", "UnknownNode"]
 
+# per-message handling cost (lightweight MAC/VRF-class work), added to
+# every message's delay; the closed forms in qsah and porlite add the same
 DEFAULT_PROCESSING_MS = 1.0
 
 
@@ -77,19 +80,11 @@ class Network:
     """Event-driven message fabric between named nodes.
 
     Handlers have signature handler(network, event); they run at delivery
-    time and may call ``send`` to schedule replies. ``processing_ms`` is the
-    fixed per-message handling cost added before a handler's outbound
-    messages depart (lightweight MAC/VRF-class work).
+    time and may call ``send`` to schedule replies.
     """
 
-    def __init__(
-        self,
-        seed: int = 0,
-        default_link: LinkModel | None = None,
-        processing_ms: float = DEFAULT_PROCESSING_MS,
-    ):
+    def __init__(self, seed: int = 0, default_link: LinkModel | None = None):
         self.default_link = default_link or LinkModel()
-        self.processing_ms = processing_ms
         self._rng = substream(seed, "net")
         self._handlers: dict[str, Callable] = {}
         self._down: set[frozenset] = set()
@@ -126,7 +121,7 @@ class Network:
             # partitioned link: message silently dropped
             return Event(deliver_at_us=-1, seq=-1, src=src, dst=dst, payload=payload)
         one_way = self.default_link.one_way(self._rng)
-        delay_us = int(round((one_way + self.processing_ms) * 1000.0))
+        delay_us = int(round((one_way + DEFAULT_PROCESSING_MS) * 1000.0))
         ev = Event(
             deliver_at_us=self._now_us + delay_us,
             seq=self._seq,

@@ -3,8 +3,8 @@ and the adaptive output-rate controller.
 
 The pool is a token bucket: balance B accrues at the generation rate and
 is spent by Rent(n) calls, clamped to [0, capacity]. Rentals fail without
-side effects when n exceeds the balance. Issued keys carry a ttl (default
-30 s) and move through active -> retired/expired exactly once.
+side effects when n exceeds the balance. An issued key is active until it
+is retired, which happens at most once.
 
 A key identifier's top byte is the replica index, so two replicas never
 issue the same identifier.
@@ -64,10 +64,8 @@ __all__ = [
     "RateControllerResult",
     "generation_rate",
     "KmsReplica",
-    "DEFAULT_TTL_MS",
 ]
 
-DEFAULT_TTL_MS = 30_000
 RATE_FLOOR_FRACTION = 0.1
 
 
@@ -116,16 +114,11 @@ def step_bucket(s: KeyPoolState, delta_ms: int) -> KeyPoolState:
 
 @dataclass
 class KeyRecord:
-    """An issued key: identifier, bits, lifetime, and lifecycle state."""
+    """An issued key: identifier, bits, and lifecycle state."""
 
     key_id: str                 # 32 hex chars (128 bits)
     key_bits: bytes
-    ttl_ms: int = DEFAULT_TTL_MS
-    issued_at_ms: int = 0
-    state: str = "active"       # active | retired | expired
-
-    def expired_at(self, now_ms: int) -> bool:
-        return now_ms - self.issued_at_ms > self.ttl_ms
+    state: str = "active"       # active | retired
 
 
 @dataclass(frozen=True)
@@ -284,10 +277,10 @@ def run_rate_controller(
 
 
 class KmsEvent(NamedTuple):
-    """One line of a replica's event log; the field names are the CSV header."""
+    """One entry of a replica's event log."""
 
     t_ms: int
-    event: str          # rent, rent_fail, retire or expire
+    event: str          # rent, rent_fail or retire
     replica: int
     key_id: str         # "-" for a failed rental
     bits: int
@@ -358,7 +351,6 @@ class KmsReplica:
         record = KeyRecord(
             key_id=key_id,
             key_bits=draw_bytes(self._rng, (n_bytes + 7) // 8 * 8)[:n_bytes],
-            issued_at_ms=now_ms,
         )
         self.keys[key_id] = record
         self.events.append(KmsEvent(now_ms, "rent", self.replica_id, key_id, n_bits,
@@ -374,17 +366,6 @@ class KmsReplica:
         record.state = "retired"
         self.events.append(KmsEvent(now_ms, "retire", self.replica_id, key_id, 0,
                                     self.pool.balance_bits))
-
-    def expire_sweep(self, now_ms: int) -> int:
-        """Expire all active keys past their ttl; returns the count."""
-        expired = 0
-        for record in self.keys.values():
-            if record.state == "active" and record.expired_at(now_ms):
-                record.state = "expired"
-                expired += 1
-                self.events.append(KmsEvent(now_ms, "expire", self.replica_id, record.key_id,
-                                            0, self.pool.balance_bits))
-        return expired
 
     # -- monitoring ----------------------------------------------------------
 
@@ -424,10 +405,4 @@ class KmsReplica:
             failure_count=failures,
             anomaly_flags=tuple(flags),
         )
-
-    def write_event_log(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(KmsEvent._fields) + "\n")
-            for row in self.events:
-                fh.write(",".join(str(v) for v in row) + "\n")
 

@@ -14,8 +14,8 @@ as associated data; the required 96-bit GCM nonce is derived
 deterministically from the message transcript (the construction needs a
 nonce, and deriving it from the transcript keeps the wire format exactly
 two 16-byte fields per message). The server keeps a per-key replay cache
-of client nonces for the key lifetime, so a replayed hello is rejected
-even though its tag verifies.
+of client nonces for as long as the endpoint lives, so a replayed hello
+is rejected even though its tag verifies.
 
 The latency benchmark races this one-round-trip handshake against a
 modeled multi-round-trip PKI baseline over the same simulated links; no
@@ -90,7 +90,7 @@ class AuthFail(RuntimeError):
 
 
 class Replay(RuntimeError):
-    """Client nonce reused within the key lifetime."""
+    """Client nonce reused under the same key."""
 
 
 # ---------------------------------------------------------------------------
@@ -205,8 +205,8 @@ class ClientSession:
 class ServerEndpoint:
     """Server side: verifies hellos and answers with its own challenge.
 
-    Keeps a replay cache of client nonces per key id; entries live until
-    the key is dropped via ``forget_key`` (key ttl expiry).
+    Keeps a replay cache of client nonces per key id for as long as the
+    endpoint lives.
     """
 
     def __init__(self, rng: np.random.Generator):
@@ -218,10 +218,6 @@ class ServerEndpoint:
     def install_key(self, key: KeyRecord) -> None:
         self._keys[key.key_id] = key.key_bits
         self._seen.setdefault(key.key_id, set())
-
-    def forget_key(self, key_id: str) -> None:
-        self._keys.pop(key_id, None)
-        self._seen.pop(key_id, None)
 
     def server_response(self, key_id: str, message1: bytes) -> bytes:
         """Verify message 1, enforce nonce freshness, build message 2."""

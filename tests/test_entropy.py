@@ -267,4 +267,4 @@ def test_trace_clipping_many_seeds():
 
 def test_trace_rejects_out_of_range_samples():
     with pytest.raises(ValueError):
-        QberTrace(samples=np.array([0.5]), seed=0)
+        QberTrace(samples=np.array([0.5]))

@@ -128,7 +128,6 @@ def test_simulation_near_certain_fullness():
     p = BirthDeathParams.from_rho(0.01, 50)
     res = simulate_pool(p, seed=1, max_events=10**6, n_epochs=1000)
     assert res.empty_fraction == 0.0
-    assert res.events == 10**6
 
 
 def test_simulation_wilson_covers_theory_at_low_rho():
@@ -159,8 +158,6 @@ def test_params_validation():
     for bad in (0, -1):
         with pytest.raises(ValueError):
             simulate_pool(p, max_events=bad)
-    with pytest.raises(ValueError):
-        simulate_pool(p, initial_state=11)
 
 
 # ---------------------------------------------------------------------------
@@ -175,15 +172,13 @@ def loop_clamped_walk(x0, steps, M):
     return np.asarray(path, dtype=np.int64)
 
 
-def loop_uniformized_pool(p, seed=0, max_events=1_000_000, n_epochs=10_000,
-                          initial_state=None):
+def loop_uniformized_pool(p, seed=0, max_events=1_000_000, n_epochs=10_000):
     """One event at a time, on the same draws as simulate_pool."""
     rng = substream(seed, "keypool")
     M = p.capacity
     rate = p.mu + p.lam * p.k
-    state = M if initial_state is None else initial_state
+    state = M
     occupancy = np.zeros(M + 1)
-    t = 0.0
     events = 0
     stride = max(1, max_events // max(1, n_epochs))
     marks = []
@@ -197,24 +192,20 @@ def loop_uniformized_pool(p, seed=0, max_events=1_000_000, n_epochs=10_000,
         step = 1 if u_dir[idx] < p.mu / rate else -1
         idx += 1
         occupancy[state] += dt
-        t += dt
         state = min(M, max(0, state + step))
         events += 1
         if events % stride == 0:
             marks.append(state)
     ci = wilson_interval(sum(1 for x in marks if x == 0), len(marks))
-    return occupancy / occupancy.sum(), ci, events, t
+    return occupancy / occupancy.sum(), ci
 
 
 def assert_matches_loop(p, **kw):
     fast = simulate_pool(p, **kw)
-    visits, ci, events, t = loop_uniformized_pool(p, **kw)
-    assert fast.events == events
-    assert fast.horizon_s == pytest.approx(t, rel=1e-12)
+    visits, ci = loop_uniformized_pool(p, **kw)
     assert fast.wilson_ci == ci   # same epoch-boundary states
     assert np.allclose(fast.visits, visits, rtol=1e-11, atol=1e-14)
     assert fast.empty_fraction == fast.visits[0]
-    return fast
 
 
 def test_clamped_walk_matches_loop():
@@ -233,25 +224,13 @@ def test_simulation_matches_uniformized_loop_small_capacity():
     for M in range(1, 13):
         rho = float(rng.choice([0.3, 0.9, 1.0, 1.5, 4.0]))
         p = BirthDeathParams.from_rho(rho, M, mu=10.0)
-        init = int(rng.integers(0, M + 1))
-        assert_matches_loop(p, seed=M, max_events=3_001, n_epochs=97, initial_state=init)
+        assert_matches_loop(p, seed=M, max_events=3_001, n_epochs=97)
 
 
 def test_simulation_matches_loop_across_chunks():
     # three chunks; the epoch stride (20_153) does not divide the chunk
     p = BirthDeathParams.from_rho(0.95, 7, mu=10.0)
-    res = assert_matches_loop(p, seed=5, max_events=2 * _BLOCK + 10_000, n_epochs=7)
-    assert res.events == 2 * _BLOCK + 10_000
-
-
-def test_simulation_counts_self_loops():
-    # events arrive at the uniformized rate mu + lam*k = 200/s in every
-    # state; the pool itself moves at only 100/s at capacity 1, so 20_000
-    # events, half of them clamped self-loops, take about 100 s
-    p = BirthDeathParams(mu=100.0, lam=100.0, k=1.0, capacity=1)
-    res = simulate_pool(p, seed=7, max_events=20_000)
-    assert res.events == 20_000
-    assert 95.0 < res.horizon_s < 105.0
+    assert_matches_loop(p, seed=5, max_events=2 * _BLOCK + 10_000, n_epochs=7)
 
 
 def test_clamped_walk_one_barrier_rows_match_loop():

@@ -202,16 +202,6 @@ def test_stackelberg_permutation_invariance():
     assert np.abs(out1.u - out2.u).max() <= 1e-5
 
 
-def test_stackelberg_uniqueness_probe():
-    grid, prosumers = toy_two_prosumer_one_line()
-    rng = np.random.default_rng(5)
-    solutions = []
-    for _ in range(10):
-        u0 = rng.uniform(0.0, 5.0, size=1)
-        solutions.append(solve_stackelberg(grid, prosumers, u0=u0).u[0])
-    assert max(solutions) - min(solutions) <= 1e-5
-
-
 def test_stackelberg_cs_on_single_line_instances():
     # with one line the leader concentrates price exactly on the binding
     # constraint: u * slack vanishes (multi-line quadratic costs spread

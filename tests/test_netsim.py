@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qenergydex.netsim import LinkModel, Network, UnknownNode
+from qenergydex.netsim import DEFAULT_PROCESSING_MS, LinkModel, Network, UnknownNode
 from qenergydex.rng import substream
 
 
@@ -47,14 +47,14 @@ def test_link_vector_draws_equal_scalar_draws(draw):
 
 
 def test_zero_jitter_one_way_delivery():
-    # one-way delay is half the RTT; no processing cost configured here
-    net = Network(seed=0, default_link=LinkModel(d0_ms=20.0, jitter_max_ms=0.0), processing_ms=0.0)
+    # one-way delay is half the RTT, plus the 1 ms processing cost
+    net = Network(seed=0, default_link=LinkModel(d0_ms=20.0, jitter_max_ms=0.0))
     net.register_node("a")
     got = []
     net.register_node("b", lambda n, ev: got.append(n.now_ms))
     net.send("a", "b", b"x")
     net.run_until(50.0)
-    assert got == [10.0]
+    assert got == [10.0 + DEFAULT_PROCESSING_MS]
 
 
 def test_unknown_node():
@@ -101,7 +101,7 @@ def test_round_trip_equals_rtt_plus_processing():
     link = LinkModel(d0_ms=20.0, jitter_max_ms=15.0)
     totals = []
     for seed in range(300):
-        net = Network(seed=seed, default_link=link, processing_ms=1.0)
+        net = Network(seed=seed, default_link=link)
         done = []
         net.register_node("server", lambda n, ev: n.send("server", "client", b"pong"))
         net.register_node("client", lambda n, ev: done.append(n.now_ms))
@@ -138,30 +138,31 @@ def test_link_model_validation():
 
 
 def test_same_microsecond_deliveries_follow_send_order():
-    # zero jitter and processing: every message and timer lands at 10 ms
-    net = Network(seed=0, default_link=LinkModel(d0_ms=20.0, jitter_max_ms=0.0), processing_ms=0.0)
+    # zero jitter: every message lands at 10 ms plus 1 ms processing, and
+    # so does every timer
+    net = Network(seed=0, default_link=LinkModel(d0_ms=20.0, jitter_max_ms=0.0))
     got = []
     net.register_node("a")
     net.register_node("b", lambda n, ev: got.append(ev.payload))
     expected = []
     for i in range(40):
         if i % 3 == 1:
-            net.call_at(10.0, (lambda tag: lambda: got.append(tag))(f"timer{i}"))
+            net.call_at(11.0, (lambda tag: lambda: got.append(tag))(f"timer{i}"))
             expected.append(f"timer{i}")
         else:
             net.send("a", "b", f"msg{i}")
             expected.append(f"msg{i}")
-    delivered = net.run_until(10.0)
+    delivered = net.run_until(11.0)
     assert got == expected
     assert [ev.seq for ev in delivered] == list(range(40))
-    assert {ev.deliver_at_us for ev in delivered} == {10_000}
+    assert {ev.deliver_at_us for ev in delivered} == {11_000}
 
 
 def test_run_to_quiescence_counts_deliveries():
     # zero jitter: the ten messages share one delivery time, yet each is
     # counted, as are the two timers and the message one of them sends
     link = LinkModel(d0_ms=20.0, jitter_max_ms=0.0)
-    net = Network(seed=4, default_link=link, processing_ms=0.0)
+    net = Network(seed=4, default_link=link)
     got = []
     net.register_node("a")
     net.register_node("b", lambda n, ev: got.append(ev.payload))

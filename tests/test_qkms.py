@@ -95,7 +95,7 @@ def test_pool_state_validation():
 
 
 # ---------------------------------------------------------------------------
-# rent / retire / expire
+# rent / retire
 # ---------------------------------------------------------------------------
 
 
@@ -104,7 +104,6 @@ def test_rent_success_decrements_balance():
     record = kms.rent(256, now_ms=0)
     assert kms.pool.balance_bits == 244
     assert len(record.key_bits) == 32
-    assert record.ttl_ms == 30_000
 
 
 def test_rent_failure_leaves_state_unchanged():
@@ -151,16 +150,6 @@ def test_retire_lifecycle():
         kms.retire("ff" * 16)
 
 
-def test_expire_sweep_past_ttl():
-    kms = KmsReplica(0, make_pool(), seed=2)
-    record = kms.rent(256, 0)
-    assert kms.expire_sweep(30_000) == 0     # exactly at ttl: still alive
-    assert kms.expire_sweep(30_001) == 1
-    assert record.state == "expired"
-    with pytest.raises(AlreadyRetired):
-        kms.retire(record.key_id)
-
-
 def test_generation_accrues_with_clock():
     kms = KmsReplica(0, KeyPoolState(balance_bits=0, capacity_bits=10**6, gen_rate_bps=1000.0), seed=3)
     with pytest.raises(InsufficientEntropy):
@@ -170,20 +159,14 @@ def test_generation_accrues_with_clock():
     assert kms.pool.balance_bits == 744
 
 
-def test_event_log_schema(tmp_path):
+def test_event_log_schema():
     kms = KmsReplica(0, make_pool(300, 1200), seed=4)
     kms.rent(128, 0)
     with pytest.raises(InsufficientEntropy):
         kms.rent(512, 1)
-    path = tmp_path / "events.csv"
-    kms.write_event_log(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "t_ms,event,replica,key_id,bits,balance"
-    assert lines[1].split(",")[1] == "rent"
-    assert lines[2].split(",")[1] == "rent_fail"
-    # each line is its event's fields in order
+    assert KmsEvent._fields == ("t_ms", "event", "replica", "key_id", "bits", "balance")
     assert [type(ev) for ev in kms.events] == [KmsEvent, KmsEvent]
-    assert lines[1:] == [",".join(str(v) for v in ev) for ev in kms.events]
+    assert [ev.event for ev in kms.events] == ["rent", "rent_fail"]
     rent, fail = kms.events
     assert (rent.t_ms, rent.replica, rent.bits, rent.balance) == (0, 0, 128, 172)
     assert (fail.t_ms, fail.key_id, fail.bits, fail.balance) == (1, "-", 512, 172)
@@ -359,7 +342,7 @@ def test_controller_floor_is_absorbing_and_matches_loop():
     # steps; q = 0.9 does so for wide windows too, and a clean channel
     # afterwards must not lift it off
     samples = np.concatenate([np.full(300, 0.5), np.full(2000, 0.9), np.full(500, 0.001)])
-    trace = QberTrace(samples, seed=0, q_hi=0.95)
+    trace = QberTrace(samples, q_hi=0.95)
     st0 = RateAdaptState(r_t_bps=5e6, r_max_bps=5e6, gamma0=0.9)
     for window_ms in (1, 3, 64):
         res = _assert_matches_loop(trace, st0, window_ms)
@@ -370,12 +353,12 @@ def test_controller_floor_is_absorbing_and_matches_loop():
 
 def test_controller_rejects_window_mean_outside_unit_interval():
     st0 = RateAdaptState(r_t_bps=5e6, r_max_bps=5e6)
-    at_one = QberTrace(np.full(20, 1.0), seed=0, q_hi=1.0)
+    at_one = QberTrace(np.full(20, 1.0), q_hi=1.0)
     with pytest.raises(ValueError, match="q_t must lie"):
         run_rate_controller(at_one, st0, strategy="rate_adapt")
     with pytest.raises(ValueError, match="q_t must lie"):
         run_rate_controller(at_one, st0, window_ms=7, strategy="rate_adapt")
-    negative = QberTrace(np.full(20, -0.01), seed=0, q_lo=-1.0)
+    negative = QberTrace(np.full(20, -0.01), q_lo=-1.0)
     with pytest.raises(ValueError):
         run_rate_controller(negative, st0, strategy="rate_adapt")
 

@@ -197,18 +197,6 @@ def test_replayed_hello_rejected():
         server.server_response(key.key_id, msg1)
 
 
-def test_forget_key_clears_replay_cache():
-    key = rent_key()
-    server = ServerEndpoint(rng=substream(8, "srv"))
-    server.install_key(key)
-    client = ClientSession(key, substream(8, "cli"))
-    msg1 = client.client_hello()
-    server.server_response(key.key_id, msg1)
-    server.forget_key(key.key_id)
-    with pytest.raises(NoKey):
-        server.server_response(key.key_id, msg1)
-
-
 def test_soundness_every_single_bit_tamper_rejected():
     key = rent_key()
 
