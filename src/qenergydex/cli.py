@@ -42,7 +42,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .entropy import generate_qber_trace
+from .entropy import SAMPLE_RATE_HZ, generate_qber_trace
 from .keypool import (
     BirthDeathParams,
     exact_min_capacity,
@@ -236,7 +236,8 @@ def _real(v) -> bool:
 # command raises mid-run, counts something a negative number of times,
 # passes its checks on an empty output, or runs to the end on a value with
 # no meaning (a negative deadline, key cost or noise level, a fraction or
-# QBER outside its interval, an infinite duration or rate)
+# QBER outside its interval, an infinite duration or rate, a pulse width
+# of 0 that drops every pulse)
 _HARNESS_RANGES = (
     ("an integer >= 1", lambda v: type(v) is int and v >= 1, {
         "kms": ("window_ms",),
@@ -258,7 +259,7 @@ _HARNESS_RANGES = (
         "keypool": ("target_pi0", "curve_rho_lo", "curve_rho_hi"),
     }),
     ("> 0", lambda v: _real(v) and v > 0, {
-        "trace": ("duration_s",),
+        "trace": ("duration_s", "width_lo"),
         "kms": ("r_max_bps",),
         "market": ("tol",),
     }),
@@ -271,6 +272,11 @@ _HARNESS_RANGES = (
     }),
     ("in [0, 1)", lambda v: _real(v) and 0 <= v < 1, {
         "trace": ("base_q",),
+    }),
+    # generate_qber_trace's sample count; round(0.5) is 0
+    ("long enough for one 1 kHz sample (> 0.0005)",
+     lambda v: _real(v) and int(round(v * SAMPLE_RATE_HZ)) >= 1, {
+        "trace": ("duration_s",),
     }),
 )
 

@@ -121,6 +121,9 @@ def test_harness_key_errors_exit_with_status_2(tmp_path, capsys):
          "keypool.curve_points must be an integer >= 2, got 1"),
         ("full-stack", {"full_stack": {"n_handshakes": 0}},
          "full_stack.n_handshakes must be an integer >= 1, got 0"),
+        # a trace of no samples: died after the manifest, in QberTrace
+        ("full-stack", {"trace": {"duration_s": 0.0004}},
+         "trace.duration_s must be long enough for one 1 kHz sample (> 0.0005), got 0.0004"),
         ("porlite", {"consensus": {"max_depth": 0}},
          "consensus.max_depth must be an integer >= 1, got 0"),
         # a key that is gone: a run clears the one dataset its seed picks
@@ -159,6 +162,8 @@ BAD_VALUES = {
     ">= 0": (-1, -0.5, "1", *INFINITIES),
     "in [0, 1]": (-0.1, 1.5, None, *INFINITIES),
     "in [0, 1)": (-0.01, 1, 1.0, *INFINITIES),
+    # each passes "> 0", and each rounds to a trace of no samples
+    "long enough for one 1 kHz sample (> 0.0005)": (0.0004, 0.0005, 1e-300),
 }
 
 
