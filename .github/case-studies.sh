@@ -1,0 +1,33 @@
+#!/usr/bin/env bash
+# Every case study's acceptance checks, at the paper config and at the mixes
+# below; a failed check exits with status 3 and stops the script. Outputs go
+# under out/<name>. The arguments are the command that runs the CLI:
+#
+#   bash .github/case-studies.sh python -m qenergydex.cli
+#   bash .github/case-studies.sh qenergydex
+set -euo pipefail
+: "${1:?usage: $0 <runner...>, e.g. python -m qenergydex.cli or qenergydex}"
+run=("$@")
+mkdir -p out
+
+for cmd in rate-adapt qsah-bench porlite keypool market full-stack; do
+  "${run[@]}" "$cmd" --check --seed 1 --out "out/$cmd"
+done
+# at seed 2 the two stacks admit different sets: the clear memo misses
+"${run[@]}" market --check --seed 2 --out out/market-seed2
+"${run[@]}" porlite --check --seed 2 --out out/porlite-seed2
+"${run[@]}" keypool --check --seed 2 --out out/keypool-seed2
+# capacity 12: the key-pool walk's rows are shorter than _SCAN_COLS
+echo '{"keypool": {"capacity": 12}}' > out/keypool-capacity12.json
+"${run[@]}" keypool --check --config out/keypool-capacity12.json --out out/keypool-capacity12
+# small batches on a slow link: the handshake oracle beyond the default shape
+echo '{"qsah": {"n_handshakes": 1000, "batch_size": 7}, "links": {"d0_ms": 900.0, "jitter_max_ms": 50.0}}' > out/qsah-slow-link.json
+"${run[@]}" qsah-bench --check --config out/qsah-slow-link.json --out out/qsah-slow-link
+# PoR-Lite with no forks (alpha 0) and with no empty slots (beta 0)
+echo '{"consensus": {"alpha": 0.0, "horizon": 20000, "seeds": 4}}' > out/porlite-alpha0.json
+"${run[@]}" porlite --check --config out/porlite-alpha0.json --out out/porlite-alpha0
+echo '{"consensus": {"alpha": 0.3, "beta": 0.0, "horizon": 20000, "seeds": 4}}' > out/porlite-beta0.json
+"${run[@]}" porlite --check --config out/porlite-beta0.json --out out/porlite-beta0
+# full-stack with Byzantine validators: the one run of the equivocate branch
+echo '{"full_stack": {"alpha": 0.25}}' > out/full-stack-alpha025.json
+"${run[@]}" full-stack --check --config out/full-stack-alpha025.json --out out/full-stack-alpha025
