@@ -405,4 +405,3 @@ class KmsReplica:
             failure_count=failures,
             anomaly_flags=tuple(flags),
         )
-
