@@ -138,8 +138,8 @@ def test_link_model_validation():
 
 
 def test_same_microsecond_deliveries_follow_send_order():
-    # zero jitter: every message lands at 10 ms plus 1 ms processing, and
-    # so does every timer
+    # zero jitter: every message lands at 10 ms plus the 1 ms processing
+    # cost, and every timer is set for that same 11 ms
     net = Network(seed=0, default_link=LinkModel(d0_ms=20.0, jitter_max_ms=0.0))
     got = []
     net.register_node("a")
