@@ -235,9 +235,9 @@ def _real(v) -> bool:
 # the harness's own keys and the range each must lie in: outside it a
 # command raises mid-run, counts something a negative number of times,
 # passes its checks on an empty output, or runs to the end on a value with
-# no meaning (a negative deadline, key cost or noise level, a fraction or
-# QBER outside its interval, an infinite duration or rate, a pulse width
-# of 0 that drops every pulse)
+# no meaning (a negative deadline, key cost, noise level or pulse
+# amplitude, a fraction or QBER outside its interval, an infinite duration,
+# rate, pulse width or amplitude, a pulse width of 0 that drops every pulse)
 _HARNESS_RANGES = (
     ("an integer >= 1", lambda v: type(v) is int and v >= 1, {
         "kms": ("window_ms",),
@@ -259,12 +259,12 @@ _HARNESS_RANGES = (
         "keypool": ("target_pi0", "curve_rho_lo", "curve_rho_hi"),
     }),
     ("> 0", lambda v: _real(v) and v > 0, {
-        "trace": ("duration_s", "width_lo"),
+        "trace": ("duration_s", "width_lo", "width_hi"),
         "kms": ("r_max_bps",),
         "market": ("tol",),
     }),
     (">= 0", lambda v: _real(v) and v >= 0, {
-        "trace": ("noise_sigma",),
+        "trace": ("noise_sigma", "amp_lo", "amp_hi"),
         "market": ("deadline_ms", "per_node_key_cost_bits"),
     }),
     ("in [0, 1]", lambda v: _real(v) and 0 <= v <= 1, {

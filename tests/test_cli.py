@@ -126,6 +126,12 @@ def test_harness_key_errors_exit_with_status_2(tmp_path, capsys):
          "trace.duration_s must be long enough for one 1 kHz sample (> 0.0005), got 0.0004"),
         ("porlite", {"consensus": {"max_depth": 0}},
          "consensus.max_depth must be an integer >= 1, got 0"),
+        # pulse shapes that are not numbers: a ValueError after the manifest,
+        # and a TypeError in the width_lo <= width_hi comparison
+        ("rate-adapt", {"trace": {"amp_lo": "a", "amp_hi": "b"}},
+         "trace.amp_lo must be >= 0, got 'a'"),
+        ("rate-adapt", {"trace": {"width_hi": "x"}},
+         "trace.width_hi must be > 0, got 'x'"),
         # a key that is gone: a run clears the one dataset its seed picks
         ("market", {"market": {"datasets": 0}}, "unknown key market.datasets"),
         # each wrote a manifest, then died in Network.send or Generator.uniform
