@@ -7,14 +7,12 @@ reruns with the same configuration are bit-identical.
 """
 
 from .entropy import (
-    EntropyParams,
     QberTrace,
     binary_entropy,
     chi_square_miss_probability,
     extractable_length,
     generate_qber_trace,
-    min_entropy_lower_bound,
-    statistical_distance_bound,
+    secure_capacity_bps,
 )
 from .keypool import (
     BirthDeathParams,
@@ -63,7 +61,6 @@ from .qsah import (
     ClientSession,
     HandshakeSession,
     ServerEndpoint,
-    advantage_bound,
     derive_session_key,
     latency_benchmark,
 )

@@ -42,7 +42,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .entropy import SAMPLE_RATE_HZ, generate_qber_trace
+from .entropy import SAMPLE_RATE_HZ, generate_qber_trace, secure_capacity_bps
 from .keypool import (
     BirthDeathParams,
     exact_min_capacity,
@@ -70,7 +70,6 @@ from .qkms import (
     KeyPoolState,
     KmsReplica,
     RateAdaptState,
-    generation_rate,
     run_rate_controller,
 )
 from .qsah import (
@@ -623,8 +622,9 @@ def cmd_full_stack(config: dict, out: Path) -> list[tuple[str, bool, str]]:
     seed = config["seed"]
     trace = _trace_from_config(config)
 
-    r0 = config["kms"]["r_max_bps"]
-    gen_bps = generation_rate(r0, trace.mean, n_block=max(int(r0 // 1000), 1))
+    # the pool accrues the trace's mean secure capacity: the mean of
+    # rate-adapt's capacity_bps column over the same trace
+    gen_bps = float(secure_capacity_bps(config["kms"]["r_max_bps"], trace.samples).mean())
     pool = KeyPoolState(
         balance_bits=fs["pool_capacity_bits"],
         capacity_bits=fs["pool_capacity_bits"],

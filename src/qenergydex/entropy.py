@@ -3,11 +3,11 @@
 Implements the information-theoretic bookkeeping of a QKD-backed entropy
 source under a binary-symmetric-channel error model:
 
-- binary entropy and the smooth min-entropy lower bound,
-- leftover-hash extractable key length after privacy amplification,
+- binary entropy,
+- the stack's one extractor loss model: the leftover-hash key length of a
+  raw block after privacy amplification, and from it the secure capacity
+  of each 1 ms interval, which every entropy rate in the stack reads,
 - miss-detection probability of the chi-square eavesdropping test,
-- composition of smoothing error and miss probability into a statistical
-  distance bound,
 - a seeded 1 kHz QBER trace generator (truncated Gaussian noise plus
   Gaussian bumps, clipped to a realistic error-rate range).
 
@@ -25,12 +25,10 @@ from .rng import substream
 
 __all__ = [
     "QberTrace",
-    "EntropyParams",
     "binary_entropy",
-    "min_entropy_lower_bound",
     "extractable_length",
+    "secure_capacity_bps",
     "chi_square_miss_probability",
-    "statistical_distance_bound",
     "generate_qber_trace",
 ]
 
@@ -63,34 +61,6 @@ class QberTrace:
     def __len__(self) -> int:
         return len(self.samples)
 
-    @property
-    def mean(self) -> float:
-        return float(self.samples.mean())
-
-
-@dataclass(frozen=True)
-class EntropyParams:
-    """Raw-block parameters for the extraction bounds.
-
-    n : raw bit count of the measured block
-    q : quantum bit error rate, in (0, 0.5)
-    epsilon : smoothing parameter of the min-entropy bound
-    """
-
-    n: int
-    q: float
-    epsilon: float = DEFAULT_EPSILON
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be a positive integer")
-        # q == 0 admitted as the noiseless limit
-        if not 0.0 <= self.q < 0.5:
-            raise ValueError("q must lie in [0, 0.5)")
-        # epsilon == 1 is admitted as the degenerate no-smoothing limit
-        if not 0.0 < self.epsilon <= 1.0:
-            raise ValueError("epsilon must lie in (0, 1]")
-
 
 def binary_entropy(q: float) -> float:
     """Binary entropy h2(q) = -q log2 q - (1-q) log2 (1-q).
@@ -106,22 +76,14 @@ def binary_entropy(q: float) -> float:
     return -q * math.log2(q) - (1.0 - q) * math.log2(1.0 - q)
 
 
-def min_entropy_lower_bound(p: EntropyParams) -> float:
-    """Smooth min-entropy lower bound n (1 - h2(q)) - log2(1/epsilon), in bits.
-
-    May be negative; callers treat a negative bound as "no extractable
-    guarantee" for that block.
-    """
-    return p.n * (1.0 - binary_entropy(p.q)) - math.log2(1.0 / p.epsilon)
-
-
-def extractable_length(p: EntropyParams) -> int:
+def extractable_length(n: int, q: float, epsilon: float = DEFAULT_EPSILON) -> int:
     """Secure key length after leftover-hash privacy amplification.
 
     l = floor( n (1 - h2(q)) - 2 log2(1/epsilon) - 128 ), clamped at 0.
-    A zero return means "refuse to issue" for that raw block.
+    A zero return means "refuse to issue" for that raw block. The scalar
+    oracle of ``extractable_length_vec``.
     """
-    raw = p.n * (1.0 - binary_entropy(p.q)) - 2.0 * math.log2(1.0 / p.epsilon) - 128.0
+    raw = n * (1.0 - binary_entropy(q)) - 2.0 * math.log2(1.0 / epsilon) - 128.0
     return max(0, math.floor(raw))
 
 
@@ -143,6 +105,15 @@ def extractable_length_vec(n: int, q: np.ndarray, epsilon: float = DEFAULT_EPSIL
     return np.maximum(0.0, np.floor(raw))
 
 
+def secure_capacity_bps(r_max_bps: float, q: np.ndarray) -> np.ndarray:
+    """Secure bits/s of each 1 ms interval at QBER ``q``.
+
+    The interval's raw budget is n = floor(R_max / 1000) bits; its
+    extractable length, scaled back to bits/s, is the capacity.
+    """
+    return extractable_length_vec(int(r_max_bps // SAMPLE_RATE_HZ), q) * SAMPLE_RATE_HZ
+
+
 def chi_square_miss_probability(q0: float, delta_q: float, n: int) -> float:
     """Miss probability of the two-sided chi-square eavesdropping test.
 
@@ -160,18 +131,6 @@ def chi_square_miss_probability(q0: float, delta_q: float, n: int) -> float:
         raise ValueError("n must be a positive integer")
     statistic = delta_q * delta_q * n / q0
     return math.erfc(math.sqrt(statistic / 2.0))
-
-
-def statistical_distance_bound(epsilon_smooth: float, p_miss: float) -> float:
-    """Statistical distance of the issued keys from ideal uniform output.
-
-    The smoothing error and the eavesdropping miss probability compose
-    additively; the sum is capped at 1 since it bounds a probability.
-    """
-    for v in (epsilon_smooth, p_miss):
-        if not 0.0 <= v <= 1.0:
-            raise ValueError("inputs must lie in [0, 1]")
-    return min(1.0, epsilon_smooth + p_miss)
 
 
 def generate_qber_trace(

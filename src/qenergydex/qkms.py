@@ -2,9 +2,11 @@
 and the adaptive output-rate controller.
 
 The pool is a token bucket: balance B accrues at the generation rate and
-is spent by Rent(n) calls, clamped to [0, capacity]. Rentals fail without
-side effects when n exceeds the balance. An issued key is active until it
-is retired, which happens at most once.
+is spent by Rent(n) calls, clamped to [0, capacity]. ``full-stack`` sets
+the rate to its trace's mean secure capacity (``secure_capacity_bps``),
+the series the rate controller meters against. Rentals fail without side
+effects when n exceeds the balance. An issued key is active until it is
+retired, which happens at most once.
 
 A key identifier's top byte is the replica index, so two replicas never
 issue the same identifier.
@@ -40,13 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .entropy import (
-    DEFAULT_EPSILON,
-    QberTrace,
-    binary_entropy,
-    chi_square_miss_probability,
-    extractable_length_vec,
-)
+from .entropy import QberTrace, chi_square_miss_probability, secure_capacity_bps
 from .rng import draw_bytes, substream
 
 __all__ = [
@@ -62,7 +58,6 @@ __all__ = [
     "rate_adapt_step",
     "run_rate_controller",
     "RateControllerResult",
-    "generation_rate",
     "KmsReplica",
 ]
 
@@ -149,17 +144,6 @@ def rate_adapt_step(st: RateAdaptState, q_t: float) -> RateAdaptState:
     return replace(st, r_t_bps=r_next, t=st.t + 1)
 
 
-def generation_rate(r0_bps: float, q_t: float, n_block: int) -> float:
-    """Replenishment rate R_0 (1 - eta(q)) with the extractor's loss model.
-
-    eta(q) = h2(q) + 2 log2(1/epsilon) / n_block, epsilon = DEFAULT_EPSILON,
-    is the fractional loss the leftover-hash extraction imposes on an
-    n_block-bit raw block.
-    """
-    eta = binary_entropy(q_t) + 2.0 * math.log2(1.0 / DEFAULT_EPSILON) / n_block
-    return max(0.0, r0_bps * (1.0 - eta))
-
-
 # ---------------------------------------------------------------------------
 # rate controller
 # ---------------------------------------------------------------------------
@@ -210,11 +194,11 @@ def run_rate_controller(
 ) -> RateControllerResult:
     """Drive one emission strategy over a QBER trace at 1 ms resolution.
 
-    The secure capacity of each interval is the extractable length of the
-    interval's raw-bit budget n = floor(R_max / 1000) at the measured QBER,
-    scaled back to bits/s. The controller state advances once per
-    ``window_ms`` using the window's mean QBER (a shorter last window
-    averages what is left).
+    The secure capacity of each interval is ``secure_capacity_bps``: the
+    extractable length of the interval's raw-bit budget n = floor(R_max /
+    1000) at the measured QBER, scaled back to bits/s. The controller state
+    advances once per ``window_ms`` using the window's mean QBER (a shorter
+    last window averages what is left).
 
     The adaptive states are the ``rate_adapt_step`` recurrence in closed
     form: with factors a_k = 1 - (gamma_0 / k) q_k in (0, 1], the running
@@ -237,11 +221,10 @@ def run_rate_controller(
         raise ValueError("trace must be non-empty")
 
     r_max = st0.r_max_bps
-    n_raw = int(r_max // 1000)
     if fixed_target_bps is None:
         fixed_target_bps = 0.8 * r_max
 
-    capacity = extractable_length_vec(n_raw, samples, DEFAULT_EPSILON) * 1000.0
+    capacity = secure_capacity_bps(r_max, samples)
 
     if strategy == "fixed":
         state = np.full(n_iv, fixed_target_bps, dtype=float)

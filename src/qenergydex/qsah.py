@@ -64,7 +64,6 @@ __all__ = [
     "gmac_verify",
     "hkdf_sha256",
     "derive_session_key",
-    "advantage_bound",
     "ClientSession",
     "ServerEndpoint",
     "BenchmarkResult",
@@ -133,14 +132,6 @@ def hkdf_sha256(ikm: bytes, info: bytes, length: int = 32, salt: bytes = b"") ->
 def derive_session_key(shared_key: bytes, n_c: bytes, n_s: bytes) -> bytes:
     """Session key = HKDF(K || n_c || n_s, context ``Q-EnergyDEX``), 32 bytes."""
     return hkdf_sha256(shared_key + n_c + n_s, KDF_CONTEXT, 32)
-
-
-def advantage_bound(eps_mac: float, eps_kdf: float, eps_rnd: float) -> float:
-    """Distinguishing-advantage bound: the three error terms compose additively."""
-    for v in (eps_mac, eps_kdf, eps_rnd):
-        if not 0.0 <= v <= 1.0:
-            raise ValueError("error terms must lie in [0, 1]")
-    return min(1.0, eps_mac + eps_kdf + eps_rnd)
 
 
 # ---------------------------------------------------------------------------

@@ -320,8 +320,8 @@ def test_monte_carlo_outputs_pinned(tmp_path, command, variant):
 # it; alpha 0.25 is the one setting that reaches a Byzantine branch
 # (equivocate). The same bytes with one BLAS thread and with the default.
 PIPELINE_PINS = {
-    0.0: "831b909ff82435089d08f0780330a7d20b91b789bccc00115a9297c7755149f4",
-    0.25: "faf663018f64a036a2f15863da600772e30a78644263d80fcaf96257682cb906",
+    0.0: "3ed73e67c260e311936b9add59eab452f77ba9df58a0cc4e08fb9513d4cf86d4",
+    0.25: "ee3cafab1f4bcbab421fd470d98ab6f8835b80a89452d0f5ee8af9cd47432ee9",
 }
 
 
@@ -332,3 +332,27 @@ def test_full_stack_report_pinned(tmp_path, alpha):
     assert main(["full-stack", "--check", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
     report = (tmp_path / "o" / "pipeline_report.json").read_bytes()
     assert hashlib.sha256(report).hexdigest() == PIPELINE_PINS[alpha]
+
+
+@pytest.mark.parametrize("seed, doc", [
+    (1, {}),
+    (2, {}),
+    # a raw budget of 0 bits per 1 ms interval: nothing is extractable
+    (1, {"kms": {"r_max_bps": 500}}),
+])
+def test_pool_accrues_the_mean_secure_capacity(tmp_path, seed, doc):
+    # one extractor loss model: full-stack's pool rate is the mean of the
+    # per-interval capacity that rate-adapt meters against, on the same trace
+    path = tmp_path / "small.json"
+    path.write_text(json.dumps({**doc, "full_stack": {"heights": 60, "n_handshakes": 8}}))
+    for command in ("rate-adapt", "full-stack"):
+        argv = [command, "--config", str(path), "--seed", str(seed), "--out", str(tmp_path / command)]
+        assert main(argv) == 0
+    with open(tmp_path / "rate-adapt" / "timeseries.csv") as fh:
+        column = fh.readline().rstrip("\n").split(",").index("capacity_bps")
+        capacity = np.array([float(line.split(",")[column]) for line in fh])
+    report = json.loads((tmp_path / "full-stack" / "pipeline_report.json").read_text())
+    generation_bps = report["entropy"]["generation_bps"]
+    assert generation_bps == float(capacity.mean())
+    if doc:
+        assert generation_bps == 0.0

@@ -8,14 +8,12 @@ from hypothesis import strategies as st
 from scipy.special import gammaincc
 
 from qenergydex.entropy import (
-    EntropyParams,
     QberTrace,
     binary_entropy,
     chi_square_miss_probability,
     extractable_length,
     generate_qber_trace,
-    min_entropy_lower_bound,
-    statistical_distance_bound,
+    secure_capacity_bps,
 )
 from qenergydex.qkms import KeyPoolState, KmsReplica
 
@@ -76,42 +74,23 @@ def test_binary_entropy_bounded(q):
 
 
 # ---------------------------------------------------------------------------
-# extraction bounds
+# extractable length
 # ---------------------------------------------------------------------------
-
-
-def test_min_entropy_near_zero_qber():
-    # h2 vanishes as q -> 0, leaving n - log2(1/eps)
-    p = EntropyParams(n=1000, q=1e-15, epsilon=2.0**-64)
-    assert min_entropy_lower_bound(p) == pytest.approx(936.0, abs=1e-9)
-
-
-def test_min_entropy_values_from_oracle():
-    v = min_entropy_lower_bound(EntropyParams(n=10**6, q=0.02, epsilon=2.0**-64))
-    expected = float(10**6 * (1 - mp.mpf(h2_oracle("0.02"))) - 64)
-    assert v == pytest.approx(expected, abs=1e-6)
-    assert v == pytest.approx(858495.457, abs=1e-2)
-
-
-def test_min_entropy_negative_regime():
-    v = min_entropy_lower_bound(EntropyParams(n=64, q=0.02, epsilon=2.0**-64))
-    assert v == pytest.approx(-9.052, abs=1e-3)
-    assert v < 0
 
 
 def test_extractable_length_large_block():
     # floor( 1e6 (1 - h2(0.02)) - 128 - 128 ) computed at high precision
     expected = int(mp.floor(10**6 * (1 - mp.mpf(h2_oracle("0.02"))) - 256))
     assert expected == 858303
-    assert extractable_length(EntropyParams(n=10**6, q=0.02, epsilon=2.0**-64)) == 858303
+    assert extractable_length(10**6, 0.02, 2.0**-64) == 858303
 
 
 def test_extractable_length_clamps_to_zero():
-    assert extractable_length(EntropyParams(n=256, q=0.02, epsilon=2.0**-64)) == 0
+    assert extractable_length(256, 0.02, 2.0**-64) == 0
 
 
 def test_extractable_length_no_smoothing_limit():
-    assert extractable_length(EntropyParams(n=256, q=0.0, epsilon=1.0)) == 128
+    assert extractable_length(256, 0.0, 1.0) == 128
 
 
 def test_extractable_monotone():
@@ -119,34 +98,23 @@ def test_extractable_monotone():
     for _ in range(200):
         n = int(rng.integers(256, 10**6))
         q = float(rng.uniform(0.001, 0.4))
-        base = extractable_length(EntropyParams(n=n, q=q))
-        assert extractable_length(EntropyParams(n=n, q=min(q * 1.2, 0.49))) <= base
-        assert extractable_length(EntropyParams(n=n * 2, q=q)) >= base
+        base = extractable_length(n, q)
+        assert extractable_length(n, min(q * 1.2, 0.49)) <= base
+        assert extractable_length(n * 2, q) >= base
 
 
-def test_extractor_subtracts_more_than_min_entropy_bound():
-    # in the positive regime the extractor's budget is strictly below the
-    # min-entropy bound (the clamp at zero makes the comparison vacuous in
-    # the depleted regime)
-    rng = np.random.default_rng(12)
-    for _ in range(300):
-        p = EntropyParams(
-            n=int(rng.integers(64, 10**6)), q=float(rng.uniform(0.001, 0.45))
-        )
-        ext = extractable_length(p)
-        if ext > 0:
-            assert min_entropy_lower_bound(p) > ext
-
-
-def test_entropy_params_validation():
-    with pytest.raises(ValueError):
-        EntropyParams(n=0, q=0.02)
-    with pytest.raises(ValueError):
-        EntropyParams(n=10, q=0.5)
-    with pytest.raises(ValueError):
-        EntropyParams(n=10, q=0.02, epsilon=0.0)
-    with pytest.raises(ValueError):
-        EntropyParams(n=10, q=0.02, epsilon=1.5)
+def test_secure_capacity_loss_model():
+    # each 1 ms interval's n = floor(R_max / 1000) raw bits lose
+    # n h2(q) + 2 log2(1/eps) + 128; the capacity never goes negative
+    q = np.array([0.0, 0.02, 0.49])
+    cap = secure_capacity_bps(1e6, q)
+    assert cap[0] == (1000 - 256) * 1000.0
+    assert cap[1] == extractable_length(1000, 0.02) * 1000.0 == 602000.0
+    assert cap[2] == 0.0
+    # a raw budget below one bit per interval backs nothing
+    assert (secure_capacity_bps(500, q) == 0.0).all()
+    # the budget rounds down to whole bits per interval
+    assert (secure_capacity_bps(1_000_999.0, q) == cap).all()
 
 
 # ---------------------------------------------------------------------------
@@ -213,24 +181,6 @@ def test_chi_square_closed_form_matches_incomplete_gamma():
         assert alarm == (exact < 1e-6) == (gammaincc(0.5, statistic / 2.0) < 1e-6)
         alarms.add(alarm)
     assert alarms == {False, True}
-
-
-# ---------------------------------------------------------------------------
-# statistical distance
-# ---------------------------------------------------------------------------
-
-
-def test_statistical_distance_composition():
-    assert statistical_distance_bound(2.0**-64, 1e-6) == 2.0**-64 + 1e-6
-    assert statistical_distance_bound(0.0, 0.0) == 0.0
-    assert statistical_distance_bound(0.5, 0.7) == 1.0
-
-
-def test_statistical_distance_domain():
-    with pytest.raises(ValueError):
-        statistical_distance_bound(-0.1, 0.0)
-    with pytest.raises(ValueError):
-        statistical_distance_bound(0.0, 1.1)
 
 
 # ---------------------------------------------------------------------------

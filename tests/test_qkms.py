@@ -10,7 +10,6 @@ from qenergydex.qkms import (
     KmsReplica,
     RateAdaptState,
     UnknownKey,
-    generation_rate,
     rate_adapt_step,
     run_rate_controller,
     step_bucket,
@@ -273,14 +272,14 @@ def test_controller_output_never_above_capacity():
 
 
 def test_controller_capacity_matches_scalar_op():
-    from qenergydex.entropy import EntropyParams, extractable_length
+    from qenergydex.entropy import extractable_length
 
     trace = generate_qber_trace(0.2, seed=22)
     st0 = RateAdaptState(r_t_bps=5e6, r_max_bps=5e6)
     res = run_rate_controller(trace, st0, strategy="fixed")
     n_raw = int(5e6 // 1000)
     for i, q in enumerate(trace.samples):
-        expected = extractable_length(EntropyParams(n=n_raw, q=float(q))) * 1000.0
+        expected = extractable_length(n_raw, float(q)) * 1000.0
         assert res.capacity_bps[i] == expected
 
 
@@ -390,11 +389,3 @@ def test_audit_qber_alarm():
     quiet = KmsReplica(0, make_pool(), seed=6, baseline_qber=0.01)
     quiet.record_qber(0.0100001)
     assert "qber_alarm" not in quiet.audit("sid-3", (0, 100)).anomaly_flags
-
-
-def test_generation_rate_loss_model():
-    # eta = h2(q) + 256/n ; rate never negative
-    assert generation_rate(1e6, 0.0, n_block=1000) == pytest.approx(1e6 * (1 - 0.128))
-    assert generation_rate(1e6, 0.49, n_block=128) == 0.0
-    mid = generation_rate(5e6, 0.02, n_block=5000)
-    assert 0.0 < mid < 5e6

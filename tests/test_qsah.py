@@ -16,7 +16,6 @@ from qenergydex.qsah import (
     NoKey,
     Replay,
     ServerEndpoint,
-    advantage_bound,
     baseline_latencies,
     derive_session_key,
     gmac_tag,
@@ -238,14 +237,6 @@ def test_nonce_uniqueness_at_scale():
     blob = rng.bytes(16 * 10**6)
     arr = np.frombuffer(blob, dtype=np.dtype("V16"))
     assert len(np.unique(arr)) == 10**6
-
-
-def test_advantage_bound_examples():
-    assert advantage_bound(2.0**-128, 2.0**-128, 1e-6) == pytest.approx(1e-6, rel=1e-2)
-    assert advantage_bound(0.0, 0.0, 0.0) == 0.0
-    assert advantage_bound(0.9, 0.9, 0.9) == 1.0
-    with pytest.raises(ValueError):
-        advantage_bound(-0.1, 0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
