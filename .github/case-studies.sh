@@ -17,6 +17,8 @@ done
 "${run[@]}" market --check --seed 2 --out out/market-seed2
 "${run[@]}" porlite --check --seed 2 --out out/porlite-seed2
 "${run[@]}" keypool --check --seed 2 --out out/keypool-seed2
+# the pool's generation rate is the mean secure capacity over the whole trace
+"${run[@]}" full-stack --check --seed 2 --out out/full-stack-seed2
 # capacity 12: the key-pool walk's rows are shorter than _SCAN_COLS
 echo '{"keypool": {"capacity": 12}}' > out/keypool-capacity12.json
 "${run[@]}" keypool --check --config out/keypool-capacity12.json --out out/keypool-capacity12
