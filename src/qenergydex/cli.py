@@ -100,7 +100,6 @@ DEFAULT_CONFIG = {
         "r_max_bps": 5.0e6,
         "gamma0": 0.5,
         "fixed_fraction": 0.8,
-        "window_ms": 1,
     },
     "links": asdict(LinkModel()),
     "qsah": {**asdict(BaselineHandshakeModel()), "n_handshakes": 3000, "batch_size": 500},
@@ -239,7 +238,6 @@ def _real(v) -> bool:
 # rate, pulse width or amplitude, a pulse width of 0 that drops every pulse)
 _HARNESS_RANGES = (
     ("an integer >= 1", lambda v: type(v) is int and v >= 1, {
-        "kms": ("window_ms",),
         "qsah": ("n_handshakes", "batch_size"),
         "consensus": ("horizon", "seeds", "max_depth"),
         "keypool": ("capacity", "max_events", "n_epochs"),
@@ -321,15 +319,9 @@ def cmd_rate_adapt(config: dict, out: Path) -> list[tuple[str, bool, str]]:
     kms = config["kms"]
     r_max = kms["r_max_bps"]
     st0 = RateAdaptState(r_t_bps=r_max, r_max_bps=r_max, gamma0=kms["gamma0"])
-    adaptive = run_rate_controller(
-        trace, st0, window_ms=kms["window_ms"], strategy="rate_adapt"
-    )
+    adaptive = run_rate_controller(trace, st0, strategy="rate_adapt")
     fixed = run_rate_controller(
-        trace,
-        st0,
-        window_ms=kms["window_ms"],
-        strategy="fixed",
-        fixed_target_bps=kms["fixed_fraction"] * r_max,
+        trace, st0, strategy="fixed", fixed_target_bps=kms["fixed_fraction"] * r_max
     )
 
     _write_csv(

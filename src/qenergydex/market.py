@@ -36,7 +36,7 @@ Scenario set:
 
 Security coupling: a node participates when its sampled handshake latency
 meets the deadline and the cumulative key cost fits the entropy budget
-(admission in node-id order); clearing then runs on the admitted subset.
+(admission in index order); clearing then runs on the admitted subset.
 Clears are memoized per instance by admitted set, in a dict the caller
 creates and passes to each `security_coupled_clearing` call on that
 instance: `cmd_market` keeps one per run, so its two stacks share one clear
@@ -84,7 +84,6 @@ class NoConvergence(RuntimeError):
 
 @dataclass(frozen=True)
 class Prosumer:
-    id: int
     alpha: float
     pi: float
     p_max: float
@@ -640,11 +639,13 @@ def security_coupled_clearing(
 ) -> tuple[np.ndarray, dict[str, MarketOutcome]]:
     """Filter participants by security constraints, then clear all scenarios.
 
-    Node i (in node-id order) is admitted when its handshake latency
+    Node i is admitted, in index order, when its handshake latency
     ``qsah_latencies[i]`` meets the deadline and the cumulative key cost of
     admitted nodes stays inside the entropy budget; a latency count other
-    than the prosumer count raises ValueError. The filter depends only on
-    latency and key cost, never on the market data.
+    than the prosumer count, or a negative per-node cost, raises
+    ValueError. The filter depends only on latency and key cost, never on
+    the market data. ``keep`` holds the admitted indices in ascending
+    order.
 
     `clears` memoizes the clears of one instance, keyed by the admitted
     indices' bytes (`keep.tobytes()`): an admitted set already in it is not
@@ -657,15 +658,14 @@ def security_coupled_clearing(
         raise ValueError(
             f"need one latency per prosumer, not {len(latencies)} for {len(prosumers)}"
         )
-    admitted = []
-    cost = 0.0
-    order = sorted(range(len(prosumers)), key=lambda i: prosumers[i].id)
-    for i in order:
-        lat = latencies[i]
-        if lat <= handshake_deadline_ms and cost + per_node_key_cost_bits <= key_budget_bits:
-            admitted.append(i)
-            cost += per_node_key_cost_bits
-    keep = np.array(sorted(admitted), dtype=int)
+    if per_node_key_cost_bits < 0:
+        raise ValueError("per-node key cost must be >= 0")
+    on_time = np.flatnonzero(latencies <= handshake_deadline_ms)
+    # the running cost of admitting the first k on-time nodes, added up
+    # left to right as a loop would; with costs >= 0 it never falls, so
+    # the nodes that fit the budget are a prefix
+    cost = np.cumsum(np.full(len(on_time), float(per_node_key_cost_bits)))
+    keep = on_time[cost <= key_budget_bits]
     if keep.size == 0:
         u, p = np.zeros(grid.n_lines), np.zeros(0)
         return keep, {
@@ -694,7 +694,6 @@ def random_instance(
     rng = substream(seed, "market", "instance")
     prosumers = [
         Prosumer(
-            id=i,
             alpha=float(rng.lognormal(0.0, 0.4)),
             pi=float(np.clip(rng.normal(10.0, 2.0), 0.5, None)),
             p_max=float(rng.lognormal(1.6, 0.5)),
@@ -753,7 +752,6 @@ def synthetic_grid_instance(
     rng = substream(seed, "market", "grid118")
     prosumers = [
         Prosumer(
-            id=i,
             alpha=float(rng.lognormal(0.0, 0.3)),
             pi=float(np.clip(rng.normal(10.0, 2.0), 0.5, None)),
             p_max=float(rng.lognormal(1.5, 0.5)),

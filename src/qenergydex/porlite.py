@@ -29,9 +29,10 @@ Two simulation modes are provided: a fast analytic mode that draws the
 outcome sequence directly as Bernoulli-type noise (used for the large
 Monte Carlo ensembles), and a network mode that runs real VRF elections
 and key-service salt rentals, with the KMS round trip and the gossip
-legs drawn from the link model, and Byzantine strategies (vote
-withholding, equivocation, private fork release). Network mode sends no
-messages: it samples the delays a message exchange would take.
+legs drawn from the link model; its one Byzantine behaviour is
+equivocation (a Byzantine leader's height is a fork, and Byzantine
+validators withhold their votes). Network mode sends no messages: it
+samples the delays a message exchange would take.
 """
 
 from __future__ import annotations
@@ -108,6 +109,8 @@ class ConsensusParams:
             raise ValueError("epsilon_growth must lie in (0, 1)")
         if not 0.0 < self.target_block_rate <= 1.0:
             raise ValueError("target_block_rate must lie in (0, 1]")
+        if type(self.security_bits) is not int or self.security_bits < 1:
+            raise ValueError("security_bits must be an integer >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +448,6 @@ def _simulate_network(
     link: LinkModel,
     seed: int,
     kms: KmsReplica | None = None,
-    byz_strategy: str = "equivocate",
 ) -> ChainTrace:
     """Per-height VRF election, salt rental, and weighted voting.
 
@@ -457,14 +459,10 @@ def _simulate_network(
     confirms when that weight reaches 2/3 and the legs end within four
     slots; otherwise the height is a fork and time moves to the next slot.
 
-    Byzantine strategies: ``withhold`` (elected Byzantine leaders stay
-    silent and Byzantine validators never vote), ``equivocate`` (a
-    Byzantine leader sends conflicting blocks to two halves of the
-    network), ``private_fork`` (a Byzantine leader releases its block only
-    just inside the jitter bound). Any strategy still withholds votes.
+    Byzantine validators equivocate: a Byzantine leader sends conflicting
+    blocks to two halves of the network, so its height is a fork, and no
+    Byzantine validator votes.
     """
-    if byz_strategy not in ("withhold", "equivocate", "private_fork"):
-        raise ValueError(f"unknown strategy {byz_strategy!r}")
     total_weight = sum(n.weight for n in nodes)
     if abs(total_weight - 1.0) > 1e-9:
         raise ValueError("validator weights must be normalized")
@@ -503,17 +501,13 @@ def _simulate_network(
             seed_bytes = election_seed(prev_hash, salt)
             leaders = elect_leader(nodes, seed_bytes, h_q)
             produced += bool(leaders)
-            if byz_strategy == "withhold":
-                leaders = [(n, y) for (n, y) in leaders if not n.byzantine]
             if leaders:
                 leader = leaders[0][0]
-                proposal_delay = broadcast_time()
-                if leader.byzantine and byz_strategy == "private_fork":
-                    proposal_delay += link.jitter_max_ms  # released at the jitter bound
+                proposal_delay = broadcast_time()   # drawn for every leader
                 # conflicting equivocated blocks split the honest vote, so
                 # neither side reaches 2/3: the height stays a fork
                 outcomes[height] = -1
-                if not (leader.byzantine and byz_strategy == "equivocate"):
+                if not leader.byzantine:
                     done = t + proposal_delay + broadcast_time() + broadcast_time()  # vote, commit
                     if quorum and done <= t_height + 4 * SLOT_MS:
                         outcomes[height] = 1
@@ -547,15 +541,14 @@ def simulate_chain(
     seed: int = 0,
     mode: str = "bernoulli",
     kms: KmsReplica | None = None,
-    byz_strategy: str = "equivocate",
     max_depth: int = 80,
 ) -> tuple[ChainTrace, ChainMetrics]:
     """Simulate ``horizon_heights`` block heights and compute the metrics.
 
     ``bernoulli`` draws the outcome sequence directly from the noise
     abstraction; ``network`` runs real VRF elections and key-service salt
-    rentals, with link delays sampled from the link model, and sends no
-    messages (see ``_simulate_network``).
+    rentals, with link delays sampled from the link model and Byzantine
+    leaders equivocating, and sends no messages (see ``_simulate_network``).
     """
     if horizon_heights < 1:
         raise ValueError("horizon must be >= 1")
@@ -571,7 +564,6 @@ def simulate_chain(
             link or LinkModel(),
             seed,
             kms=kms,
-            byz_strategy=byz_strategy,
         )
     else:
         raise ValueError(f"unknown mode {mode!r}")

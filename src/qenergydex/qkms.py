@@ -24,10 +24,10 @@ interval's raw bits:
 
 Every factor 1 - gamma_t q_t lies in (0, 1], because gamma_0 < 1 and
 q_t < 1, so the unclamped rate never rises: once it reaches the floor it
-stays there. The clamped trajectory is therefore max(floor, running
-product), which ``run_rate_controller`` computes in one left fold
-(``np.multiply.accumulate``) in the order of the scalar recurrence
-``rate_adapt_step``, giving the same doubles.
+stays there. The controller steps once per 1 ms sample, and its clamped
+trajectory is max(floor, running product), which ``run_rate_controller``
+computes in one left fold (``np.multiply.accumulate``) in the order of
+the scalar recurrence ``rate_adapt_step``, giving the same doubles.
 
 Requests above capacity are counted as cap-exceed time and the excess is
 dropped; the adaptive strategy's preemptive bound keeps its excess at or
@@ -170,25 +170,9 @@ class RateControllerResult:
         return float(self.dropped_bits[-1])
 
 
-def _window_means(samples: np.ndarray, window_ms: int) -> np.ndarray:
-    """``samples[start:start + window_ms].mean()`` for each window, exactly.
-
-    The full windows are one reshape-mean (each row sums as its own slice
-    does); a ragged last window takes its own ``mean()``.
-    """
-    if window_ms == 1:
-        return samples
-    n_full = len(samples) // window_ms
-    means = samples[: n_full * window_ms].reshape(n_full, window_ms).mean(axis=1)
-    if len(samples) % window_ms:
-        means = np.append(means, samples[n_full * window_ms :].mean())
-    return means
-
-
 def run_rate_controller(
     trace: QberTrace,
     st0: RateAdaptState,
-    window_ms: int = 1,
     strategy: str = "rate_adapt",
     fixed_target_bps: float | None = None,
 ) -> RateControllerResult:
@@ -197,24 +181,20 @@ def run_rate_controller(
     The secure capacity of each interval is ``secure_capacity_bps``: the
     extractable length of the interval's raw-bit budget n = floor(R_max /
     1000) at the measured QBER, scaled back to bits/s. The controller state
-    advances once per ``window_ms`` using the window's mean QBER (a shorter
-    last window averages what is left).
+    advances once per interval, on that interval's QBER sample.
 
     The adaptive states are the ``rate_adapt_step`` recurrence in closed
     form: with factors a_k = 1 - (gamma_0 / k) q_k in (0, 1], the running
     product R_0 a_1 ... a_k never rises, so the floor, once reached, is
     never left and the clamped state is max(0.1 R_max, product). The
-    product is folded left in the recurrence's order and the window means
-    are each window's own ``mean()``, so every state is the same double
-    the scalar loop gives. A window mean outside [0, 1) raises
+    product is folded left in the recurrence's order, so every state is
+    the same double the scalar loop gives. A sample outside [0, 1) raises
     ``ValueError`` as ``rate_adapt_step`` does.
 
     ``fixed_target_bps`` defaults to 0.8 R_max.
     """
     if strategy not in ("rate_adapt", "fixed"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    if window_ms < 1:
-        raise ValueError("window_ms must be >= 1")
     samples = trace.samples
     n_iv = len(samples)
     if n_iv == 0:
@@ -230,13 +210,11 @@ def run_rate_controller(
         state = np.full(n_iv, fixed_target_bps, dtype=float)
         target = state.copy()
     else:
-        q_win = _window_means(samples, window_ms)
-        if not ((q_win >= 0.0) & (q_win < 1.0)).all():
+        if not ((samples >= 0.0) & (samples < 1.0)).all():
             raise ValueError("q_t must lie in [0, 1)")
-        gamma_t = st0.gamma0 / np.arange(st0.t, st0.t + len(q_win))
-        factors = np.concatenate(([st0.r_t_bps], 1.0 - gamma_t * q_win))
-        rates = np.maximum(RATE_FLOOR_FRACTION * r_max, np.multiply.accumulate(factors)[1:])
-        state = np.repeat(rates, window_ms)[:n_iv]
+        gamma_t = st0.gamma0 / np.arange(st0.t, st0.t + n_iv)
+        factors = np.concatenate(([st0.r_t_bps], 1.0 - gamma_t * samples))
+        state = np.maximum(RATE_FLOOR_FRACTION * r_max, np.multiply.accumulate(factors)[1:])
         # preemptive reduction: never request beyond the secure capacity
         # implied by the current measurement
         target = np.minimum(state, capacity)

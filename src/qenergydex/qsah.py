@@ -6,8 +6,10 @@ Two messages establish a session between peers that already share a
     client -> server:  n_c (16 bytes) || GMAC_K(n_c)            (16 bytes)
     server -> client:  n_s (16 bytes) || GMAC_K(n_s || n_c)     (16 bytes)
 
-Both sides then derive a 256-bit session key with HKDF-SHA256 over
-K || n_c || n_s with context label ``Q-EnergyDEX`` and empty salt.
+The session key is HKDF-SHA256 over K || n_c || n_s with context label
+``Q-EnergyDEX`` and empty salt, 256 bits (``derive_session_key``). The
+client derives it on finishing; the server's key is the same function of
+the two wire messages, and the server does not derive it.
 
 GMAC is instantiated as AES-GCM over an empty plaintext with the message
 as associated data; the required 96-bit GCM nonce is derived
@@ -45,6 +47,7 @@ from __future__ import annotations
 
 import hashlib
 import hmac as hmac_mod
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,7 +144,7 @@ def derive_session_key(shared_key: bytes, n_c: bytes, n_s: bytes) -> bytes:
 
 @dataclass
 class HandshakeSession:
-    """One peer's view of a handshake."""
+    """The client's view of a handshake."""
 
     key_id: str
     shared_key: bytes
@@ -197,14 +200,13 @@ class ServerEndpoint:
     """Server side: verifies hellos and answers with its own challenge.
 
     Keeps a replay cache of client nonces per key id for as long as the
-    endpoint lives.
+    endpoint lives, and no session state.
     """
 
     def __init__(self, rng: np.random.Generator):
         self._rng = rng
         self._keys: dict[str, bytes] = {}
         self._seen: dict[str, set[bytes]] = {}
-        self.sessions: list[HandshakeSession] = []
 
     def install_key(self, key: KeyRecord) -> None:
         self._keys[key.key_id] = key.key_bits
@@ -227,10 +229,6 @@ class ServerEndpoint:
         n_s = draw_bytes(self._rng, NONCE_LEN)
         if n_s == n_c:
             raise AuthFail("nonce collision")
-        session = HandshakeSession(key_id=key_id, shared_key=shared, n_c=n_c, n_s=n_s)
-        session.session_key = derive_session_key(shared, n_c, n_s)
-        session.state = "established"
-        self.sessions.append(session)
         return n_s + gmac_tag(shared, _m2_nonce(n_s, n_c), n_s + n_c)
 
 
@@ -248,8 +246,14 @@ class BaselineHandshakeModel:
     compute_sigma: float = 0.5
 
     def __post_init__(self):
-        if self.round_trips < 1:
-            raise ValueError("round_trips must be >= 1")
+        # bool is an int subclass; a float count fails in rtt's shape
+        if type(self.round_trips) is not int or self.round_trips < 1:
+            raise ValueError("round_trips must be an integer >= 1")
+        # NaN fails both comparisons; log(median) is NaN below 0, -inf at 0
+        if not 0 < self.compute_median_ms < math.inf:
+            raise ValueError("compute_median_ms must be finite and > 0")
+        if not 0 <= self.compute_sigma < math.inf:
+            raise ValueError("compute_sigma must be finite and >= 0")
 
 
 @dataclass(frozen=True)

@@ -148,6 +148,21 @@ def test_harness_key_errors_exit_with_status_2(tmp_path, capsys):
          " 500.0 ms between batch starts when qsah.n_handshakes exceeds qsah.batch_size"),
         ("qsah-bench", {"links": {"d0_ms": 1000.0}, "qsah": {"n_handshakes": 10}},
          "when market.n_prosumers exceeds qsah.batch_size"),
+        # parameter-type fields: each wrote a manifest, then died in the
+        # lognormal draw, the round-trip shape or finality_depth, or ran to
+        # the end on NaN (a median below 0) or a zero cost (a median of 0)
+        ("qsah-bench", {"qsah": {"compute_sigma": -1.0}},
+         "section 'qsah': compute_sigma must be finite and >= 0"),
+        ("qsah-bench", {"qsah": {"round_trips": 2.5}},
+         "section 'qsah': round_trips must be an integer >= 1"),
+        ("porlite", {"consensus": {"security_bits": 0}},
+         "section 'consensus': security_bits must be an integer >= 1"),
+        ("qsah-bench", {"qsah": {"compute_median_ms": -1.0}},
+         "section 'qsah': compute_median_ms must be finite and > 0"),
+        ("market", {"qsah": {"compute_median_ms": -1.0}},
+         "section 'qsah': compute_median_ms must be finite and > 0"),
+        ("market", {"qsah": {"compute_median_ms": 0.0}},
+         "section 'qsah': compute_median_ms must be finite and > 0"),
     ):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))

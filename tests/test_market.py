@@ -26,8 +26,8 @@ from qenergydex.market import _leader_qp, _nnls
 
 def toy_two_prosumer_one_line():
     prosumers = [
-        Prosumer(0, 1.0, 10.0, 100.0, 0),
-        Prosumer(1, 1.0, 6.0, 100.0, 0),
+        Prosumer(1.0, 10.0, 100.0, 0),
+        Prosumer(1.0, 6.0, 100.0, 0),
     ]
     grid = GridModel(
         ptdf=np.array([[1.0, 1.0]]),
@@ -48,9 +48,9 @@ def line_violation(grid, prosumers, u):
 
 def toy_three_node():
     prosumers = [
-        Prosumer(0, 1.0, 8.0, 20.0, 0),
-        Prosumer(1, 2.0, 5.0, 20.0, 1),
-        Prosumer(2, 0.5, 12.0, 20.0, 2),
+        Prosumer(1.0, 8.0, 20.0, 0),
+        Prosumer(2.0, 5.0, 20.0, 1),
+        Prosumer(0.5, 12.0, 20.0, 2),
     ]
     grid = GridModel(
         ptdf=np.array([[1.0, 0.5, 0.8]]),
@@ -67,24 +67,24 @@ def toy_three_node():
 
 
 def test_follower_response_interior():
-    p = Prosumer(0, 2.0, 10.0, 100.0, 0)
+    p = Prosumer(2.0, 10.0, 100.0, 0)
     assert follower_response(p, np.array([4.0]), np.array([1.0])) == 12.0
 
 
 def test_follower_response_indifference_and_clip():
-    p = Prosumer(0, 2.0, 10.0, 5.0, 0)
+    p = Prosumer(2.0, 10.0, 5.0, 0)
     assert follower_response(p, np.array([10.0]), np.array([1.0])) == 0.0
     assert follower_response(p, np.array([0.0]), np.array([1.0])) == 5.0
 
 
 def test_follower_response_rejects_negative_price():
-    p = Prosumer(0, 1.0, 10.0, 5.0, 0)
+    p = Prosumer(1.0, 10.0, 5.0, 0)
     with pytest.raises(ValueError):
         follower_response(p, np.array([-1.0]), np.array([1.0]))
 
 
 def test_follower_monotone_in_price():
-    p = Prosumer(0, 1.5, 9.0, 50.0, 0)
+    p = Prosumer(1.5, 9.0, 50.0, 0)
     h_col = np.array([0.7])
     vals = [follower_response(p, np.array([u]), h_col) for u in np.linspace(0, 20, 50)]
     assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
@@ -95,7 +95,7 @@ def test_aggregate_matches_matrix_form_without_caps():
     for _ in range(200):
         n, b = int(rng.integers(2, 12)), int(rng.integers(1, 5))
         prosumers = [
-            Prosumer(i, float(rng.uniform(0.5, 2.0)), float(rng.uniform(1, 10)), 1e9, 0)
+            Prosumer(float(rng.uniform(0.5, 2.0)), float(rng.uniform(1, 10)), 1e9, 0)
             for i in range(n)
         ]
         h = rng.normal(size=(b, n))
@@ -108,7 +108,7 @@ def test_aggregate_matches_matrix_form_without_caps():
 
 
 def test_aggregate_clipped_loop_is_authoritative():
-    prosumers = [Prosumer(0, 2.0, 10.0, 5.0, 0)]
+    prosumers = [Prosumer(2.0, 10.0, 5.0, 0)]
     out = aggregate_response(prosumers, np.array([0.0]), np.array([[1.0]]))
     assert out[0] == 5.0
 
@@ -163,7 +163,7 @@ def test_social_three_node_vs_multiplier_scan():
 
 
 def test_social_no_line_limits_interior_optimum():
-    prosumers = [Prosumer(0, 2.0, 4.0, 100.0, 0), Prosumer(1, 1.0, 3.0, 100.0, 0)]
+    prosumers = [Prosumer(2.0, 4.0, 100.0, 0), Prosumer(1.0, 3.0, 100.0, 0)]
     grid = GridModel(
         ptdf=np.array([[0.3, 0.4]]),
         line_limits=np.array([1e9]),
@@ -176,7 +176,7 @@ def test_social_no_line_limits_interior_optimum():
 
 
 def test_stackelberg_unconstrained_zero_prices():
-    prosumers = [Prosumer(0, 1.0, 5.0, 50.0, 0)]
+    prosumers = [Prosumer(1.0, 5.0, 50.0, 0)]
     grid = GridModel(
         ptdf=np.array([[1.0]]),
         line_limits=np.array([100.0]),
@@ -226,7 +226,6 @@ def test_stack_certified_on_instance_without_reachability_lift():
     rng = substream(0, "market", "instance")
     prosumers = [
         Prosumer(
-            id=i,
             alpha=float(rng.lognormal(0.0, 0.4)),
             pi=float(np.clip(rng.normal(10.0, 2.0), 0.5, None)),
             p_max=float(rng.lognormal(1.6, 0.5)),
@@ -260,7 +259,7 @@ def test_stack_certified_on_instance_without_reachability_lift():
 
 
 def test_base_equals_unconstrained_when_feasible():
-    prosumers = [Prosumer(0, 1.0, 3.0, 50.0, 0), Prosumer(1, 1.0, 2.0, 50.0, 0)]
+    prosumers = [Prosumer(1.0, 3.0, 50.0, 0), Prosumer(1.0, 2.0, 50.0, 0)]
     grid = GridModel(
         ptdf=np.array([[0.1, 0.1]]),
         line_limits=np.array([100.0]),
@@ -274,7 +273,7 @@ def test_base_equals_unconstrained_when_feasible():
 
 
 def test_base_scaling_makes_worst_line_exactly_binding():
-    prosumers = [Prosumer(0, 1.0, 10.0, 100.0, 0), Prosumer(1, 1.0, 10.0, 100.0, 0)]
+    prosumers = [Prosumer(1.0, 10.0, 100.0, 0), Prosumer(1.0, 10.0, 100.0, 0)]
     grid = GridModel(
         ptdf=np.array([[1.0, 1.0]]),
         line_limits=np.array([12.0]),
@@ -571,6 +570,64 @@ def test_security_filter_needs_one_latency_per_prosumer():
             security_coupled_clearing(grid, prosumers, 1e12, 100.0, latencies, 256.0)
 
 
+def loop_admission(latencies, deadline, budget, cost_per_node):
+    """The scalar admission loop ``security_coupled_clearing`` used to run.
+
+    It visited the nodes sorted by ``Prosumer.id``, which always equalled
+    the index, so here it visits them in index order.
+    """
+    admitted = []
+    cost = 0.0
+    for i in range(len(latencies)):
+        lat = latencies[i]
+        if lat <= deadline and cost + cost_per_node <= budget:
+            admitted.append(i)
+            cost += cost_per_node
+    return np.array(sorted(admitted), dtype=int)
+
+
+def admission_cases():
+    """(latencies, deadline, budget, cost): latencies at the deadline and
+    NaN, a zero cost, costs whose running sum rounds, and budgets that
+    admit everyone, no one, or cut the on-time nodes partway."""
+    rng = np.random.default_rng(13)
+    for n in (1, 2, 7, 40):
+        for _ in range(30):
+            deadline = float(rng.choice([0.0, 100.0, 105.0, rng.uniform(0.0, 200.0)]))
+            latencies = rng.uniform(0.0, 200.0, n)
+            latencies[rng.random(n) < 0.2] = deadline
+            latencies[rng.random(n) < 0.1] = np.nan
+            cost = float(rng.choice([0.0, 0.1, 1.0 / 3.0, 256.0]))
+            k = int(rng.integers(0, n + 1))
+            running = 0.0
+            for _ in range(k):
+                running += cost
+            for budget in (0.0, cost, cost * k, cost * n, running, np.nextafter(running, 0.0),
+                           float(rng.uniform(0.0, cost * n + 1.0)), np.inf):
+                yield latencies, deadline, budget, cost
+
+
+def test_security_filter_admits_as_the_loop_did(monkeypatch):
+    # admission only: the clear is stubbed out
+    monkeypatch.setattr(market, "clear_all_scenarios", lambda grid, prosumers, tol: {})
+    instances = {}
+    for latencies, deadline, budget, cost in admission_cases():
+        n = len(latencies)
+        if n not in instances:
+            instances[n] = random_instance(n, 2, seed=n)
+        grid, prosumers = instances[n]
+        keep, _ = security_coupled_clearing(grid, prosumers, budget, deadline, latencies, cost)
+        expected = loop_admission(latencies, deadline, budget, cost)
+        assert keep.dtype == np.int64
+        assert keep.tobytes() == expected.tobytes(), (n, deadline, budget, cost)
+
+
+def test_security_filter_refuses_a_negative_cost():
+    grid, prosumers = random_instance(6, 2, seed=9)
+    with pytest.raises(ValueError, match="cost"):
+        security_coupled_clearing(grid, prosumers, 1e12, 100.0, np.full(6, 10.0), -1.0)
+
+
 def test_security_clears_are_memoized_by_admitted_set(monkeypatch):
     calls = []
     real = market.clear_all_scenarios
@@ -609,7 +666,7 @@ def test_security_filter_scale_invariance_in_valuations():
     latencies = np.linspace(5, 200, 10)
     keep1, _ = security_coupled_clearing(grid, prosumers, 6 * 256.0, 120.0, latencies, 256.0)
     scaled = [
-        Prosumer(p.id, p.alpha, p.pi * 37.0, p.p_max, p.bus) for p in prosumers
+        Prosumer(p.alpha, p.pi * 37.0, p.p_max, p.bus) for p in prosumers
     ]
     keep2, _ = security_coupled_clearing(grid, scaled, 6 * 256.0, 120.0, latencies, 256.0)
     assert list(keep1) == list(keep2)
@@ -644,7 +701,7 @@ def test_grid_model_validation():
             leader_c=np.array([0.0]),
         )
     with pytest.raises(ValueError):
-        Prosumer(0, -1.0, 5.0, 10.0, 0)
+        Prosumer(-1.0, 5.0, 10.0, 0)
 
 
 @pytest.mark.parametrize("field", ["line_limits", "leader_q_diag", "leader_c"])

@@ -303,27 +303,16 @@ def test_network_mode_full_target_rate_keeps_every_slot_led():
     assert (trace.outcomes != 0).all()
 
 
-# sha256 of outcomes and mean interval per strategy (see trace_digest)
-STRATEGY_DIGESTS = {
-    "withhold": "391a5ba60ece5119bcf934bd156e3bb5aead16d37b3be336062f3d4be9743edd",
-    "equivocate": "05308f93ff496801bd0d6c470c6057c1ac6e7c25ea46b3e47a17ca0f558f5049",
-    "private_fork": "538b0b638232acc47ba9b88e6f7dd70f4e800b3464e6b6597f09fed12c16ae68",
-}
-
-
-@pytest.mark.parametrize("strategy", ["withhold", "equivocate", "private_fork"])
-def test_network_mode_byzantine_strategies(strategy):
+def test_network_mode_equivocation():
+    # every Byzantine-led height is a fork; the digest is sha256 of the
+    # outcomes and mean interval (see trace_digest)
     params = ConsensusParams()
     nodes = make_validators(15, 0.25, seed=5)
-    trace, metrics = simulate_chain(
-        params, 500, nodes=nodes, seed=5, mode="network", byz_strategy=strategy
-    )
+    trace, metrics = simulate_chain(params, 500, nodes=nodes, seed=5, mode="network")
     assert len(trace) == 500
+    assert (trace.outcomes == -1).any()
     assert metrics.dominated()
-    assert trace_digest(trace) == STRATEGY_DIGESTS[strategy]
-    if strategy == "withhold":
-        # silent leaders produce no competing block, only lost slots
-        assert (trace.outcomes != -1).all()
+    assert trace_digest(trace) == "05308f93ff496801bd0d6c470c6057c1ac6e7c25ea46b3e47a17ca0f558f5049"
 
 
 def test_simulate_chain_validation():
@@ -333,6 +322,9 @@ def test_simulate_chain_validation():
         simulate_chain(ConsensusParams(), 10, mode="bogus")
     with pytest.raises(ValueError):
         ConsensusParams(alpha=0.34)
+    for bits in (0, -1, 2.5, True):
+        with pytest.raises(ValueError, match="security_bits"):
+            ConsensusParams(security_bits=bits)
 
 
 def test_metrics_shapes_and_bounds_pairing():

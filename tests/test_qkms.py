@@ -283,19 +283,7 @@ def test_controller_capacity_matches_scalar_op():
         assert res.capacity_bps[i] == expected
 
 
-def test_controller_window_aggregation():
-    trace = generate_qber_trace(1.0, seed=2)
-    st0 = RateAdaptState(r_t_bps=5e6, r_max_bps=5e6)
-    res = run_rate_controller(trace, st0, window_ms=10, strategy="rate_adapt")
-    # controller state constant within each 10 ms window
-    assert len(np.unique(res.state_bps[:10])) == 1
-    with pytest.raises(ValueError):
-        run_rate_controller(trace, st0, window_ms=0)
-    with pytest.raises(ValueError):
-        run_rate_controller(trace, st0, strategy="bogus")
-
-
-def _controller_loop(trace, st0, window_ms):
+def _controller_loop(trace, st0):
     """The adaptive controller as a scalar fold of ``rate_adapt_step``."""
     samples = trace.samples
     n = len(samples)
@@ -303,18 +291,17 @@ def _controller_loop(trace, st0, window_ms):
     state = np.empty(n)
     target = np.empty(n)
     st = st0
-    for start in range(0, n, window_ms):
-        stop = min(start + window_ms, n)
-        st = rate_adapt_step(st, float(samples[start:stop].mean()))
-        state[start:stop] = st.r_t_bps
-        target[start:stop] = np.minimum(st.r_t_bps, capacity[start:stop])
+    for i in range(n):
+        st = rate_adapt_step(st, float(samples[i]))
+        state[i] = st.r_t_bps
+        target[i] = min(st.r_t_bps, capacity[i])
     dropped = np.cumsum(np.maximum(0.0, target - capacity) * (1.0 / 1000.0))
     return state, target, np.minimum(target, capacity), dropped
 
 
-def _assert_matches_loop(trace, st0, window_ms):
-    res = run_rate_controller(trace, st0, window_ms=window_ms, strategy="rate_adapt")
-    state, target, output, dropped = _controller_loop(trace, st0, window_ms)
+def _assert_matches_loop(trace, st0):
+    res = run_rate_controller(trace, st0, strategy="rate_adapt")
+    state, target, output, dropped = _controller_loop(trace, st0)
     assert res.state_bps.tobytes() == state.tobytes()
     assert res.target_bps.tobytes() == target.tobytes()
     assert res.output_bps.tobytes() == output.tobytes()
@@ -323,31 +310,26 @@ def _assert_matches_loop(trace, st0, window_ms):
 
 
 def test_controller_closed_form_matches_loop():
-    # 5000 samples: windows of 3 and 64 leave a ragged last window, n + 5
-    # makes one short window, and t > 1 resumes a controller mid-run
+    # t > 1 resumes a controller mid-run
     for seed in range(4):
         trace = generate_qber_trace(5.0, seed=seed)
-        n = len(trace)
         for st0 in (
             RateAdaptState(r_t_bps=5e6, r_max_bps=5e6),
             RateAdaptState(r_t_bps=3.7e6, r_max_bps=5e6, gamma0=0.8, t=7),
         ):
-            for window_ms in (1, 3, 10, 64, 1000, n + 5):
-                _assert_matches_loop(trace, st0, window_ms)
+            _assert_matches_loop(trace, st0)
 
 
 def test_controller_floor_is_absorbing_and_matches_loop():
     # gamma0 = 0.9 at q = 0.5 drives the rate onto the floor within 300
-    # steps; q = 0.9 does so for wide windows too, and a clean channel
-    # afterwards must not lift it off
+    # steps, and neither q = 0.9 nor a clean channel afterwards moves it
     samples = np.concatenate([np.full(300, 0.5), np.full(2000, 0.9), np.full(500, 0.001)])
     trace = QberTrace(samples, q_hi=0.95)
     st0 = RateAdaptState(r_t_bps=5e6, r_max_bps=5e6, gamma0=0.9)
-    for window_ms in (1, 3, 64):
-        res = _assert_matches_loop(trace, st0, window_ms)
-        assert res.state_bps[-1] == 0.5e6
-        assert (res.state_bps >= 0.5e6).all()
-    assert _assert_matches_loop(trace, st0, 1).state_bps[299] == 0.5e6
+    res = _assert_matches_loop(trace, st0)
+    assert res.state_bps[299] == 0.5e6
+    assert (res.state_bps[299:] == 0.5e6).all()
+    assert (res.state_bps >= 0.5e6).all()
 
 
 def test_controller_rejects_window_mean_outside_unit_interval():
@@ -355,11 +337,11 @@ def test_controller_rejects_window_mean_outside_unit_interval():
     at_one = QberTrace(np.full(20, 1.0), q_hi=1.0)
     with pytest.raises(ValueError, match="q_t must lie"):
         run_rate_controller(at_one, st0, strategy="rate_adapt")
-    with pytest.raises(ValueError, match="q_t must lie"):
-        run_rate_controller(at_one, st0, window_ms=7, strategy="rate_adapt")
     negative = QberTrace(np.full(20, -0.01), q_lo=-1.0)
     with pytest.raises(ValueError):
         run_rate_controller(negative, st0, strategy="rate_adapt")
+    with pytest.raises(ValueError, match="unknown strategy"):
+        run_rate_controller(QberTrace(np.full(20, 0.01)), st0, strategy="bogus")
 
 
 # ---------------------------------------------------------------------------

@@ -154,7 +154,8 @@ def test_honest_handshake_establishes_matching_keys():
     assert len(msg2) == 32
     session_key = client.client_finish(msg2)
     assert client.session.state == "established"
-    assert session_key == server.sessions[-1].session_key
+    # the server's key is the same function of the two wire messages
+    assert session_key == derive_session_key(key.key_bits, msg1[:16], msg2[:16])
     assert client.session.n_c != client.session.n_s
 
 
@@ -179,10 +180,11 @@ def test_completeness_randomized_runs():
         key = kms.rent(256, i)
         server.install_key(key)
         client = ClientSession(key, rng)
-        msg2 = server.server_response(key.key_id, client.client_hello())
+        msg1 = client.client_hello()
+        msg2 = server.server_response(key.key_id, msg1)
         client.client_finish(msg2)
         assert client.session.state == "established"
-        assert client.session.session_key == server.sessions[-1].session_key
+        assert client.session.session_key == derive_session_key(key.key_bits, msg1[:16], msg2[:16])
 
 
 def test_replayed_hello_rejected():
@@ -290,8 +292,15 @@ def test_benchmark_batch_size_does_not_change_distribution():
 def test_benchmark_validation():
     with pytest.raises(ValueError):
         latency_benchmark(0, 1, LinkModel(), BaselineHandshakeModel(), seed=1)
-    with pytest.raises(ValueError):
-        BaselineHandshakeModel(round_trips=0)
+    for bad in (
+        {"round_trips": 0}, {"round_trips": 2.5}, {"round_trips": True},
+        {"compute_median_ms": -1.0}, {"compute_median_ms": 0.0},
+        {"compute_median_ms": float("nan")}, {"compute_median_ms": float("inf")},
+        {"compute_sigma": -1.0}, {"compute_sigma": float("nan")}, {"compute_sigma": float("inf")},
+    ):
+        with pytest.raises(ValueError):
+            BaselineHandshakeModel(**bad)
+    BaselineHandshakeModel(round_trips=1, compute_median_ms=1e-9, compute_sigma=0.0)
 
 
 # ---------------------------------------------------------------------------
