@@ -59,7 +59,6 @@ from .qkms import (
 from .qsah import (
     BaselineHandshakeModel,
     ClientSession,
-    HandshakeSession,
     ServerEndpoint,
     derive_session_key,
     latency_benchmark,

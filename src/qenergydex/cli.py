@@ -73,6 +73,7 @@ from .qkms import (
     run_rate_controller,
 )
 from .qsah import (
+    KEY_BITS,
     BaselineHandshakeModel,
     ClientSession,
     ServerEndpoint,
@@ -119,7 +120,7 @@ DEFAULT_CONFIG = {
         "n_buses": 118,
         "n_lines": 186,
         "deadline_ms": 105.0,
-        "per_node_key_cost_bits": 256,
+        "per_node_key_cost_bits": KEY_BITS,
         "tol": 1e-6,
     },
     "full_stack": {
@@ -170,9 +171,8 @@ def load_config(path: str | None, seed: int | None) -> dict:
     return config
 
 
-def write_manifest(out: Path, command: str, config: dict) -> None:
-    doc = {"command": command, "version": __version__, "config": config}
-    (out / "manifest.json").write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+def _write_json(path: Path, doc) -> None:
+    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 def _write_csv(path: Path, header: str, *columns) -> None:
@@ -347,19 +347,11 @@ def cmd_rate_adapt(config: dict, out: Path) -> list[tuple[str, bool, str]]:
         out / "cdf.csv", "strategy,rate_bps,ecdf", names, np.concatenate(rates), np.concatenate(levels)
     )
 
-    summary = [
-        {
-            "name": "Rate-Adapt",
-            "cap_exceed_time": adaptive.cap_exceed_fraction,
-            "dropped_bits": adaptive.total_dropped_bits,
-        },
-        {
-            "name": "Fixed",
-            "cap_exceed_time": fixed.cap_exceed_fraction,
-            "dropped_bits": fixed.total_dropped_bits,
-        },
-    ]
-    (out / "summary.json").write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    _write_json(out / "summary.json", [
+        {"name": name, "cap_exceed_time": result.cap_exceed_fraction,
+         "dropped_bits": result.total_dropped_bits}
+        for name, result in (("Rate-Adapt", adaptive), ("Fixed", fixed))
+    ])
 
     delivered_floor = float(np.mean(adaptive.output_bps >= 0.76 * r_max))
     checks = [
@@ -628,21 +620,19 @@ def cmd_full_stack(config: dict, out: Path) -> list[tuple[str, bool, str]]:
     nonce_rng = substream(seed, "fullstack", "nonces")
     server = ServerEndpoint(rng=nonce_rng)
     established = 0
-    rent_failures = 0
     now_ms = 0
     for i in range(fs["n_handshakes"]):
         now_ms += 10
         try:
-            key = kms.rent(256, now_ms)
+            key = kms.rent(KEY_BITS, now_ms)
         except InsufficientEntropy:
-            rent_failures += 1
-            continue
+            continue   # counted in the report; its handshake is not established
         server.install_key(key)
         client = ClientSession(key, nonce_rng)
         msg1 = client.client_hello(now_ms)
         msg2 = server.server_response(key.key_id, msg1)
         client.client_finish(msg2)
-        if client.session.state == "established":
+        if client.state == "established":
             established += 1
 
     # consensus with salts rented from the same pool
@@ -682,10 +672,10 @@ def cmd_full_stack(config: dict, out: Path) -> list[tuple[str, bool, str]]:
     keep, outcomes = security_coupled_clearing(
         grid,
         prosumers,
-        key_budget_bits=256.0 * fs["market_prosumers"],
+        key_budget_bits=KEY_BITS * fs["market_prosumers"],
         handshake_deadline_ms=config["market"]["deadline_ms"],
         qsah_latencies=bench.qsah_latencies,
-        per_node_key_cost_bits=256.0,
+        per_node_key_cost_bits=KEY_BITS,
     )
 
     bits_rented = total_rent_failures = 0
@@ -713,14 +703,12 @@ def cmd_full_stack(config: dict, out: Path) -> list[tuple[str, bool, str]]:
             "welfare": {s: outcomes[s].welfare for s in SCENARIOS},
         },
     }
-    (out / "pipeline_report.json").write_text(
-        json.dumps(report, sort_keys=True, indent=2) + "\n"
-    )
+    _write_json(out / "pipeline_report.json", report)
 
     checks = [
         (
             "all handshakes established",
-            established == fs["n_handshakes"] and rent_failures == 0,
+            established == fs["n_handshakes"],
             f"{established}/{fs['n_handshakes']}",
         ),
     ]
@@ -774,7 +762,8 @@ def main(argv: list[str] | None = None) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_manifest(out, args.command, config)
+    _write_json(out / "manifest.json",
+                {"command": args.command, "version": __version__, "config": config})
 
     fn = COMMANDS[args.command]
     if args.command == "porlite":

@@ -684,39 +684,28 @@ def security_coupled_clearing(
 # ---------------------------------------------------------------------------
 
 
-def random_instance(
-    n_prosumers: int,
-    n_lines: int,
-    seed: int,
-    congestion: float = 0.75,
-) -> tuple[GridModel, list[Prosumer]]:
-    """Small random instance with a controllable share of binding lines."""
-    rng = substream(seed, "market", "instance")
-    prosumers = [
+def _draw_prosumers(rng, n_prosumers, alpha_sigma, p_max_mu, n_buses) -> list[Prosumer]:
+    """Four scalar draws per prosumer, in this order: a lognormal cost
+    slope, a normal valuation floored at 0.5, a lognormal capacity and a
+    uniform bus."""
+    return [
         Prosumer(
-            alpha=float(rng.lognormal(0.0, 0.4)),
-            pi=float(np.clip(rng.normal(10.0, 2.0), 0.5, None)),
-            p_max=float(rng.lognormal(1.6, 0.5)),
-            bus=int(rng.integers(0, max(2, n_prosumers // 2))),
+            alpha=float(rng.lognormal(0.0, alpha_sigma)),
+            pi=max(rng.normal(10.0, 2.0), 0.5),
+            p_max=float(rng.lognormal(p_max_mu, 0.5)),
+            bus=int(rng.integers(0, n_buses)),
         )
-        for i in range(n_prosumers)
+        for _ in range(n_prosumers)
     ]
-    alpha, pi, pmax = _vectors(prosumers)
-    h = rng.normal(0.0, 1.0, size=(n_lines, n_prosumers))
-    h *= rng.random(size=h.shape) < 0.6              # sparsify
-    norms = np.maximum(np.linalg.norm(h, axis=1), 1e-9)
-    h /= norms[:, None]
-    flows0 = np.abs(h @ np.clip(alpha * pi, -pmax, pmax))
-    floor = max(float(flows0.max()), 1.0) * 0.05
-    limits = np.maximum(flows0 * rng.uniform(congestion, 1.6, size=n_lines), floor)
-    limits = _ensure_price_reachable(limits, h, alpha, pi, pmax)
-    grid = GridModel(
-        ptdf=h,
-        line_limits=limits,
-        leader_q_diag=np.ones(n_lines),
-        leader_c=np.zeros(n_lines),
-    )
-    return grid, prosumers
+
+
+def _sparse_unit_rows(rng, shape, density) -> np.ndarray:
+    """Standard normal entries, each kept with probability ``density``,
+    every row scaled to unit norm."""
+    m = rng.normal(0.0, 1.0, size=shape)
+    m *= rng.random(size=shape) < density
+    m /= np.maximum(np.linalg.norm(m, axis=1), 1e-9)[:, None]
+    return m
 
 
 def _ensure_price_reachable(limits, h, alpha, pi, pmax) -> np.ndarray:
@@ -735,6 +724,36 @@ def _ensure_price_reachable(limits, h, alpha, pi, pmax) -> np.ndarray:
     return np.maximum(limits, best * (1.0 + 1e-9) + 1e-12)
 
 
+def _grid_with_limits(rng, h, prosumers, floor_share, limit_lo, limit_hi) -> GridModel:
+    """The grid over PTDF ``h``: each line's limit is its congestion-blind
+    flow times U(limit_lo, limit_hi), at least ``floor_share`` of the
+    largest such flow (or of 1), then lifted by ``_ensure_price_reachable``;
+    the leader's cost is |u|^2 / 2."""
+    alpha, pi, pmax = _vectors(prosumers)
+    flows0 = np.abs(h @ np.clip(alpha * pi, -pmax, pmax))
+    floor = max(float(flows0.max()), 1.0) * floor_share
+    limits = np.maximum(flows0 * rng.uniform(limit_lo, limit_hi, size=len(flows0)), floor)
+    return GridModel(
+        ptdf=h,
+        line_limits=_ensure_price_reachable(limits, h, alpha, pi, pmax),
+        leader_q_diag=np.ones(len(flows0)),
+        leader_c=np.zeros(len(flows0)),
+    )
+
+
+def random_instance(
+    n_prosumers: int,
+    n_lines: int,
+    seed: int,
+    congestion: float = 0.75,
+) -> tuple[GridModel, list[Prosumer]]:
+    """Small random instance with a controllable share of binding lines."""
+    rng = substream(seed, "market", "instance")
+    prosumers = _draw_prosumers(rng, n_prosumers, 0.4, 1.6, max(2, n_prosumers // 2))
+    h = _sparse_unit_rows(rng, (n_lines, n_prosumers), 0.6)
+    return _grid_with_limits(rng, h, prosumers, 0.05, congestion, 1.6), prosumers
+
+
 def synthetic_grid_instance(
     n_prosumers: int = 3000,
     n_buses: int = 118,
@@ -750,31 +769,7 @@ def synthetic_grid_instance(
     lines binds.
     """
     rng = substream(seed, "market", "grid118")
-    prosumers = [
-        Prosumer(
-            alpha=float(rng.lognormal(0.0, 0.3)),
-            pi=float(np.clip(rng.normal(10.0, 2.0), 0.5, None)),
-            p_max=float(rng.lognormal(1.5, 0.5)),
-            bus=int(rng.integers(0, n_buses)),
-        )
-        for i in range(n_prosumers)
-    ]
-    bus_ptdf = rng.normal(0.0, 1.0, size=(n_lines, n_buses))
-    bus_ptdf *= rng.random(size=bus_ptdf.shape) < 0.25
-    norms = np.maximum(np.linalg.norm(bus_ptdf, axis=1), 1e-9)
-    bus_ptdf /= norms[:, None]
-    buses = np.array([pr.bus for pr in prosumers])
-    h = bus_ptdf[:, buses]
-    alpha, pi, pmax = _vectors(prosumers)
-    flows0 = np.abs(h @ np.clip(alpha * pi, -pmax, pmax))
-    floor = max(float(flows0.max()), 1.0) * 0.02
-    limits = np.maximum(flows0 * rng.uniform(0.85, 1.8, size=n_lines), floor)
-    limits = _ensure_price_reachable(limits, h, alpha, pi, pmax)
-    grid = GridModel(
-        ptdf=h,
-        line_limits=limits,
-        leader_q_diag=np.ones(n_lines),
-        leader_c=np.zeros(n_lines),
-    )
-    return grid, prosumers
-
+    prosumers = _draw_prosumers(rng, n_prosumers, 0.3, 1.5, n_buses)
+    bus_ptdf = _sparse_unit_rows(rng, (n_lines, n_buses), 0.25)
+    h = bus_ptdf[:, [pr.bus for pr in prosumers]]
+    return _grid_with_limits(rng, h, prosumers, 0.02, 0.85, 1.8), prosumers

@@ -111,6 +111,11 @@ class ConsensusParams:
             raise ValueError("target_block_rate must lie in (0, 1]")
         if type(self.security_bits) is not int or self.security_bits < 1:
             raise ValueError("security_bits must be an integer >= 1")
+        # bool is an int subclass; NaN fails the comparison
+        interval = self.block_interval_ms
+        if (isinstance(interval, bool) or not isinstance(interval, (int, float))
+                or not 0 < interval < math.inf):
+            raise ValueError("block_interval_ms must be a finite number > 0")
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,9 @@ the series the rate controller meters against. Rentals fail without side
 effects when n exceeds the balance. An issued key is active until it is
 retired, which happens at most once.
 
-A key identifier's top byte is the replica index, so two replicas never
-issue the same identifier.
+A key identifier's top byte is the replica index, so two replicas with
+different indices never issue the same identifier; two with the same
+index and root seed draw the same identifiers and key bits.
 
 The rate controller compares two emission strategies against the
 per-millisecond secure capacity given by the leftover-hash length of the
@@ -153,7 +154,6 @@ def rate_adapt_step(st: RateAdaptState, q_t: float) -> RateAdaptState:
 class RateControllerResult:
     """Per-interval series and summary metrics for one strategy run."""
 
-    strategy: str
     t_ms: np.ndarray
     target_bps: np.ndarray     # rate requested by the strategy
     capacity_bps: np.ndarray   # secure capacity of the interval
@@ -222,7 +222,6 @@ def run_rate_controller(
     output = np.minimum(target, capacity)
     dropped_per_iv = np.maximum(0.0, target - capacity) * (1.0 / 1000.0)
     return RateControllerResult(
-        strategy=strategy,
         t_ms=np.arange(n_iv),
         target_bps=target,
         capacity_bps=capacity,

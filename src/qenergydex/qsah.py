@@ -1,7 +1,8 @@
 """Symmetric authenticated handshake over a rented quantum key.
 
-Two messages establish a session between peers that already share a
-256-bit key K rented from the key service under the same key id:
+Two messages establish a session between peers that already share a key
+K of ``KEY_BITS`` = 256 bits, rented from the key service under one key
+id:
 
     client -> server:  n_c (16 bytes) || GMAC_K(n_c)            (16 bytes)
     server -> client:  n_s (16 bytes) || GMAC_K(n_s || n_c)     (16 bytes)
@@ -9,7 +10,9 @@ Two messages establish a session between peers that already share a
 The session key is HKDF-SHA256 over K || n_c || n_s with context label
 ``Q-EnergyDEX`` and empty salt, 256 bits (``derive_session_key``). The
 client derives it on finishing; the server's key is the same function of
-the two wire messages, and the server does not derive it.
+the two wire messages, and the server does not derive it. The handshake
+state lives in ``ClientSession`` itself (``state``: init, challenged,
+established or failed); the server keeps no session state.
 
 GMAC is instantiated as AES-GCM over an empty plaintext with the message
 as associated data; the required 96-bit GCM nonce is derived
@@ -61,7 +64,6 @@ __all__ = [
     "NoKey",
     "AuthFail",
     "Replay",
-    "HandshakeSession",
     "BaselineHandshakeModel",
     "gmac_tag",
     "gmac_verify",
@@ -75,11 +77,13 @@ __all__ = [
     "handshake_latencies",
     "check_batch_separation",
     "KDF_CONTEXT",
+    "KEY_BITS",
 ]
 
 NONCE_LEN = 16
 TAG_LEN = 16
 KDF_CONTEXT = b"Q-EnergyDEX"   # 11 ASCII bytes
+KEY_BITS = 256                 # the shared key K each handshake rents
 _BATCH_GAP_MS = 500.0          # between the starts of latency_benchmark's batches
 
 
@@ -142,58 +146,48 @@ def derive_session_key(shared_key: bytes, n_c: bytes, n_s: bytes) -> bytes:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class HandshakeSession:
-    """The client's view of a handshake."""
-
-    key_id: str
-    shared_key: bytes
-    n_c: bytes = b""
-    n_s: bytes = b""
-    session_key: bytes = b""
-    state: str = "init"        # init | challenged | established | failed
-    t_start_ms: float = 0.0
-
-
 class ClientSession:
     """Client side: emits the hello, verifies the response, derives the key."""
 
     def __init__(self, key: KeyRecord | None, rng: np.random.Generator):
         if key is None:
             raise NoKey("client has no rented key")
-        self.session = HandshakeSession(key_id=key.key_id, shared_key=key.key_bits)
+        self.key_id = key.key_id
+        self.shared_key = key.key_bits
+        self.n_c = b""
+        self.n_s = b""
+        self.session_key = b""
+        self.state = "init"        # init | challenged | established | failed
+        self.t_start_ms = 0.0
         self._rng = rng
 
     def client_hello(self, now_ms: float = 0.0) -> bytes:
         """Build message 1: fresh nonce and its tag."""
-        s = self.session
-        if s.state != "init":
+        if self.state != "init":
             raise RuntimeError("hello already sent")
-        s.n_c = draw_bytes(self._rng, NONCE_LEN)
-        s.t_start_ms = now_ms
-        s.state = "challenged"
-        tag = gmac_tag(s.shared_key, _m1_nonce(s.n_c), s.n_c)
-        return s.n_c + tag
+        self.n_c = draw_bytes(self._rng, NONCE_LEN)
+        self.t_start_ms = now_ms
+        self.state = "challenged"
+        return self.n_c + gmac_tag(self.shared_key, _m1_nonce(self.n_c), self.n_c)
 
     def client_finish(self, message2: bytes) -> bytes:
         """Verify message 2 and derive the session key."""
-        s = self.session
-        if s.state != "challenged":
+        if self.state != "challenged":
             raise RuntimeError("unexpected finish")
         if len(message2) != NONCE_LEN + TAG_LEN:
-            s.state = "failed"
+            self.state = "failed"
             raise AuthFail("malformed response")
         n_s, tag2 = message2[:NONCE_LEN], message2[NONCE_LEN:]
-        if not gmac_verify(s.shared_key, _m2_nonce(n_s, s.n_c), n_s + s.n_c, tag2):
-            s.state = "failed"
+        if not gmac_verify(self.shared_key, _m2_nonce(n_s, self.n_c), n_s + self.n_c, tag2):
+            self.state = "failed"
             raise AuthFail("response tag invalid")
-        if n_s == s.n_c:
-            s.state = "failed"
+        if n_s == self.n_c:
+            self.state = "failed"
             raise AuthFail("nonce collision")
-        s.n_s = n_s
-        s.session_key = derive_session_key(s.shared_key, s.n_c, n_s)
-        s.state = "established"
-        return s.session_key
+        self.n_s = n_s
+        self.session_key = derive_session_key(self.shared_key, self.n_c, n_s)
+        self.state = "established"
+        return self.session_key
 
 
 class ServerEndpoint:
@@ -361,10 +355,11 @@ def latency_benchmark(
     nonce_rng = substream(seed, "qsah", "nonces")
     server = ServerEndpoint(rng=nonce_rng)
 
-    pool = KeyPoolState(
-        balance_bits=n_handshakes * 512, capacity_bits=n_handshakes * 512, gen_rate_bps=0.0
-    )
-    kms = KmsReplica(0, pool, seed=seed)
+    pool = KeyPoolState(balance_bits=n_handshakes * 2 * KEY_BITS,
+                        capacity_bits=n_handshakes * 2 * KEY_BITS, gen_rate_bps=0.0)
+    # index 1: full-stack runs this beside its own replica 0 on the same
+    # root seed, and the index keeps the two replicas' key ids apart
+    kms = KmsReplica(1, pool, seed=seed)
 
     clients: dict[int, ClientSession] = {}
     latencies = np.zeros(n_handshakes)
@@ -380,19 +375,19 @@ def latency_benchmark(
         idx, message2 = event.payload
         client = clients[idx]
         client.client_finish(message2)
-        latencies[idx] = network.now_ms - client.session.t_start_ms
+        latencies[idx] = network.now_ms - client.t_start_ms
         established += 1
 
     net.register_node("client", client_handler)
     net.register_node("server", server_handler)
 
     def start_handshake(idx: int) -> None:
-        key = kms.rent(256, int(net.now_ms))
+        key = kms.rent(KEY_BITS, int(net.now_ms))
         server.install_key(key)
         client = ClientSession(key, nonce_rng)
         clients[idx] = client
         message1 = client.client_hello(now_ms=net.now_ms)
-        net.send("client", "server", (idx, client.session.key_id, message1))
+        net.send("client", "server", (idx, client.key_id, message1))
 
     for idx in range(n_handshakes):
         batch = idx // batch_size

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import qenergydex
-from qenergydex import market
+from qenergydex import market, qkms
 from qenergydex.cli import _HARNESS_RANGES, _write_csv, main
 
 
@@ -163,6 +163,11 @@ def test_harness_key_errors_exit_with_status_2(tmp_path, capsys):
          "section 'qsah': compute_median_ms must be finite and > 0"),
         ("market", {"qsah": {"compute_median_ms": 0.0}},
          "section 'qsah': compute_median_ms must be finite and > 0"),
+        # each ran to the end and was written to the manifest
+        *((command, {"consensus": {"block_interval_ms": value}},
+           "section 'consensus': block_interval_ms must be a finite number > 0")
+          for command in ("porlite", "full-stack")
+          for value in ("x", -1.0, 0, float("inf"), float("nan"), True)),
     ):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
@@ -347,6 +352,57 @@ def test_full_stack_report_pinned(tmp_path, alpha):
     assert main(["full-stack", "--check", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
     report = (tmp_path / "o" / "pipeline_report.json").read_bytes()
     assert hashlib.sha256(report).hexdigest() == PIPELINE_PINS[alpha]
+
+
+def test_full_stack_issues_each_key_id_once(tmp_path, monkeypatch):
+    # the handshakes' and salts' replica and the market handshakes' replica
+    # draw from one root seed: only their indices keep their ids apart
+    issued = []
+    rent = qkms.KmsReplica.rent
+
+    def recorded(self, n_bits, now_ms):
+        record = rent(self, n_bits, now_ms)
+        issued.append(record.key_id)
+        return record
+
+    monkeypatch.setattr(qkms.KmsReplica, "rent", recorded)
+    path = tmp_path / "small.json"
+    path.write_text(json.dumps({"full_stack": {"heights": 60, "n_handshakes": 8}}))
+    assert main(["full-stack", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    assert len(issued) > 8 + 60
+    assert len(set(issued)) == len(issued)
+
+
+# SHA-256 of the other case studies' data files at reduced configs, seed 1.
+# The market config is past the clear memo: the stacks admit 600 and 599
+# nodes, and STACK takes 10 QPs on each. The same bytes with one BLAS
+# thread and with the default.
+CASE_STUDY_PINS = {
+    ("market", '{"market": {"n_prosumers": 600, "n_buses": 60, "n_lines": 50}}'): {
+        "welfare_grid.csv": "1678f3c3a661ed3b72ca01663f0f0fa047b5bb66c87d2f4fc7113b93cb14efec",
+    },
+    ("rate-adapt", '{"trace": {"duration_s": 5.0}}'): {
+        "cdf.csv": "776881f6be63fc0fdd821dffac9ccabab94e3928fae6bee05314a5a31032f975",
+        "summary.json": "69dbae027a678c5b9b1deb232d4fbe808c53884d0c40950253670e261ebf40d6",
+        "timeseries.csv": "b18bc9bc1eab235d001ff6e7eb86ea866add1b0155be1327bd814a4dee57a16c",
+    },
+    ("qsah-bench", '{"qsah": {"n_handshakes": 300, "batch_size": 100}}'): {
+        "ecdf.csv": "02995ca7b3e748c1c9a39461652d364909175bb1e76d25657ace689fa0228809",
+        "latencies.csv": "eebd0f36be1c8577c8551cc04bd6395e0a858696d608622fe257f44c1bcf8251",
+    },
+}
+
+
+@pytest.mark.parametrize("command, doc", sorted(CASE_STUDY_PINS))
+def test_case_study_outputs_pinned(tmp_path, command, doc):
+    path = tmp_path / "small.json"
+    path.write_text(doc)
+    assert main([command, "--check", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / "o" / name).read_bytes()).hexdigest()
+        for name in CASE_STUDY_PINS[command, doc]
+    }
+    assert digests == CASE_STUDY_PINS[command, doc]
 
 
 @pytest.mark.parametrize("seed, doc", [

@@ -153,10 +153,10 @@ def test_honest_handshake_establishes_matching_keys():
     msg2 = server.server_response(key.key_id, msg1)
     assert len(msg2) == 32
     session_key = client.client_finish(msg2)
-    assert client.session.state == "established"
+    assert client.state == "established"
     # the server's key is the same function of the two wire messages
     assert session_key == derive_session_key(key.key_bits, msg1[:16], msg2[:16])
-    assert client.session.n_c != client.session.n_s
+    assert client.n_c != client.n_s
 
 
 def test_wire_layout_tag_over_ns_then_nc():
@@ -183,8 +183,8 @@ def test_completeness_randomized_runs():
         msg1 = client.client_hello()
         msg2 = server.server_response(key.key_id, msg1)
         client.client_finish(msg2)
-        assert client.session.state == "established"
-        assert client.session.session_key == derive_session_key(key.key_bits, msg1[:16], msg2[:16])
+        assert client.state == "established"
+        assert client.session_key == derive_session_key(key.key_bits, msg1[:16], msg2[:16])
 
 
 def test_replayed_hello_rejected():
@@ -225,7 +225,7 @@ def test_soundness_every_single_bit_tamper_rejected():
         client_t.client_hello()
         with pytest.raises(AuthFail):
             client_t.client_finish(bytes(tampered))
-        assert client_t.session.state == "failed"
+        assert client_t.state == "failed"
 
 
 def test_client_requires_key():
