@@ -23,8 +23,12 @@ those types' defaults) beside the harness's own keys: ``horizon``,
 and ``batch_size`` for the handshake benchmark. A key that no section
 defines, a value its parameter type rejects, or a harness key outside
 its range (a count below 1, a probability outside (0, 1), ...) exits with
-status 2 before any output is written. So does a link on which a batch of
-handshakes may still be sending hellos when the next batch starts, since
+status 2 before any output is written. So do a config document that is
+not a JSON object, a seed that is not an integer in the signed 128-bit
+range ``substream_seed`` hashes, a full-stack validator set in which
+``full_stack.alpha`` makes a third or more Byzantine
+(``porlite.byzantine_count``), and a link on which a batch of handshakes
+may still be sending hellos when the next batch starts, since
 ``qsah-bench`` and ``market`` take their latencies from the closed form
 (``qsah.check_batch_separation``).
 """
@@ -60,6 +64,7 @@ from .market import (
 from .netsim import LinkModel
 from .porlite import (
     ConsensusParams,
+    byzantine_count,
     finality_depth,
     fork_tail_bound,
     make_validators,
@@ -163,11 +168,17 @@ def load_config(path: str | None, seed: int | None) -> dict:
             doc = json.loads(Path(path).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        if "config" in doc and isinstance(doc["config"], dict):
+        if not isinstance(doc, dict):
+            raise ConfigError(f"config {path} must be a JSON object, got {type(doc).__name__}")
+        if isinstance(doc.get("config"), dict):
             doc = doc["config"]    # a manifest was passed back in
         config = _merge(config, doc)
     if seed is not None:
-        config["seed"] = int(seed)
+        config["seed"] = seed
+    # substream_seed hashes the root seed as a signed 128-bit integer
+    seed = config["seed"]
+    if type(seed) is not int or not -2 ** 127 <= seed < 2 ** 127:
+        raise ConfigError(f"seed must be an integer in [-2**127, 2**127), got {seed!r}")
     return config
 
 
@@ -296,7 +307,12 @@ def _check_harness_keys(config: dict) -> None:
                             ("keypool", "curve_rho_lo", "curve_rho_hi")):
         if not config[section][lo] <= config[section][hi]:
             raise ConfigError(f"{section}.{lo} must not exceed {section}.{hi}")
+    fs = config["full_stack"]
     _full_stack_consensus(config)
+    try:
+        byzantine_count(fs["n_validators"], fs["alpha"])
+    except ValueError as exc:
+        raise ConfigError(f"full_stack: {exc}") from exc
     # the handshake runs whose latencies come from the closed form
     link = _params(config, LinkModel)
     batch_size = config["qsah"]["batch_size"]
@@ -387,12 +403,12 @@ def cmd_rate_adapt(config: dict, out: Path) -> list[tuple[str, bool, str]]:
 def cmd_qsah_bench(config: dict, out: Path) -> list[tuple[str, bool, str]]:
     qs = config["qsah"]
     link = _params(config, LinkModel)
-    baseline = _params(config, BaselineHandshakeModel)
-    res = latency_benchmark(
-        qs["n_handshakes"], qs["batch_size"], link, baseline, seed=config["seed"]
+    res = latency_benchmark(qs["n_handshakes"], qs["batch_size"], link, seed=config["seed"])
+    baseline_local, baseline_rtt = baseline_latencies(
+        qs["n_handshakes"], link, _params(config, BaselineHandshakeModel), config["seed"]
     )
     scenarios = ("qsah_rtt", "baseline_local", "baseline_rtt")
-    arms = (res.qsah_latencies, res.baseline_local, res.baseline_rtt)
+    arms = (res.qsah_latencies, baseline_local, baseline_rtt)
     _write_csv(
         out / "latencies.csv",
         "scenario,handshake_idx,latency_ms",
@@ -422,8 +438,8 @@ def cmd_qsah_bench(config: dict, out: Path) -> list[tuple[str, bool, str]]:
         ),
         (
             "median below baseline-with-rtt",
-            float(np.median(res.qsah_latencies)) < float(np.median(res.baseline_rtt)),
-            f"{np.median(res.qsah_latencies):.2f} vs {np.median(res.baseline_rtt):.2f} ms",
+            float(np.median(res.qsah_latencies)) < float(np.median(baseline_rtt)),
+            f"{np.median(res.qsah_latencies):.2f} vs {np.median(baseline_rtt):.2f} ms",
         ),
         ("latency ECDF dominates baseline at every quantile", dominance, ""),
         (
@@ -666,7 +682,6 @@ def cmd_full_stack(config: dict, out: Path) -> list[tuple[str, bool, str]]:
         fs["market_prosumers"],
         min(qs["batch_size"], fs["market_prosumers"]),
         _params(config, LinkModel),
-        _params(config, BaselineHandshakeModel),
         seed=seed,
     )
     keep, outcomes = security_coupled_clearing(

@@ -408,10 +408,23 @@ def chain_metrics(trace: ChainTrace, params: ConsensusParams, max_depth: int = 8
 # ---------------------------------------------------------------------------
 
 
+def byzantine_count(n: int, alpha: float) -> int:
+    """round(alpha n) of n equal-weight validators, below a third of them.
+
+    Raises ValueError where that count holds 1/3 of the weight or more: the
+    honest weight then never reaches the 2/3 quorum.
+    """
+    k = int(round(alpha * n))
+    if 3 * k >= n:
+        raise ValueError(f"alpha {alpha} makes {k} of {n} validators Byzantine,"
+                         " at least 1/3 of the weight")
+    return k
+
+
 def make_validators(n: int, alpha: float, seed: int) -> list[ValidatorNode]:
-    """Equal-weight validator set with a Byzantine fraction close to alpha."""
+    """Equal-weight validator set with ``byzantine_count(n, alpha)`` Byzantine."""
+    byz_count = byzantine_count(n, alpha)
     rng = substream(seed, "vrf", "keys")
-    byz_count = int(round(alpha * n))
     nodes = []
     for i in range(n):
         nodes.append(

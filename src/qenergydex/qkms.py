@@ -277,7 +277,7 @@ class KmsReplica:
         self._rng = substream(seed, "kms", replica_id)
         self.keys: dict[str, KeyRecord] = {}
         self.events: list[KmsEvent] = []
-        self._qber_window: list[float] = []
+        self._qber_samples: list[tuple[int, float]] = []   # (t_ms, qber)
 
     # -- key lifecycle -------------------------------------------------------
 
@@ -329,16 +329,18 @@ class KmsReplica:
 
     # -- monitoring ----------------------------------------------------------
 
-    def record_qber(self, q: float) -> None:
-        self._qber_window.append(q)
+    def record_qber(self, q: float, now_ms: int) -> None:
+        self._qber_samples.append((now_ms, q))
 
     def audit(self, session_id: str, window_ms: tuple[int, int],
               sample_bits: int = 10 ** 6) -> AuditReport:
         """Summarize consumption inside the window and raise anomaly flags.
 
         ``empty_pool`` flags any failed rental in the window; ``qber_alarm``
-        fires when the running QBER deviation is large enough that the
-        chi-square test would miss it with probability below 1e-6.
+        fires when the mean of the QBER samples recorded in the window
+        deviates from the baseline by enough that the chi-square test would
+        miss it with probability below 1e-6. Both bounds of the window are
+        inclusive.
         """
         lo, hi = window_ms
         bits = rents = failures = 0
@@ -353,8 +355,9 @@ class KmsReplica:
         flags = []
         if failures:
             flags.append("empty_pool")
-        if self._qber_window:
-            delta = abs(float(np.mean(self._qber_window)) - self.baseline_qber)
+        qber = [q for t_ms, q in self._qber_samples if lo <= t_ms <= hi]
+        if qber:
+            delta = abs(float(np.mean(qber)) - self.baseline_qber)
             if chi_square_miss_probability(self.baseline_qber, delta, sample_bits) < 1e-6:
                 flags.append("qber_alarm")
         return AuditReport(

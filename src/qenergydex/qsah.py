@@ -7,12 +7,13 @@ id:
     client -> server:  n_c (16 bytes) || GMAC_K(n_c)            (16 bytes)
     server -> client:  n_s (16 bytes) || GMAC_K(n_s || n_c)     (16 bytes)
 
-The session key is HKDF-SHA256 over K || n_c || n_s with context label
-``Q-EnergyDEX`` and empty salt, 256 bits (``derive_session_key``). The
-client derives it on finishing; the server's key is the same function of
-the two wire messages, and the server does not derive it. The handshake
-state lives in ``ClientSession`` itself (``state``: init, challenged,
-established or failed); the server keeps no session state.
+The session key is RFC 5869 HKDF-SHA256 over K || n_c || n_s with context
+label ``Q-EnergyDEX`` and no salt, 256 bits: ``derive_session_key`` calls
+the ``cryptography`` package's ``HKDF``. The client derives it on
+finishing; the server's key is the same function of the two wire
+messages, and the server does not derive it. The handshake state lives in
+``ClientSession`` itself (``state``: init, challenged, established or
+failed); the server keeps no session state.
 
 GMAC is instantiated as AES-GCM over an empty plaintext with the message
 as associated data; the required 96-bit GCM nonce is derived
@@ -22,9 +23,11 @@ two 16-byte fields per message). The server keeps a per-key replay cache
 of client nonces for as long as the endpoint lives, so a replayed hello
 is rejected even though its tag verifies.
 
-The latency benchmark races this one-round-trip handshake against a
-modeled multi-round-trip PKI baseline over the same simulated links; no
-real TLS stack is involved.
+``latency_benchmark`` runs this one-round-trip handshake as protocol
+messages over the simulated links and returns its latencies alone;
+``baseline_latencies`` draws the two arms of the modeled multi-round-trip
+PKI baseline it is compared with, over the same link model. No real TLS
+stack is involved.
 
 ``handshake_latencies`` gives the benchmark's Q-SAH latencies in closed
 form, without running the protocol, and ``latency_benchmark`` stays its
@@ -49,12 +52,14 @@ does not and more than one batch runs.
 from __future__ import annotations
 
 import hashlib
-import hmac as hmac_mod
+import hmac
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+from cryptography.hazmat.primitives.hashes import SHA256
+from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 
 from .netsim import DEFAULT_PROCESSING_MS, LinkModel, Network
 from .qkms import KeyPoolState, KeyRecord, KmsReplica
@@ -67,7 +72,6 @@ __all__ = [
     "BaselineHandshakeModel",
     "gmac_tag",
     "gmac_verify",
-    "hkdf_sha256",
     "derive_session_key",
     "ClientSession",
     "ServerEndpoint",
@@ -118,27 +122,12 @@ def gmac_tag(key: bytes, nonce: bytes, data: bytes) -> bytes:
 
 
 def gmac_verify(key: bytes, nonce: bytes, data: bytes, tag: bytes) -> bool:
-    return hmac_mod.compare_digest(gmac_tag(key, nonce, data), tag)
-
-
-def hkdf_sha256(ikm: bytes, info: bytes, length: int = 32, salt: bytes = b"") -> bytes:
-    """RFC 5869 extract-then-expand over SHA-256."""
-    if not salt:
-        salt = b"\x00" * 32
-    prk = hmac_mod.digest(salt, ikm, "sha256")
-    okm = b""
-    block = b""
-    counter = 1
-    while len(okm) < length:
-        block = hmac_mod.digest(prk, block + info + bytes([counter]), "sha256")
-        okm += block
-        counter += 1
-    return okm[:length]
+    return hmac.compare_digest(gmac_tag(key, nonce, data), tag)
 
 
 def derive_session_key(shared_key: bytes, n_c: bytes, n_s: bytes) -> bytes:
     """Session key = HKDF(K || n_c || n_s, context ``Q-EnergyDEX``), 32 bytes."""
-    return hkdf_sha256(shared_key + n_c + n_s, KDF_CONTEXT, 32)
+    return HKDF(SHA256(), length=32, salt=None, info=KDF_CONTEXT).derive(shared_key + n_c + n_s)
 
 
 # ---------------------------------------------------------------------------
@@ -253,8 +242,6 @@ class BaselineHandshakeModel:
 @dataclass(frozen=True)
 class BenchmarkResult:
     qsah_latencies: np.ndarray
-    baseline_local: np.ndarray
-    baseline_rtt: np.ndarray
     established: int
 
 
@@ -336,18 +323,17 @@ def latency_benchmark(
     n_handshakes: int,
     batch_size: int,
     link: LinkModel,
-    baseline: BaselineHandshakeModel,
     seed: int,
 ) -> BenchmarkResult:
-    """Measure handshake latency against the modeled baseline.
+    """Measure the symmetric handshake's latency.
 
-    The symmetric handshake runs as real protocol messages through the
-    event-driven network (one round trip, per-message processing cost);
-    requests start in batches of ``batch_size``, 500 ms apart. The
-    baseline arms come from ``baseline_latencies``.
+    The handshake runs as real protocol messages through the event-driven
+    network (one round trip, per-message processing cost); requests start
+    in batches of ``batch_size``, 500 ms apart, each over a key rented from
+    a private replica.
 
-    Returns the three arms' latencies in ms, ``n_handshakes`` each, in
-    handshake order (unsorted), and the count of handshakes established.
+    Returns the ``n_handshakes`` latencies in ms, in handshake order
+    (unsorted), and the count of handshakes established.
     """
     _check_counts(n_handshakes, batch_size)
 
@@ -355,8 +341,8 @@ def latency_benchmark(
     nonce_rng = substream(seed, "qsah", "nonces")
     server = ServerEndpoint(rng=nonce_rng)
 
-    pool = KeyPoolState(balance_bits=n_handshakes * 2 * KEY_BITS,
-                        capacity_bits=n_handshakes * 2 * KEY_BITS, gen_rate_bps=0.0)
+    pool = KeyPoolState(balance_bits=n_handshakes * KEY_BITS,
+                        capacity_bits=n_handshakes * KEY_BITS, gen_rate_bps=0.0)
     # index 1: full-stack runs this beside its own replica 0 on the same
     # root seed, and the index keeps the two replicas' key ids apart
     kms = KmsReplica(1, pool, seed=seed)
@@ -393,11 +379,4 @@ def latency_benchmark(
         batch = idx // batch_size
         net.call_at(batch * _BATCH_GAP_MS, (lambda i: (lambda: start_handshake(i)))(idx))
     net.run_to_quiescence()
-
-    baseline_local, baseline_rtt = baseline_latencies(n_handshakes, link, baseline, seed)
-    return BenchmarkResult(
-        qsah_latencies=latencies,
-        baseline_local=baseline_local,
-        baseline_rtt=baseline_rtt,
-        established=established,
-    )
+    return BenchmarkResult(qsah_latencies=latencies, established=established)

@@ -77,6 +77,19 @@ def test_config_errors_exit_with_status_2(tmp_path, capsys):
         {"consensus": {"alpha": 0.4}},      # rejected by ConsensusParams
         {"links": {"d0_ms": -1}},           # rejected by LinkModel
         {"consensus": {"mode": "network"}},
+        # not a JSON object: each raised a traceback
+        [1, 2],
+        None,
+        "x",
+        # a seed that is not an integer: "a" died after the manifest was
+        # written, 1.5 and true ran silently as seed 1
+        {"seed": "a"},
+        {"seed": 1.5},
+        {"seed": True},
+        # outside substream_seed's signed 128-bit range: an OverflowError
+        # after the manifest was written
+        {"seed": 2 ** 127},
+        {"seed": -2 ** 127 - 1},
     )
     for doc in docs:
         path = tmp_path / "bad.json"
@@ -84,10 +97,16 @@ def test_config_errors_exit_with_status_2(tmp_path, capsys):
         for command in ("rate-adapt", "porlite"):
             assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     assert main(["rate-adapt", "--jobs", "0", "--out", str(tmp_path / "o")]) == 2
+    for seed in (2 ** 127, -2 ** 127 - 1):
+        assert main(["rate-adapt", "--seed", str(seed), "--out", str(tmp_path / "o")]) == 2
     assert not (tmp_path / "o").exists()
     err = capsys.readouterr().err
-    assert err.count("config error") == 2 * len(docs) + 1
+    assert err.count("config error") == 2 * len(docs) + 3
     assert "unknown key consensus.mode" in err
+    assert "must be a JSON object, got list" in err
+    assert "must be a JSON object, got NoneType" in err
+    assert "seed must be an integer in [-2**127, 2**127), got True" in err
+    assert f"got {2 ** 127}" in err
 
 
 def test_harness_key_errors_exit_with_status_2(tmp_path, capsys):
@@ -95,6 +114,9 @@ def test_harness_key_errors_exit_with_status_2(tmp_path, capsys):
     for command, doc, message in (
         ("full-stack", {"full_stack": {"alpha": 0.4}},
          "full_stack.alpha: alpha must lie in [0, 1/3)"),
+        # 7 of 20 Byzantine: no block confirmed, 264 forks and exit 3
+        ("full-stack", {"full_stack": {"alpha": 0.33}},
+         "full_stack: alpha 0.33 makes 7 of 20 validators Byzantine, at least 1/3 of the weight"),
         ("qsah-bench", {"qsah": {"n_handshakes": 0}},
          "qsah.n_handshakes must be an integer >= 1"),
         ("rate-adapt", {"trace": {"amp_lo": 0.2}},

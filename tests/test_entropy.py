@@ -175,7 +175,7 @@ def test_chi_square_closed_form_matches_incomplete_gamma():
         got = chi_square_miss_probability(q0, delta, n)
         assert abs(got - exact) <= 1e-12 * exact
         kms = KmsReplica(0, KeyPoolState(10**6, 10**6, 0.0), baseline_qber=q0)
-        kms.record_qber(qber)
+        kms.record_qber(qber, 1)
         alarm = "qber_alarm" in kms.audit("s", (0, 1), sample_bits=n).anomaly_flags
         # the audit decides as the exact tail and as the gamma-function form did
         assert alarm == (exact < 1e-6) == (gammaincc(0.5, statistic / 2.0) < 1e-6)

@@ -315,6 +315,29 @@ def test_network_mode_equivocation():
     assert trace_digest(trace) == "05308f93ff496801bd0d6c470c6057c1ac6e7c25ea46b3e47a17ca0f558f5049"
 
 
+def test_make_validators_keeps_byzantine_weight_below_a_third():
+    # a count below n/3 is round(alpha n), as it always was; a count at or
+    # above it is refused, since the honest weight would never reach the
+    # 2/3 quorum (20 validators at alpha 0.33 would make 7 Byzantine)
+    alphas = [k / 60 for k in range(20)] + [0.25, 0.3, 0.33, math.nextafter(1 / 3, 0)]
+    refused = set()
+    for n in range(1, 101):
+        for alpha in alphas:
+            k = int(round(alpha * n))
+            try:
+                nodes = make_validators(n, alpha, seed=n)
+            except ValueError as exc:
+                assert "at least 1/3 of the weight" in str(exc)
+                assert 3 * k >= n
+                refused.add((n, alpha))
+                continue
+            assert 3 * k < n
+            assert [node.byzantine for node in nodes] == [i < k for i in range(n)]
+            assert all(node.weight == 1.0 / n for node in nodes)
+    assert (20, 0.33) in refused
+    assert (20, 0.3) not in refused
+
+
 def test_simulate_chain_validation():
     with pytest.raises(ValueError):
         simulate_chain(ConsensusParams(), 0)

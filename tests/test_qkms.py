@@ -364,10 +364,34 @@ def test_audit_counts_and_empty_pool_flag():
 
 def test_audit_qber_alarm():
     kms = KmsReplica(0, make_pool(), seed=6, baseline_qber=0.01)
-    for _ in range(50):
-        kms.record_qber(0.013)   # deviation 0.003 over a 1e6-bit window
+    for t in range(50):
+        kms.record_qber(0.013, t)   # deviation 0.003 over a 1e6-bit window
     report = kms.audit("sid-2", (0, 100))
     assert "qber_alarm" in report.anomaly_flags
     quiet = KmsReplica(0, make_pool(), seed=6, baseline_qber=0.01)
-    quiet.record_qber(0.0100001)
+    quiet.record_qber(0.0100001, 0)
     assert "qber_alarm" not in quiet.audit("sid-3", (0, 100)).anomaly_flags
+
+
+def test_audit_qber_alarm_reads_only_its_window():
+    # ten samples at 0.05, then ten at the baseline 0.01: only the first
+    # window alarms, and later samples outside it do not clear its alarm
+    kms = KmsReplica(0, make_pool(), seed=6, baseline_qber=0.01)
+    for t in range(10):
+        kms.record_qber(0.05, t)
+    for t in range(20, 30):
+        kms.record_qber(0.01, t)
+
+    def alarms(window):
+        return "qber_alarm" in kms.audit("sid", window).anomaly_flags
+
+    assert alarms((0, 10))
+    assert not alarms((20, 30))
+    assert not alarms((10, 19))   # no sample: nothing to test
+    for t in range(30, 1030):
+        kms.record_qber(0.01, t)
+    assert alarms((0, 10))
+    assert not alarms((20, 1029))
+    # both bounds are inclusive: one 0.05 sample at t = 9 tips the window
+    assert alarms((9, 20))
+    assert not alarms((10, 20))
