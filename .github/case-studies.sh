@@ -19,6 +19,10 @@ done
 "${run[@]}" keypool --check --seed 2 --out out/keypool-seed2
 # the pool's generation rate is the mean secure capacity over the whole trace
 "${run[@]}" full-stack --check --seed 2 --out out/full-stack-seed2
+# a 600 s trace: 600k CSV rows written block by block, 120 pulses each
+# added on its own support window
+echo '{"trace": {"duration_s": 600.0}}' > out/rate-adapt-600s.json
+"${run[@]}" rate-adapt --check --seed 1 --config out/rate-adapt-600s.json --out out/rate-adapt-600s
 # capacity 12: the key-pool walk's rows are shorter than _SCAN_COLS
 echo '{"keypool": {"capacity": 12}}' > out/keypool-capacity12.json
 "${run[@]}" keypool --check --config out/keypool-capacity12.json --out out/keypool-capacity12

@@ -186,20 +186,30 @@ def _write_json(path: Path, doc) -> None:
     path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
+# rows formatted per write of _write_csv
+_CSV_BLOCK = 4096
+
+
 def _write_csv(path: Path, header: str, *columns) -> None:
     """Write equal-length columns under ``header``, one row per index.
 
     Each column is taken as one array: a float column is written as the
     ``repr`` of each value (the shortest text that reads back to the same
-    double), any other column with ``str``.
+    double), any other column with ``str``. Columns of unequal length raise
+    ValueError before the file is opened. Rows are formatted and written
+    ``_CSV_BLOCK`` at a time, so the Python objects staged at once number
+    O(``_CSV_BLOCK`` x columns) whatever the row count.
     """
-    cells = [
-        map(repr if col.dtype.kind == "f" else str, col.tolist())
-        for col in map(np.asarray, columns)
-    ]
+    cols = [np.asarray(col) for col in columns]
+    lengths = [len(col) for col in cols]
+    if len(set(lengths)) > 1:
+        raise ValueError(f"{path.name}: columns differ in length: {lengths}")
+    formats = [repr if col.dtype.kind == "f" else str for col in cols]
     with open(path, "w", newline="") as fh:
         fh.write(header + "\n")
-        fh.writelines(",".join(row) + "\n" for row in zip(*cells))
+        for lo in range(0, max(lengths, default=0), _CSV_BLOCK):
+            cells = [map(fmt, col[lo:lo + _CSV_BLOCK].tolist()) for fmt, col in zip(formats, cols)]
+            fh.write("".join([",".join(row) + "\n" for row in zip(*cells)]))
 
 
 def _trace_from_config(config: dict):

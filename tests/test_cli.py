@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 
 import qenergydex
 from qenergydex import market, qkms
-from qenergydex.cli import _HARNESS_RANGES, _write_csv, main
+from qenergydex.cli import _CSV_BLOCK, _HARNESS_RANGES, _write_csv, main
 
 
 def _fmt(v) -> str:
@@ -47,6 +48,37 @@ def test_column_writer_matches_row_writer(tmp_path):
 
     _write_csv(tmp_path / "empty.csv", "a,b", [], np.empty(0))
     assert (tmp_path / "empty.csv").read_bytes() == b"a,b\n"
+
+    # row counts on either side of the block boundaries, every column kind
+    for rows in (0, 1, _CSV_BLOCK - 1, _CSV_BLOCK, _CSV_BLOCK + 1, 3 * _CSV_BLOCK + 7):
+        cycled = [[col[i % n] for i in range(rows)] for col in columns]
+        kinds = [np.array(cycled[0]), cycled[1], cycled[2], np.array(cycled[3], dtype=np.int64),
+                 cycled[4], range(rows), cycled[6], np.array(cycled[7], dtype=np.float32)]
+        _write_csv(tmp_path / "cols.csv", header, *kinds)
+        _write_rows(tmp_path / "rows.csv", header, zip(*kinds))
+        written = (tmp_path / "cols.csv").read_bytes()
+        assert written == (tmp_path / "rows.csv").read_bytes()
+        assert written.count(b"\n") == rows + 1
+
+
+def test_column_writer_stages_one_block_at_a_time(tmp_path):
+    columns = list(np.random.default_rng(5).random((7, 200_000)))
+    tracemalloc.start()
+    try:
+        _write_csv(tmp_path / "big.csv", ",".join("abcdefg"), *columns)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # every row at once stages about 45 MB of Python floats and strings
+    assert peak < 8e6
+    assert (tmp_path / "big.csv").read_bytes().count(b"\n") == 200_001
+
+
+def test_column_writer_rejects_unequal_lengths(tmp_path):
+    # zip would truncate every column to the shortest
+    with pytest.raises(ValueError, match=r"\[3, 2, 3\]"):
+        _write_csv(tmp_path / "short.csv", "a,b,c", [1, 2, 3], np.ones(2), range(3))
+    assert not (tmp_path / "short.csv").exists()
 
 
 def _files(path):

@@ -16,6 +16,7 @@ from qenergydex.entropy import (
     secure_capacity_bps,
 )
 from qenergydex.qkms import KeyPoolState, KmsReplica
+from qenergydex.rng import substream
 
 mp.mp.dps = 40
 
@@ -206,6 +207,44 @@ def test_trace_integer_base_level():
     # a config file may give the base level as an integer
     a = generate_qber_trace(2.0, seed=3, base_q=0)
     assert np.array_equal(a.samples, generate_qber_trace(2.0, seed=3, base_q=0.0).samples)
+
+
+def _full_length_trace(duration_s, seed, width_range):
+    """generate_qber_trace with each pulse added over the whole trace, its oracle."""
+    n = int(round(duration_s * 1000.0))
+    rng = substream(seed, "trace")
+    t = np.arange(n, dtype=float)
+    q = np.full(n, 0.01, dtype=float)
+    noise = rng.normal(0.0, 0.004, size=n)
+    np.clip(noise, -3.0 * 0.004, 3.0 * 0.004, out=noise)
+    q += noise
+    bump = np.empty(n)
+    for _ in range(int(round(12 * duration_s / 60.0))):
+        center = rng.uniform(0.0, n)
+        width = rng.uniform(*width_range)
+        amp = rng.uniform(0.01, 0.05)
+        # q += amp * np.exp(-0.5 * ((t - center) / width) ** 2), the same
+        # operations in one preallocated buffer
+        np.subtract(t, center, out=bump)
+        bump /= width
+        np.square(bump, out=bump)
+        bump *= -0.5
+        np.exp(bump, out=bump)
+        bump *= amp
+        q += bump
+    np.clip(q, 0.001, 0.08, out=q)
+    return q
+
+
+def test_trace_pulse_windows_equal_full_length_pulses():
+    # widths up to 20000 samples outreach every trace; 0.5 samples is
+    # narrower than one step; centers fall near either end
+    for width_range in ((50.0, 500.0), (0.5, 2.0), (5000.0, 20000.0)):
+        for duration_s in (5.0, 60.0, 61.7, 300.0):
+            for seed in range(1, 21):
+                tr = generate_qber_trace(duration_s, seed=seed, width_range=width_range)
+                oracle = _full_length_trace(duration_s, seed, width_range)
+                assert tr.samples.tobytes() == oracle.tobytes(), (width_range, duration_s, seed)
 
 
 def test_trace_clipping_many_seeds():
