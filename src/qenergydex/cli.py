@@ -16,6 +16,10 @@ named substreams. ``--check`` validates the command's acceptance
 assertions and exits with status 3 on failure; configuration errors exit
 with status 2.
 
+Only ``qsah-bench`` and ``full-stack`` run the handshake protocol, so only
+they need the ``cryptography`` package: it is imported at their first
+handshake (``qsah._crypto``), and the other commands never load it.
+
 The ``consensus``, ``links`` and ``qsah`` sections carry the fields of
 ``ConsensusParams``, ``LinkModel`` and ``BaselineHandshakeModel`` (with
 those types' defaults) beside the harness's own keys: ``horizon``,

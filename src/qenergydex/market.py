@@ -106,7 +106,9 @@ class GridModel:
     leader_c: np.ndarray
 
     def __post_init__(self):
-        ptdf = np.atleast_2d(np.asarray(self.ptdf, dtype=float))
+        # F-ordered, as `restrict`'s column selection returns it: the
+        # solvers' matrix products can round differently on a C-ordered copy
+        ptdf = np.asfortranarray(np.atleast_2d(np.asarray(self.ptdf, dtype=float)))
         limits = np.asarray(self.line_limits, dtype=float)
         q = np.asarray(self.leader_q_diag, dtype=float)
         c = np.asarray(self.leader_c, dtype=float)
@@ -187,7 +189,11 @@ def aggregate_response(
 def welfare(prosumers: list[Prosumer], p: np.ndarray) -> float:
     """Social welfare sum(pi_i p_i - p_i^2 / (2 alpha_i))."""
     alpha, pi, _ = _vectors(prosumers)
-    p = np.asarray(p, dtype=float)
+    return _welfare(alpha, pi, np.asarray(p, dtype=float))
+
+
+def _welfare(alpha, pi, p) -> float:
+    """``welfare`` over the stacked prosumer arrays the solvers hold."""
     return float(np.sum(pi * p - p * p / (2.0 * alpha)))
 
 
@@ -236,7 +242,7 @@ def solve_social(
 
     def g_val(u):
         p = _response(alpha, pi, pmax, h, u)
-        return welfare(prosumers, p) - float(u @ (h @ p - limits)), p
+        return _welfare(alpha, pi, p) - float(u @ (h @ p - limits)), p
 
     u = np.zeros(grid.n_lines)
     g_u, p = g_val(u)
@@ -287,7 +293,7 @@ def solve_social(
     return MarketOutcome(
         u=u,
         p=p,
-        welfare=welfare(prosumers, p),
+        welfare=_welfare(alpha, pi, p),
         scenario="SOCIAL",
         feasible=bool((flows <= limits + 1e-6 * (1 + np.abs(limits))).all()),
         iterations=iterations,
@@ -546,7 +552,7 @@ def solve_stackelberg(
     return MarketOutcome(
         u=u,
         p=p,
-        welfare=welfare(prosumers, p),
+        welfare=_welfare(alpha, pi, p),
         scenario="STACK",
         feasible=residual <= tol,
         iterations=total_iters,
@@ -595,14 +601,14 @@ def solve_base(
         p_candidate = np.clip(p0 - relief, -pmax, pmax)
         p_candidate = _scale(p_candidate)   # no-op if targeted relief sufficed
         p_uniform = _scale(p0)
-        if welfare(prosumers, p_candidate) < welfare(prosumers, p_uniform):
+        if _welfare(alpha, pi, p_candidate) < _welfare(alpha, pi, p_uniform):
             p_candidate = p_uniform
         p_final = p_candidate
 
     return MarketOutcome(
         u=np.zeros(grid.n_lines),
         p=p_final,
-        welfare=welfare(prosumers, p_final),
+        welfare=_welfare(alpha, pi, p_final),
         scenario="WBASE" if weighted else "BASE",
         feasible=bool((h @ p_final <= limits * (1 + 1e-12) + 1e-9).all()),
         iterations=0,
@@ -675,7 +681,11 @@ def security_coupled_clearing(
         clears = {}
     key = keep.tobytes()
     if key not in clears:
-        clears[key] = clear_all_scenarios(grid.restrict(keep), [prosumers[i] for i in keep], tol)
+        if keep.size == len(prosumers):
+            # every node admitted: the grid itself, without a copy of its PTDF
+            clears[key] = clear_all_scenarios(grid, prosumers, tol)
+        else:
+            clears[key] = clear_all_scenarios(grid.restrict(keep), [prosumers[i] for i in keep], tol)
     return keep, dict(clears[key])
 
 

@@ -23,6 +23,14 @@ two 16-byte fields per message). The server keeps a per-key replay cache
 of client nonces for as long as the endpoint lives, so a replayed hello
 is rejected even though its tag verifies.
 
+Only ``gmac_tag`` (and so ``gmac_verify``) and ``derive_session_key``
+touch ``cryptography``: they import its AES-GCM, HKDF and SHA-256
+bindings through ``_crypto`` at their first call, which in the program is
+a handshake's first message. Importing this module maps none of them, so
+a process that never runs a handshake (``market``, whose latencies come
+from ``handshake_latencies``, and every command but ``qsah-bench`` and
+``full-stack``) never loads the bindings and their native libraries.
+
 ``latency_benchmark`` runs this one-round-trip handshake as protocol
 messages over the simulated links and returns its latencies alone;
 ``baseline_latencies`` draws the two arms of the modeled multi-round-trip
@@ -51,15 +59,13 @@ does not and more than one batch runs.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import hmac
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from cryptography.hazmat.primitives.ciphers.aead import AESGCM
-from cryptography.hazmat.primitives.hashes import SHA256
-from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 
 from .netsim import DEFAULT_PROCESSING_MS, LinkModel, Network
 from .qkms import KeyPoolState, KeyRecord, KmsReplica
@@ -116,9 +122,23 @@ def _m2_nonce(n_s: bytes, n_c: bytes) -> bytes:
     return hashlib.sha256(b"qsah/m2" + n_s + n_c).digest()[:12]
 
 
+@functools.cache
+def _crypto():
+    """``(AESGCM, HKDF, SHA256)`` from ``cryptography``, imported at the first call.
+
+    Importing them maps the package's native bindings (about 6 MB of
+    resident memory), which only a handshake needs.
+    """
+    from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+    from cryptography.hazmat.primitives.hashes import SHA256
+    from cryptography.hazmat.primitives.kdf.hkdf import HKDF
+    return AESGCM, HKDF, SHA256
+
+
 def gmac_tag(key: bytes, nonce: bytes, data: bytes) -> bytes:
     """16-byte GMAC tag: AES-GCM over empty plaintext with ``data`` as AAD."""
-    return AESGCM(key).encrypt(nonce, b"", data)
+    aesgcm, _, _ = _crypto()
+    return aesgcm(key).encrypt(nonce, b"", data)
 
 
 def gmac_verify(key: bytes, nonce: bytes, data: bytes, tag: bytes) -> bool:
@@ -127,7 +147,8 @@ def gmac_verify(key: bytes, nonce: bytes, data: bytes, tag: bytes) -> bool:
 
 def derive_session_key(shared_key: bytes, n_c: bytes, n_s: bytes) -> bytes:
     """Session key = HKDF(K || n_c || n_s, context ``Q-EnergyDEX``), 32 bytes."""
-    return HKDF(SHA256(), length=32, salt=None, info=KDF_CONTEXT).derive(shared_key + n_c + n_s)
+    _, hkdf, sha256 = _crypto()
+    return hkdf(sha256(), length=32, salt=None, info=KDF_CONTEXT).derive(shared_key + n_c + n_s)
 
 
 # ---------------------------------------------------------------------------

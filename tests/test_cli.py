@@ -305,6 +305,15 @@ def test_market_clears_each_admitted_set_once(tmp_path, monkeypatch):
     assert _files(tmp_path / "0") == _files(tmp_path / "1")
 
 
+def _fresh_python(code: str) -> str:
+    """Standard output of ``code`` run by a new interpreter that imports this package."""
+    src = str(Path(qenergydex.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, check=True)
+    return done.stdout
+
+
 def test_commands_run_without_scipy(tmp_path):
     # scipy is a test-only dependency: a fresh interpreter that runs the
     # leader QP and the chi-square audit path loads no scipy module
@@ -322,13 +331,72 @@ def test_commands_run_without_scipy(tmp_path):
         f"    assert main([command, '--config', {str(config)!r}, '--out', out]) == 0",
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))",
     ])
-    src = str(Path(qenergydex.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
-                          capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "[]"
+    assert _fresh_python(code).strip() == "[]"
     rows = (tmp_path / "market" / "welfare_grid.csv").read_text().splitlines()[1:]
     assert all(int(row.split(",")[4]) > 0 for row in rows if ",STACK," in row)   # QPs were solved
+
+
+# reduced configs of the commands that run no handshake, and of qsah-bench
+NO_HANDSHAKE = ("market", "keypool", "porlite", "rate-adapt")
+SMALL_CONFIG = {
+    "market": {"n_prosumers": 300, "n_buses": 30, "n_lines": 24},
+    "keypool": {"max_events": 200_000},
+    "consensus": {"horizon": 20_000, "seeds": 3},
+    "trace": {"duration_s": 5.0},
+    "qsah": {"n_handshakes": 300, "batch_size": 100},
+}
+
+
+def test_commands_without_a_handshake_run_without_cryptography(tmp_path, capsys):
+    # a fresh interpreter in which importing cryptography raises ImportError
+    # (this one has imported it already) gives the same exit status, stdout
+    # and output bytes as this one; qsah-bench fails at its first handshake,
+    # so the block holds
+    config = tmp_path / "small.json"
+    config.write_text(json.dumps(SMALL_CONFIG))
+    code = "\n".join([
+        "import contextlib, io, json, sys, traceback",
+        "sys.modules['cryptography'] = None",
+        "from qenergydex.cli import main",
+        "runs = {}",
+        f"for command in {NO_HANDSHAKE!r}:",
+        "    with contextlib.redirect_stdout(io.StringIO()) as buf:",
+        f"        status = main([command, '--check', '--config', {str(config)!r},",
+        f"                       '--out', {str(tmp_path / 'blocked')!r} + '/' + command])",
+        "    runs[command] = [status, buf.getvalue()]",
+        "try:",
+        f"    main(['qsah-bench', '--config', {str(config)!r}, '--out', {str(tmp_path / 'qsah')!r}])",
+        "except ImportError as exc:",
+        "    runs['qsah-bench'] = [f.name for f in traceback.extract_tb(exc.__traceback__)]",
+        "print(json.dumps(runs))",
+    ])
+    runs = json.loads(_fresh_python(code))
+    assert "client_hello" in runs["qsah-bench"] and runs["qsah-bench"][-1] == "_crypto"
+    for command in NO_HANDSHAKE:
+        out = tmp_path / "open" / command
+        status = main([command, "--check", "--config", str(config), "--out", str(out)])
+        assert runs[command] == [status, capsys.readouterr().out]
+        assert _files(out) == _files(tmp_path / "blocked" / command)
+
+
+def test_only_a_handshake_loads_the_crypto_bindings(tmp_path):
+    config = tmp_path / "small.json"
+    config.write_text(json.dumps(SMALL_CONFIG))
+    code = "\n".join([
+        "import json, sys",
+        "import qenergydex, qenergydex.cli, qenergydex.qsah",
+        "def hazmat():",
+        "    return sorted(m for m in sys.modules if m.startswith('cryptography.hazmat'))",
+        "seen = [hazmat()]",
+        "for command in ('market', 'qsah-bench'):",
+        f"    qenergydex.cli.main([command, '--config', {str(config)!r},",
+        f"                         '--out', {str(tmp_path)!r} + '/' + command])",
+        "    seen.append(hazmat())",
+        "print(json.dumps(seen))",
+    ])
+    imported, after_market, after_qsah = json.loads(_fresh_python(code))
+    assert imported == after_market == []
+    assert "cryptography.hazmat.primitives.ciphers.aead" in after_qsah
 
 
 def test_porlite_finality_marker_holds_at_every_security_level(tmp_path, capsys):
