@@ -23,6 +23,12 @@ done
 # added on its own support window
 echo '{"trace": {"duration_s": 600.0}}' > out/rate-adapt-600s.json
 "${run[@]}" rate-adapt --check --seed 1 --config out/rate-adapt-600s.json --out out/rate-adapt-600s
+# the fixed arm at R_max, above the capacity in every interval, alone and
+# with the adaptive gain near its bound of 1
+echo '{"kms": {"fixed_fraction": 1.0}}' > out/rate-adapt-fixed-max.json
+"${run[@]}" rate-adapt --check --seed 1 --config out/rate-adapt-fixed-max.json --out out/rate-adapt-fixed-max
+echo '{"kms": {"fixed_fraction": 1.0, "gamma0": 0.99}}' > out/rate-adapt-gamma099.json
+"${run[@]}" rate-adapt --check --seed 1 --config out/rate-adapt-gamma099.json --out out/rate-adapt-gamma099
 # capacity 12: the key-pool walk's rows are shorter than _SCAN_COLS
 echo '{"keypool": {"capacity": 12}}' > out/keypool-capacity12.json
 "${run[@]}" keypool --check --config out/keypool-capacity12.json --out out/keypool-capacity12

@@ -75,10 +75,10 @@ from .porlite import (
     simulate_chain,
 )
 from .qkms import (
+    RATE_FLOOR_FRACTION,
     InsufficientEntropy,
     KeyPoolState,
     KmsReplica,
-    RateAdaptState,
     run_rate_controller,
 )
 from .qsah import (
@@ -194,6 +194,22 @@ def _write_json(path: Path, doc) -> None:
 _CSV_BLOCK = 4096
 
 
+def _cells(block: np.ndarray) -> list[str]:
+    """The text of each value in ``block``: ``repr`` of a float, else ``str``.
+
+    Floats are formatted once per distinct bit pattern, which keeps 0.0 and
+    -0.0 apart (they compare equal); a block of mostly distinct values,
+    where the sort saves nothing, is formatted value by value.
+    """
+    if block.dtype.kind != "f":
+        return list(map(str, block.tolist()))
+    bits, inverse = np.unique(block.view(f"u{block.itemsize}"), return_inverse=True)
+    if 2 * len(bits) > len(block):
+        return list(map(repr, block.tolist()))
+    texts = list(map(repr, bits.view(block.dtype).tolist()))
+    return list(map(texts.__getitem__, inverse.tolist()))
+
+
 def _write_csv(path: Path, header: str, *columns) -> None:
     """Write equal-length columns under ``header``, one row per index.
 
@@ -202,18 +218,19 @@ def _write_csv(path: Path, header: str, *columns) -> None:
     double), any other column with ``str``. Columns of unequal length raise
     ValueError before the file is opened. Rows are formatted and written
     ``_CSV_BLOCK`` at a time, so the Python objects staged at once number
-    O(``_CSV_BLOCK`` x columns) whatever the row count.
+    O(``_CSV_BLOCK`` x columns) whatever the row count; an array passed as
+    two columns is formatted once per block.
     """
     cols = [np.asarray(col) for col in columns]
     lengths = [len(col) for col in cols]
     if len(set(lengths)) > 1:
         raise ValueError(f"{path.name}: columns differ in length: {lengths}")
-    formats = [repr if col.dtype.kind == "f" else str for col in cols]
     with open(path, "w", newline="") as fh:
         fh.write(header + "\n")
         for lo in range(0, max(lengths, default=0), _CSV_BLOCK):
-            cells = [map(fmt, col[lo:lo + _CSV_BLOCK].tolist()) for fmt, col in zip(formats, cols)]
-            fh.write("".join([",".join(row) + "\n" for row in zip(*cells)]))
+            cells = {id(col): _cells(col[lo:lo + _CSV_BLOCK]) for col in cols}
+            rows = zip(*[cells[id(col)] for col in cols])
+            fh.write("".join([",".join(row) + "\n" for row in rows]))
 
 
 def _trace_from_config(config: dict):
@@ -348,22 +365,16 @@ def cmd_rate_adapt(config: dict, out: Path) -> list[tuple[str, bool, str]]:
     trace = _trace_from_config(config)
     kms = config["kms"]
     r_max = kms["r_max_bps"]
-    st0 = RateAdaptState(r_t_bps=r_max, r_max_bps=r_max, gamma0=kms["gamma0"])
-    adaptive = run_rate_controller(trace, st0, strategy="rate_adapt")
-    fixed = run_rate_controller(
-        trace, st0, strategy="fixed", fixed_target_bps=kms["fixed_fraction"] * r_max
-    )
+    res = run_rate_controller(trace, r_max, kms["gamma0"], float(kms["fixed_fraction"] * r_max))
+    adaptive, fixed = res.adaptive, res.fixed
 
     _write_csv(
         out / "timeseries.csv",
         "t_ms,qber,capacity_bps,adaptive_target_bps,adaptive_output_bps,fixed_target_bps,fixed_output_bps",
-        adaptive.t_ms,
-        trace.samples,
-        adaptive.capacity_bps,
-        adaptive.target_bps,
-        adaptive.output_bps,
-        fixed.target_bps,
-        fixed.output_bps,
+        res.t_ms, trace.samples, res.capacity_bps,
+        # the adaptive request never exceeds capacity, so it is also the output
+        adaptive.output_bps, adaptive.output_bps,
+        np.broadcast_to(res.fixed_target_bps, res.t_ms.shape), fixed.output_bps,
     )
 
     names, rates, levels = [], [], []
@@ -407,8 +418,8 @@ def cmd_rate_adapt(config: dict, out: Path) -> list[tuple[str, bool, str]]:
         ),
         (
             "controller floor 0.1 R_max",
-            bool((adaptive.state_bps >= 0.1 * r_max - 1e-9).all()),
-            f"min state {adaptive.state_bps.min():.3e}",
+            bool((res.state_bps >= RATE_FLOOR_FRACTION * r_max - 1e-9).all()),
+            f"min state {res.state_bps.min():.3e}",
         ),
     ]
     return checks

@@ -12,27 +12,22 @@ A key identifier's top byte is the replica index, so two replicas with
 different indices never issue the same identifier; two with the same
 index and root seed draw the same identifiers and key bits.
 
-The rate controller compares two emission strategies against the
-per-millisecond secure capacity given by the leftover-hash length of the
-interval's raw bits:
+The rate controller runs two emission strategies (arms) in one pass,
+against one series of per-millisecond secure capacity given by the
+leftover-hash length of the interval's raw bits:
 
-- ``fixed``: requests a constant rate regardless of channel state;
-- ``rate_adapt``: follows the stochastic-approximation update
-  R <- max(0.1 R_max, (1 - gamma_t q_t) R) with gamma_t = gamma_0 / t,
-  and additionally bounds each request by the secure capacity computed
-  from the same QBER measurement, modelling a service that refuses to
-  emit bits it cannot back with extractable entropy.
+- fixed: requests a constant rate regardless of channel state;
+- rate-adaptive: follows the stochastic-approximation update
+  R <- max(0.1 R_max, (1 - gamma_t q_t) R) with gamma_t = gamma_0 / t from
+  R = R_max, and bounds each request by the capacity computed from the
+  same QBER measurement, modelling a service that refuses to emit bits it
+  cannot back with extractable entropy.
 
-Every factor 1 - gamma_t q_t lies in (0, 1], because gamma_0 < 1 and
-q_t < 1, so the unclamped rate never rises: once it reaches the floor it
-stays there. The controller steps once per 1 ms sample, and its clamped
-trajectory is max(floor, running product), which ``run_rate_controller``
-computes in one left fold (``np.multiply.accumulate``) in the order of
-the scalar recurrence ``rate_adapt_step``, giving the same doubles.
-
-Requests above capacity are counted as cap-exceed time and the excess is
-dropped; the adaptive strategy's preemptive bound keeps its excess at or
-near zero while the fixed strategy pays for every channel excursion.
+Requests above capacity count as cap-exceed time and the excess is
+dropped: the adaptive request never exceeds capacity, so it is also the
+arm's output, while the fixed arm pays for every channel excursion. A
+further arm (a causal controller, or the same-interval clamp kept as its
+oracle) is one more ``ArmResult`` on the same capacity series.
 """
 
 from __future__ import annotations
@@ -59,6 +54,7 @@ __all__ = [
     "rate_adapt_step",
     "run_rate_controller",
     "RateControllerResult",
+    "ArmResult",
     "KmsReplica",
 ]
 
@@ -150,84 +146,76 @@ def rate_adapt_step(st: RateAdaptState, q_t: float) -> RateAdaptState:
 # ---------------------------------------------------------------------------
 
 
+class ArmResult(NamedTuple):
+    """One emission strategy's output series and what the capacity cut."""
+
+    output_bps: np.ndarray       # min(request, capacity) per interval
+    cap_exceed_fraction: float   # share of intervals requesting above capacity
+    total_dropped_bits: float    # bits requested above capacity, summed in time order
+
+
 @dataclass(frozen=True)
 class RateControllerResult:
-    """Per-interval series and summary metrics for one strategy run."""
+    """Both arms over one trace, against one capacity series."""
 
     t_ms: np.ndarray
-    target_bps: np.ndarray     # rate requested by the strategy
-    capacity_bps: np.ndarray   # secure capacity of the interval
-    output_bps: np.ndarray     # min(target, capacity)
-    dropped_bits: np.ndarray   # cumulative bits requested above capacity
-    state_bps: np.ndarray      # controller state trajectory (fixed: the target)
+    capacity_bps: np.ndarray     # secure capacity of the interval
+    state_bps: np.ndarray        # adaptive controller state
+    fixed_target_bps: float
+    adaptive: ArmResult          # request = output = min(state, capacity)
+    fixed: ArmResult
 
-    @property
-    def cap_exceed_fraction(self) -> float:
-        return float(np.mean(self.target_bps > self.capacity_bps))
 
-    @property
-    def total_dropped_bits(self) -> float:
-        return float(self.dropped_bits[-1])
+def _excess(request, capacity: np.ndarray) -> tuple[float, float]:
+    """Cap-exceed share and dropped bits (summed left to right) of ``request``."""
+    dropped = np.subtract(request, capacity)
+    np.maximum(0.0, dropped, out=dropped)
+    dropped *= 1.0 / 1000.0
+    return float(np.mean(request > capacity)), float(np.cumsum(dropped, out=dropped)[-1])
 
 
 def run_rate_controller(
-    trace: QberTrace,
-    st0: RateAdaptState,
-    strategy: str = "rate_adapt",
-    fixed_target_bps: float | None = None,
+    trace: QberTrace, r_max_bps: float, gamma0: float, fixed_target_bps: float
 ) -> RateControllerResult:
-    """Drive one emission strategy over a QBER trace at 1 ms resolution.
+    """Drive the adaptive and the fixed arm over a QBER trace at 1 ms resolution.
 
-    The secure capacity of each interval is ``secure_capacity_bps``: the
-    extractable length of the interval's raw-bit budget n = floor(R_max /
-    1000) at the measured QBER, scaled back to bits/s. The controller state
-    advances once per interval, on that interval's QBER sample.
-
-    The adaptive states are the ``rate_adapt_step`` recurrence in closed
-    form: with factors a_k = 1 - (gamma_0 / k) q_k in (0, 1], the running
-    product R_0 a_1 ... a_k never rises, so the floor, once reached, is
-    never left and the clamped state is max(0.1 R_max, product). The
-    product is folded left in the recurrence's order, so every state is
-    the same double the scalar loop gives. A sample outside [0, 1) raises
-    ``ValueError`` as ``rate_adapt_step`` does.
-
-    ``fixed_target_bps`` defaults to 0.8 R_max.
+    Both arms meter against ``secure_capacity_bps``, computed once. The
+    controller state starts at R_max and steps once per interval, on that
+    interval's QBER: every factor a_k = 1 - (gamma_0 / k) q_k lies in (0, 1],
+    because gamma_0 < 1 and q_k < 1, so the running product R_max a_1 ... a_k
+    never rises, the floor, once reached, is never left, and the clamped
+    state is max(0.1 R_max, product). The product is folded left
+    (``np.multiply.accumulate``) in the order of ``rate_adapt_step``, so
+    every state is the same double the scalar loop gives. A sample outside
+    [0, 1) or a gain outside (0, 1) raises ``ValueError`` as
+    ``rate_adapt_step`` and ``RateAdaptState`` do.
     """
-    if strategy not in ("rate_adapt", "fixed"):
-        raise ValueError(f"unknown strategy {strategy!r}")
     samples = trace.samples
     n_iv = len(samples)
     if n_iv == 0:
         raise ValueError("trace must be non-empty")
+    if not 0.0 < gamma0 < 1.0:
+        raise ValueError("gamma0 must lie in (0, 1)")
+    if not ((samples >= 0.0) & (samples < 1.0)).all():
+        raise ValueError("q_t must lie in [0, 1)")
 
-    r_max = st0.r_max_bps
-    if fixed_target_bps is None:
-        fixed_target_bps = 0.8 * r_max
+    capacity = secure_capacity_bps(r_max_bps, samples)
 
-    capacity = secure_capacity_bps(r_max, samples)
+    factors = np.concatenate(([r_max_bps], 1.0 - gamma0 / np.arange(1, n_iv + 1) * samples))
+    np.multiply.accumulate(factors, out=factors)
+    state = np.maximum(RATE_FLOOR_FRACTION * r_max_bps, factors[1:], out=factors[1:])
+    # preemptive reduction: never request beyond the secure capacity
+    # implied by the current measurement
+    adaptive = np.minimum(state, capacity)
 
-    if strategy == "fixed":
-        state = np.full(n_iv, fixed_target_bps, dtype=float)
-        target = state.copy()
-    else:
-        if not ((samples >= 0.0) & (samples < 1.0)).all():
-            raise ValueError("q_t must lie in [0, 1)")
-        gamma_t = st0.gamma0 / np.arange(st0.t, st0.t + n_iv)
-        factors = np.concatenate(([st0.r_t_bps], 1.0 - gamma_t * samples))
-        state = np.maximum(RATE_FLOOR_FRACTION * r_max, np.multiply.accumulate(factors)[1:])
-        # preemptive reduction: never request beyond the secure capacity
-        # implied by the current measurement
-        target = np.minimum(state, capacity)
-
-    output = np.minimum(target, capacity)
-    dropped_per_iv = np.maximum(0.0, target - capacity) * (1.0 / 1000.0)
     return RateControllerResult(
         t_ms=np.arange(n_iv),
-        target_bps=target,
         capacity_bps=capacity,
-        output_bps=output,
-        dropped_bits=np.cumsum(dropped_per_iv),
         state_bps=state,
+        fixed_target_bps=fixed_target_bps,
+        adaptive=ArmResult(adaptive, *_excess(adaptive, capacity)),
+        fixed=ArmResult(np.minimum(fixed_target_bps, capacity),
+                        *_excess(fixed_target_bps, capacity)),
     )
 
 

@@ -29,10 +29,14 @@ def _write_rows(path, header, rows) -> None:
 
 
 def test_column_writer_matches_row_writer(tmp_path):
-    specials = [-0.0, 1e-300, float("inf"), float("-inf"), float("nan"), 0.1, 1 / 3, 1e16, 5e-324, 2.5]
+    # 0.0 and -0.0 compare and hash equal, and NaN equals nothing
+    specials = [-0.0, 0.0, 1e-300, float("inf"), float("-inf"), float("nan"), 0.1, 1 / 3, 1e16,
+                5e-324, 2.5]
     n = len(specials)
+    doubles = np.array(specials)
     columns = [
-        np.array(specials),                              # float64 array
+        doubles,                                         # float64 array
+        doubles,                                         # the same array again
         specials,                                        # Python floats
         [np.float64(v) for v in specials],               # NumPy float scalars in a list
         np.arange(-3, n - 3, dtype=np.int64),            # int64 array
@@ -52,8 +56,9 @@ def test_column_writer_matches_row_writer(tmp_path):
     # row counts on either side of the block boundaries, every column kind
     for rows in (0, 1, _CSV_BLOCK - 1, _CSV_BLOCK, _CSV_BLOCK + 1, 3 * _CSV_BLOCK + 7):
         cycled = [[col[i % n] for i in range(rows)] for col in columns]
-        kinds = [np.array(cycled[0]), cycled[1], cycled[2], np.array(cycled[3], dtype=np.int64),
-                 cycled[4], range(rows), cycled[6], np.array(cycled[7], dtype=np.float32)]
+        doubles = np.array(cycled[0])
+        kinds = [doubles, doubles, cycled[2], cycled[3], np.array(cycled[4], dtype=np.int64),
+                 cycled[5], range(rows), cycled[7], np.array(cycled[8], dtype=np.float32)]
         _write_csv(tmp_path / "cols.csv", header, *kinds)
         _write_rows(tmp_path / "rows.csv", header, zip(*kinds))
         written = (tmp_path / "cols.csv").read_bytes()

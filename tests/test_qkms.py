@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -209,8 +211,7 @@ def test_rate_adapt_state_validation():
 def test_rate_floor_holds_across_random_traces():
     for seed in range(1000):
         trace = generate_qber_trace(1.0, seed=seed, pulse_count=3)
-        st0 = RateAdaptState(r_t_bps=5e6, r_max_bps=5e6)
-        res = run_rate_controller(trace, st0, strategy="rate_adapt")
+        res = run_rate_controller(trace, 5e6, 0.5, 4e6)
         assert (res.state_bps >= 0.1 * 5e6 - 1e-9).all()
 
 
@@ -238,17 +239,15 @@ def test_error_contraction_in_expectation():
 
 def test_controller_no_drops_below_capacity():
     trace = generate_qber_trace(2.0, seed=3, pulse_count=0, noise_sigma=0.0, base_q=0.01)
-    st0 = RateAdaptState(r_t_bps=5e6, r_max_bps=5e6)
-    res = run_rate_controller(trace, st0, strategy="fixed", fixed_target_bps=2e6)
-    assert res.total_dropped_bits == 0.0
-    assert res.cap_exceed_fraction == 0.0
+    res = run_rate_controller(trace, 5e6, 0.5, 2e6)
+    assert res.fixed.total_dropped_bits == 0.0
+    assert res.fixed.cap_exceed_fraction == 0.0
 
 
 def test_controller_strategy_separation_on_paper_style_trace():
     trace = generate_qber_trace(60.0, seed=1)
-    st0 = RateAdaptState(r_t_bps=5e6, r_max_bps=5e6)
-    adaptive = run_rate_controller(trace, st0, strategy="rate_adapt")
-    fixed_at_max = run_rate_controller(trace, st0, strategy="fixed", fixed_target_bps=5e6)
+    res = run_rate_controller(trace, 5e6, 0.5, 5e6)
+    adaptive, fixed_at_max = res.adaptive, res.fixed
     assert fixed_at_max.cap_exceed_fraction >= 1e3 * adaptive.cap_exceed_fraction
     assert adaptive.total_dropped_bits <= 1e4
     assert fixed_at_max.total_dropped_bits >= 1e6
@@ -256,41 +255,40 @@ def test_controller_strategy_separation_on_paper_style_trace():
 
 def test_controller_adaptive_never_exceeds_fixed_over_ensemble():
     for seed in range(100):
-        trace = generate_qber_trace(3.0, seed=seed)
-        st0 = RateAdaptState(r_t_bps=5e6, r_max_bps=5e6)
-        adaptive = run_rate_controller(trace, st0, strategy="rate_adapt")
-        fixed = run_rate_controller(trace, st0, strategy="fixed")
-        assert adaptive.cap_exceed_fraction <= fixed.cap_exceed_fraction
+        res = run_rate_controller(generate_qber_trace(3.0, seed=seed), 5e6, 0.5, 4e6)
+        assert res.adaptive.cap_exceed_fraction <= res.fixed.cap_exceed_fraction
 
 
 def test_controller_output_never_above_capacity():
     trace = generate_qber_trace(10.0, seed=21)
-    st0 = RateAdaptState(r_t_bps=5e6, r_max_bps=5e6)
-    for strategy in ("rate_adapt", "fixed"):
-        res = run_rate_controller(trace, st0, strategy=strategy)
-        assert (res.output_bps <= res.capacity_bps + 1e-9).all()
+    res = run_rate_controller(trace, 5e6, 0.5, 4e6)
+    for arm in (res.adaptive, res.fixed):
+        assert (arm.output_bps <= res.capacity_bps + 1e-9).all()
 
 
 def test_controller_capacity_matches_scalar_op():
     from qenergydex.entropy import extractable_length
 
     trace = generate_qber_trace(0.2, seed=22)
-    st0 = RateAdaptState(r_t_bps=5e6, r_max_bps=5e6)
-    res = run_rate_controller(trace, st0, strategy="fixed")
+    res = run_rate_controller(trace, 5e6, 0.5, 4e6)
     n_raw = int(5e6 // 1000)
     for i, q in enumerate(trace.samples):
         expected = extractable_length(n_raw, float(q)) * 1000.0
         assert res.capacity_bps[i] == expected
 
 
-def _controller_loop(trace, st0):
+def _capacity(trace, r_max):
+    return extractable_length_vec(int(r_max // 1000), trace.samples, DEFAULT_EPSILON) * 1000.0
+
+
+def _controller_loop(trace, r_max, gamma0):
     """The adaptive controller as a scalar fold of ``rate_adapt_step``."""
     samples = trace.samples
     n = len(samples)
-    capacity = extractable_length_vec(int(st0.r_max_bps // 1000), samples, DEFAULT_EPSILON) * 1000.0
+    capacity = _capacity(trace, r_max)
     state = np.empty(n)
     target = np.empty(n)
-    st = st0
+    st = RateAdaptState(r_t_bps=r_max, r_max_bps=r_max, gamma0=gamma0)
     for i in range(n):
         st = rate_adapt_step(st, float(samples[i]))
         state[i] = st.r_t_bps
@@ -299,25 +297,42 @@ def _controller_loop(trace, st0):
     return state, target, np.minimum(target, capacity), dropped
 
 
-def _assert_matches_loop(trace, st0):
-    res = run_rate_controller(trace, st0, strategy="rate_adapt")
-    state, target, output, dropped = _controller_loop(trace, st0)
+def _fixed_loop(trace, r_max, target):
+    """The fixed arm one interval at a time: output, cap-exceed share, dropped bits."""
+    capacity = _capacity(trace, r_max)
+    output = np.empty(len(capacity))
+    exceed, dropped = 0, 0.0
+    for i, c in enumerate(capacity.tolist()):
+        output[i] = min(target, c)
+        exceed += target > c
+        dropped += max(0.0, target - c) * (1.0 / 1000.0)
+    return output, exceed / len(capacity), dropped
+
+
+def _assert_matches_loop(trace, r_max, gamma0, fixed_target):
+    res = run_rate_controller(trace, r_max, gamma0, fixed_target)
+    state, target, output, dropped = _controller_loop(trace, r_max, gamma0)
     assert res.state_bps.tobytes() == state.tobytes()
-    assert res.target_bps.tobytes() == target.tobytes()
-    assert res.output_bps.tobytes() == output.tobytes()
-    assert res.dropped_bits.tobytes() == dropped.tobytes()
+    # the adaptive request never exceeds capacity, so it is the output
+    assert res.adaptive.output_bps.tobytes() == target.tobytes() == output.tobytes()
+    assert res.adaptive.total_dropped_bits == dropped[-1] == 0.0
+    assert res.adaptive.cap_exceed_fraction == 0.0
+    fixed_output, fixed_exceed, fixed_dropped = _fixed_loop(trace, r_max, fixed_target)
+    assert res.fixed.output_bps.tobytes() == fixed_output.tobytes()
+    assert res.fixed.cap_exceed_fraction == fixed_exceed
+    assert res.fixed.total_dropped_bits == fixed_dropped
+    assert res.fixed_target_bps == fixed_target
     return res
 
 
 def test_controller_closed_form_matches_loop():
-    # t > 1 resumes a controller mid-run
     for seed in range(4):
         trace = generate_qber_trace(5.0, seed=seed)
-        for st0 in (
-            RateAdaptState(r_t_bps=5e6, r_max_bps=5e6),
-            RateAdaptState(r_t_bps=3.7e6, r_max_bps=5e6, gamma0=0.8, t=7),
-        ):
-            _assert_matches_loop(trace, st0)
+        for gamma0, fixed_target in ((0.5, 4e6), (0.8, 5e6)):
+            res = _assert_matches_loop(trace, 5e6, gamma0, fixed_target)
+            assert res.t_ms.tolist() == list(range(len(trace)))
+    # at R_max the fixed arm exceeds capacity whenever the channel is noisy
+    assert res.fixed.total_dropped_bits > 0.0
 
 
 def test_controller_floor_is_absorbing_and_matches_loop():
@@ -325,23 +340,37 @@ def test_controller_floor_is_absorbing_and_matches_loop():
     # steps, and neither q = 0.9 nor a clean channel afterwards moves it
     samples = np.concatenate([np.full(300, 0.5), np.full(2000, 0.9), np.full(500, 0.001)])
     trace = QberTrace(samples, q_hi=0.95)
-    st0 = RateAdaptState(r_t_bps=5e6, r_max_bps=5e6, gamma0=0.9)
-    res = _assert_matches_loop(trace, st0)
+    res = _assert_matches_loop(trace, 5e6, 0.9, 4e6)
     assert res.state_bps[299] == 0.5e6
     assert (res.state_bps[299:] == 0.5e6).all()
     assert (res.state_bps >= 0.5e6).all()
 
 
 def test_controller_rejects_window_mean_outside_unit_interval():
-    st0 = RateAdaptState(r_t_bps=5e6, r_max_bps=5e6)
     at_one = QberTrace(np.full(20, 1.0), q_hi=1.0)
     with pytest.raises(ValueError, match="q_t must lie"):
-        run_rate_controller(at_one, st0, strategy="rate_adapt")
+        run_rate_controller(at_one, 5e6, 0.5, 4e6)
     negative = QberTrace(np.full(20, -0.01), q_lo=-1.0)
     with pytest.raises(ValueError):
-        run_rate_controller(negative, st0, strategy="rate_adapt")
-    with pytest.raises(ValueError, match="unknown strategy"):
-        run_rate_controller(QberTrace(np.full(20, 0.01)), st0, strategy="bogus")
+        run_rate_controller(negative, 5e6, 0.5, 4e6)
+    for gamma0 in (0.0, 1.0):
+        with pytest.raises(ValueError, match="gamma0 must lie"):
+            run_rate_controller(QberTrace(np.full(20, 0.01)), 5e6, gamma0, 4e6)
+
+
+def test_controller_memory_is_a_few_trace_length_arrays():
+    # one pass holds the capacity, the state, two outputs and t_ms, plus one
+    # scratch array; the former two-call comparison peaked at 13 arrays
+    trace = generate_qber_trace(600.0, seed=1)
+    array_bytes = trace.samples.nbytes
+    assert len(trace) == 600_000
+    tracemalloc.start()
+    try:
+        run_rate_controller(trace, 5e6, 0.5, 4e6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 7 * array_bytes
 
 
 # ---------------------------------------------------------------------------
