@@ -194,22 +194,6 @@ def _write_json(path: Path, doc) -> None:
 _CSV_BLOCK = 4096
 
 
-def _cells(block: np.ndarray) -> list[str]:
-    """The text of each value in ``block``: ``repr`` of a float, else ``str``.
-
-    Floats are formatted once per distinct bit pattern, which keeps 0.0 and
-    -0.0 apart (they compare equal); a block of mostly distinct values,
-    where the sort saves nothing, is formatted value by value.
-    """
-    if block.dtype.kind != "f":
-        return list(map(str, block.tolist()))
-    bits, inverse = np.unique(block.view(f"u{block.itemsize}"), return_inverse=True)
-    if 2 * len(bits) > len(block):
-        return list(map(repr, block.tolist()))
-    texts = list(map(repr, bits.view(block.dtype).tolist()))
-    return list(map(texts.__getitem__, inverse.tolist()))
-
-
 def _write_csv(path: Path, header: str, *columns) -> None:
     """Write equal-length columns under ``header``, one row per index.
 
@@ -218,19 +202,18 @@ def _write_csv(path: Path, header: str, *columns) -> None:
     double), any other column with ``str``. Columns of unequal length raise
     ValueError before the file is opened. Rows are formatted and written
     ``_CSV_BLOCK`` at a time, so the Python objects staged at once number
-    O(``_CSV_BLOCK`` x columns) whatever the row count; an array passed as
-    two columns is formatted once per block.
+    O(``_CSV_BLOCK`` x columns) whatever the row count.
     """
     cols = [np.asarray(col) for col in columns]
     lengths = [len(col) for col in cols]
     if len(set(lengths)) > 1:
         raise ValueError(f"{path.name}: columns differ in length: {lengths}")
+    formats = [repr if col.dtype.kind == "f" else str for col in cols]
     with open(path, "w", newline="") as fh:
         fh.write(header + "\n")
         for lo in range(0, max(lengths, default=0), _CSV_BLOCK):
-            cells = {id(col): _cells(col[lo:lo + _CSV_BLOCK]) for col in cols}
-            rows = zip(*[cells[id(col)] for col in cols])
-            fh.write("".join([",".join(row) + "\n" for row in rows]))
+            cells = [map(fmt, col[lo:lo + _CSV_BLOCK].tolist()) for fmt, col in zip(formats, cols)]
+            fh.write("".join([",".join(row) + "\n" for row in zip(*cells)]))
 
 
 def _trace_from_config(config: dict):
