@@ -39,7 +39,7 @@ from .porlite import (
 from .market import (
     GridModel,
     MarketOutcome,
-    Prosumer,
+    PROSUMER,
     security_coupled_clearing,
     solve_base,
     solve_social,

@@ -612,7 +612,7 @@ def cmd_market(config: dict, out: Path) -> list[tuple[str, bool, str]]:
         # (always a feasible leader price)
         h = grid.ptdf[:, keep]
         u = outcomes["STACK"].u
-        flows = h @ aggregate_response([prosumers[i] for i in keep], u, h)
+        flows = h @ aggregate_response(prosumers[keep], u, h)
         limits = grid.line_limits
         viol = float((np.maximum(0.0, flows - limits) / (1.0 + np.abs(limits))).max())
         cost = leader_cost(grid, u)

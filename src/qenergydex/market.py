@@ -42,6 +42,14 @@ creates and passes to each `security_coupled_clearing` call on that
 instance: `cmd_market` keeps one per run, so its two stacks share one clear
 when they admit the same nodes. Outcome arrays are read-only, since one
 outcome can then serve both stacks.
+
+Followers are one structured array of dtype `PROSUMER` (f8 `alpha`, `pi`,
+`p_max`, i8 `bus`). `_draw_prosumers` draws the four fields prosumer by
+prosumer in that order, so a seed keeps its instance and every output byte.
+A structured array, not four arrays: an integer index gives one prosumer
+(the record `follower_response` takes), `prosumers[keep]` is the admitted
+subset, and a list of records turns back into the array with
+`np.asarray(records, dtype=PROSUMER)`, as every entry point does.
 """
 
 from __future__ import annotations
@@ -54,7 +62,7 @@ import numpy as np
 from .rng import substream
 
 __all__ = [
-    "Prosumer",
+    "PROSUMER",
     "GridModel",
     "MarketOutcome",
     "NoConvergence",
@@ -82,18 +90,7 @@ class NoConvergence(RuntimeError):
     """Iteration cap reached before the tolerance was met."""
 
 
-@dataclass(frozen=True)
-class Prosumer:
-    alpha: float
-    pi: float
-    p_max: float
-    bus: int
-
-    def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-        if self.p_max <= 0:
-            raise ValueError("p_max must be positive")
+PROSUMER = np.dtype([("alpha", "f8"), ("pi", "f8"), ("p_max", "f8"), ("bus", "i8")])
 
 
 @dataclass(frozen=True)
@@ -157,11 +154,20 @@ class MarketOutcome:
             object.__setattr__(self, name, view)
 
 
-def _vectors(prosumers: list[Prosumer]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    alpha = np.array([pr.alpha for pr in prosumers])
-    pi = np.array([pr.pi for pr in prosumers])
-    pmax = np.array([pr.p_max for pr in prosumers])
-    return alpha, pi, pmax
+def _records(prosumers) -> np.ndarray:
+    """The followers as a `PROSUMER` array, checked: alpha > 0 and p_max > 0."""
+    prosumers = np.asarray(prosumers, dtype=PROSUMER)
+    if (prosumers["alpha"] <= 0).any():
+        raise ValueError("alpha must be positive")
+    if (prosumers["p_max"] <= 0).any():
+        raise ValueError("p_max must be positive")
+    return prosumers
+
+
+def _vectors(prosumers) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Views of the followers' alpha, pi and p_max, checked by `_records`."""
+    prosumers = _records(prosumers)
+    return prosumers["alpha"], prosumers["pi"], prosumers["p_max"]
 
 
 def _response(alpha, pi, pmax, h, u):
@@ -169,24 +175,22 @@ def _response(alpha, pi, pmax, h, u):
     return np.clip(alpha * (pi - h.T @ u), -pmax, pmax)
 
 
-def follower_response(prosumer: Prosumer, u: np.ndarray, h_column: np.ndarray) -> float:
-    """Capped best response p_i = clip(alpha_i (pi_i - u . H_col), +-p_max)."""
+def follower_response(prosumer: np.void, u: np.ndarray, h_column: np.ndarray) -> float:
+    """Capped best response clip(alpha (pi - u . H_col), +-p_max) of one `PROSUMER` record."""
     u = np.atleast_1d(np.asarray(u, dtype=float))
     if (u < 0).any():
         raise ValueError("prices must be non-negative")
-    raw = prosumer.alpha * (prosumer.pi - float(np.dot(u, np.atleast_1d(h_column))))
-    return float(np.clip(raw, -prosumer.p_max, prosumer.p_max))
+    raw = prosumer["alpha"] * (prosumer["pi"] - float(np.dot(u, np.atleast_1d(h_column))))
+    return float(np.clip(raw, -prosumer["p_max"], prosumer["p_max"]))
 
 
-def aggregate_response(
-    prosumers: list[Prosumer], u: np.ndarray, h: np.ndarray
-) -> np.ndarray:
+def aggregate_response(prosumers: np.ndarray, u: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Stacked follower responses; equals diag(alpha)(pi - H^T u) when no cap binds."""
     alpha, pi, pmax = _vectors(prosumers)
     return _response(alpha, pi, pmax, np.atleast_2d(np.asarray(h, dtype=float)), np.atleast_1d(u))
 
 
-def welfare(prosumers: list[Prosumer], p: np.ndarray) -> float:
+def welfare(prosumers: np.ndarray, p: np.ndarray) -> float:
     """Social welfare sum(pi_i p_i - p_i^2 / (2 alpha_i))."""
     alpha, pi, _ = _vectors(prosumers)
     return _welfare(alpha, pi, np.asarray(p, dtype=float))
@@ -218,7 +222,7 @@ def _kkt_residual_social(u, flows, limits) -> float:
 
 def solve_social(
     grid: GridModel,
-    prosumers: list[Prosumer],
+    prosumers: np.ndarray,
     tol: float = DEFAULT_TOL,
 ) -> MarketOutcome:
     """Welfare maximum under caps and line limits, via the projected dual.
@@ -435,7 +439,7 @@ def _leader_qp(m, b, q, c, passive):
 
 def solve_stackelberg(
     grid: GridModel,
-    prosumers: list[Prosumer],
+    prosumers: np.ndarray,
     tol: float = DEFAULT_TOL,
     social: MarketOutcome | None = None,
 ) -> MarketOutcome:
@@ -560,9 +564,7 @@ def solve_stackelberg(
     )
 
 
-def solve_base(
-    grid: GridModel, prosumers: list[Prosumer], weighted: bool = False
-) -> MarketOutcome:
+def solve_base(grid: GridModel, prosumers: np.ndarray, weighted: bool = False) -> MarketOutcome:
     """Congestion-blind clearing with after-the-fact feasibility repair.
 
     BASE rescales every injection by the single factor that makes the worst
@@ -617,7 +619,7 @@ def solve_base(
 
 
 def clear_all_scenarios(
-    grid: GridModel, prosumers: list[Prosumer], tol: float = DEFAULT_TOL
+    grid: GridModel, prosumers: np.ndarray, tol: float = DEFAULT_TOL
 ) -> dict[str, MarketOutcome]:
     social = solve_social(grid, prosumers, tol)
     return {
@@ -635,7 +637,7 @@ def clear_all_scenarios(
 
 def security_coupled_clearing(
     grid: GridModel,
-    prosumers: list[Prosumer],
+    prosumers: np.ndarray,
     key_budget_bits: float,
     handshake_deadline_ms: float,
     qsah_latencies: np.ndarray,
@@ -659,6 +661,7 @@ def security_coupled_clearing(
     caller creates it and passes it only to calls with the same grid,
     prosumers and tol; without it every call clears.
     """
+    prosumers = _records(prosumers)
     latencies = np.asarray(qsah_latencies, dtype=float)
     if len(latencies) != len(prosumers):
         raise ValueError(
@@ -685,7 +688,7 @@ def security_coupled_clearing(
             # every node admitted: the grid itself, without a copy of its PTDF
             clears[key] = clear_all_scenarios(grid, prosumers, tol)
         else:
-            clears[key] = clear_all_scenarios(grid.restrict(keep), [prosumers[i] for i in keep], tol)
+            clears[key] = clear_all_scenarios(grid.restrict(keep), prosumers[keep], tol)
     return keep, dict(clears[key])
 
 
@@ -694,19 +697,13 @@ def security_coupled_clearing(
 # ---------------------------------------------------------------------------
 
 
-def _draw_prosumers(rng, n_prosumers, alpha_sigma, p_max_mu, n_buses) -> list[Prosumer]:
+def _draw_prosumers(rng, n_prosumers, alpha_sigma, p_max_mu, n_buses) -> np.ndarray:
     """Four scalar draws per prosumer, in this order: a lognormal cost
     slope, a normal valuation floored at 0.5, a lognormal capacity and a
     uniform bus."""
-    return [
-        Prosumer(
-            alpha=float(rng.lognormal(0.0, alpha_sigma)),
-            pi=max(rng.normal(10.0, 2.0), 0.5),
-            p_max=float(rng.lognormal(p_max_mu, 0.5)),
-            bus=int(rng.integers(0, n_buses)),
-        )
-        for _ in range(n_prosumers)
-    ]
+    draws = ((rng.lognormal(0.0, alpha_sigma), max(rng.normal(10.0, 2.0), 0.5),
+              rng.lognormal(p_max_mu, 0.5), rng.integers(0, n_buses)) for _ in range(n_prosumers))
+    return np.fromiter(draws, dtype=PROSUMER, count=n_prosumers)
 
 
 def _sparse_unit_rows(rng, shape, density) -> np.ndarray:
@@ -756,7 +753,7 @@ def random_instance(
     n_lines: int,
     seed: int,
     congestion: float = 0.75,
-) -> tuple[GridModel, list[Prosumer]]:
+) -> tuple[GridModel, np.ndarray]:
     """Small random instance with a controllable share of binding lines."""
     rng = substream(seed, "market", "instance")
     prosumers = _draw_prosumers(rng, n_prosumers, 0.4, 1.6, max(2, n_prosumers // 2))
@@ -769,7 +766,7 @@ def synthetic_grid_instance(
     n_buses: int = 118,
     n_lines: int = 186,
     seed: int = 0,
-) -> tuple[GridModel, list[Prosumer]]:
+) -> tuple[GridModel, np.ndarray]:
     """Transmission-scale synthetic instance: prosumers mapped to buses.
 
     The PTDF over buses is sparse zero-mean with unit row normalization;
@@ -781,5 +778,5 @@ def synthetic_grid_instance(
     rng = substream(seed, "market", "grid118")
     prosumers = _draw_prosumers(rng, n_prosumers, 0.3, 1.5, n_buses)
     bus_ptdf = _sparse_unit_rows(rng, (n_lines, n_buses), 0.25)
-    h = bus_ptdf[:, [pr.bus for pr in prosumers]]
+    h = bus_ptdf[:, prosumers["bus"]]
     return _grid_with_limits(rng, h, prosumers, 0.02, 0.85, 1.8), prosumers

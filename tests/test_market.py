@@ -1,13 +1,15 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.optimize import nnls as scipy_nnls
 
 from qenergydex.market import (
+    PROSUMER,
     SCENARIOS,
     GridModel,
     MarketOutcome,
     NoConvergence,
-    Prosumer,
     aggregate_response,
     clear_all_scenarios,
     follower_response,
@@ -24,11 +26,13 @@ from qenergydex import market
 from qenergydex.market import _leader_qp, _nnls
 
 
+def records(*rows):
+    """Followers from (alpha, pi, p_max, bus) rows."""
+    return np.array(list(rows), dtype=PROSUMER)
+
+
 def toy_two_prosumer_one_line():
-    prosumers = [
-        Prosumer(1.0, 10.0, 100.0, 0),
-        Prosumer(1.0, 6.0, 100.0, 0),
-    ]
+    prosumers = records((1.0, 10.0, 100.0, 0), (1.0, 6.0, 100.0, 0))
     grid = GridModel(
         ptdf=np.array([[1.0, 1.0]]),
         line_limits=np.array([12.0]),
@@ -47,11 +51,7 @@ def line_violation(grid, prosumers, u):
 
 
 def toy_three_node():
-    prosumers = [
-        Prosumer(1.0, 8.0, 20.0, 0),
-        Prosumer(2.0, 5.0, 20.0, 1),
-        Prosumer(0.5, 12.0, 20.0, 2),
-    ]
+    prosumers = records((1.0, 8.0, 20.0, 0), (2.0, 5.0, 20.0, 1), (0.5, 12.0, 20.0, 2))
     grid = GridModel(
         ptdf=np.array([[1.0, 0.5, 0.8]]),
         line_limits=np.array([9.0]),
@@ -67,24 +67,24 @@ def toy_three_node():
 
 
 def test_follower_response_interior():
-    p = Prosumer(2.0, 10.0, 100.0, 0)
+    p = records((2.0, 10.0, 100.0, 0))[0]
     assert follower_response(p, np.array([4.0]), np.array([1.0])) == 12.0
 
 
 def test_follower_response_indifference_and_clip():
-    p = Prosumer(2.0, 10.0, 5.0, 0)
+    p = records((2.0, 10.0, 5.0, 0))[0]
     assert follower_response(p, np.array([10.0]), np.array([1.0])) == 0.0
     assert follower_response(p, np.array([0.0]), np.array([1.0])) == 5.0
 
 
 def test_follower_response_rejects_negative_price():
-    p = Prosumer(1.0, 10.0, 5.0, 0)
+    p = records((1.0, 10.0, 5.0, 0))[0]
     with pytest.raises(ValueError):
         follower_response(p, np.array([-1.0]), np.array([1.0]))
 
 
 def test_follower_monotone_in_price():
-    p = Prosumer(1.5, 9.0, 50.0, 0)
+    p = records((1.5, 9.0, 50.0, 0))[0]
     h_col = np.array([0.7])
     vals = [follower_response(p, np.array([u]), h_col) for u in np.linspace(0, 20, 50)]
     assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
@@ -94,21 +94,16 @@ def test_aggregate_matches_matrix_form_without_caps():
     rng = np.random.default_rng(3)
     for _ in range(200):
         n, b = int(rng.integers(2, 12)), int(rng.integers(1, 5))
-        prosumers = [
-            Prosumer(float(rng.uniform(0.5, 2.0)), float(rng.uniform(1, 10)), 1e9, 0)
-            for i in range(n)
-        ]
+        prosumers = records(*[(rng.uniform(0.5, 2.0), rng.uniform(1, 10), 1e9, 0) for i in range(n)])
         h = rng.normal(size=(b, n))
         u = rng.uniform(0, 2, size=b)
         loop = aggregate_response(prosumers, u, h)
-        alpha = np.array([p.alpha for p in prosumers])
-        pi = np.array([p.pi for p in prosumers])
-        matrix = alpha * (pi - h.T @ u)
+        matrix = prosumers["alpha"] * (prosumers["pi"] - h.T @ u)
         assert np.abs(loop - matrix).max() < 1e-12
 
 
 def test_aggregate_clipped_loop_is_authoritative():
-    prosumers = [Prosumer(2.0, 10.0, 5.0, 0)]
+    prosumers = records((2.0, 10.0, 5.0, 0))
     out = aggregate_response(prosumers, np.array([0.0]), np.array([[1.0]]))
     assert out[0] == 5.0
 
@@ -163,7 +158,7 @@ def test_social_three_node_vs_multiplier_scan():
 
 
 def test_social_no_line_limits_interior_optimum():
-    prosumers = [Prosumer(2.0, 4.0, 100.0, 0), Prosumer(1.0, 3.0, 100.0, 0)]
+    prosumers = records((2.0, 4.0, 100.0, 0), (1.0, 3.0, 100.0, 0))
     grid = GridModel(
         ptdf=np.array([[0.3, 0.4]]),
         line_limits=np.array([1e9]),
@@ -176,7 +171,7 @@ def test_social_no_line_limits_interior_optimum():
 
 
 def test_stackelberg_unconstrained_zero_prices():
-    prosumers = [Prosumer(1.0, 5.0, 50.0, 0)]
+    prosumers = records((1.0, 5.0, 50.0, 0))
     grid = GridModel(
         ptdf=np.array([[1.0]]),
         line_limits=np.array([100.0]),
@@ -224,18 +219,12 @@ def test_stack_certified_on_instance_without_reachability_lift():
     from qenergydex.rng import substream
 
     rng = substream(0, "market", "instance")
-    prosumers = [
-        Prosumer(
-            alpha=float(rng.lognormal(0.0, 0.4)),
-            pi=float(np.clip(rng.normal(10.0, 2.0), 0.5, None)),
-            p_max=float(rng.lognormal(1.6, 0.5)),
-            bus=int(rng.integers(0, 6)),
-        )
+    prosumers = records(*[
+        (rng.lognormal(0.0, 0.4), np.clip(rng.normal(10.0, 2.0), 0.5, None),
+         rng.lognormal(1.6, 0.5), rng.integers(0, 6))
         for i in range(12)
-    ]
-    alpha = np.array([p.alpha for p in prosumers])
-    pi = np.array([p.pi for p in prosumers])
-    pmax = np.array([p.p_max for p in prosumers])
+    ])
+    alpha, pi, pmax = prosumers["alpha"], prosumers["pi"], prosumers["p_max"]
     h = rng.normal(0.0, 1.0, size=(4, 12))
     h *= rng.random(size=h.shape) < 0.6
     h /= np.maximum(np.linalg.norm(h, axis=1), 1e-9)[:, None]
@@ -259,7 +248,7 @@ def test_stack_certified_on_instance_without_reachability_lift():
 
 
 def test_base_equals_unconstrained_when_feasible():
-    prosumers = [Prosumer(1.0, 3.0, 50.0, 0), Prosumer(1.0, 2.0, 50.0, 0)]
+    prosumers = records((1.0, 3.0, 50.0, 0), (1.0, 2.0, 50.0, 0))
     grid = GridModel(
         ptdf=np.array([[0.1, 0.1]]),
         line_limits=np.array([100.0]),
@@ -273,7 +262,7 @@ def test_base_equals_unconstrained_when_feasible():
 
 
 def test_base_scaling_makes_worst_line_exactly_binding():
-    prosumers = [Prosumer(1.0, 10.0, 100.0, 0), Prosumer(1.0, 10.0, 100.0, 0)]
+    prosumers = records((1.0, 10.0, 100.0, 0), (1.0, 10.0, 100.0, 0))
     grid = GridModel(
         ptdf=np.array([[1.0, 1.0]]),
         line_limits=np.array([12.0]),
@@ -667,9 +656,8 @@ def test_security_filter_scale_invariance_in_valuations():
     grid, prosumers = random_instance(10, 2, seed=10)
     latencies = np.linspace(5, 200, 10)
     keep1, _ = security_coupled_clearing(grid, prosumers, 6 * 256.0, 120.0, latencies, 256.0)
-    scaled = [
-        Prosumer(p.alpha, p.pi * 37.0, p.p_max, p.bus) for p in prosumers
-    ]
+    scaled = prosumers.copy()
+    scaled["pi"] *= 37.0
     keep2, _ = security_coupled_clearing(grid, scaled, 6 * 256.0, 120.0, latencies, 256.0)
     assert list(keep1) == list(keep2)
 
@@ -679,11 +667,44 @@ def test_security_filter_scale_invariance_in_valuations():
 # ---------------------------------------------------------------------------
 
 
+# SHA-256 of an instance's alpha, pi, p_max (<f8) and bus (<i8) values, field
+# after field: a change to the draw order changes every output byte
+DRAW_DIGESTS = {
+    ("random", 1): "61f81d8a9b7a4a267c8c66163141956950de4894580539a57e0338f0b63e3251",
+    ("random", 2): "7a42655d951262eebb7439dd0a68f5594256a3d2fba70ad32bfb611b6f70c026",
+    ("random", 3): "c0a4abcf6c35832eb1b82405699b17c3ac2baeb91d251162447e2cadda0f0d1a",
+    ("grid", 7): "ed0a157d79f98777735e9bef15f0916793dae24dc488561b3e707b34b3b0fb6d",
+}
+
+
+@pytest.mark.parametrize("kind, seed", list(DRAW_DIGESTS))
+def test_instance_draws_are_pinned(kind, seed):
+    if kind == "random":
+        _, prosumers = random_instance(40, 8, seed=seed)
+    else:
+        _, prosumers = synthetic_grid_instance(n_prosumers=300, n_buses=30, n_lines=24, seed=seed)
+    digest = hashlib.sha256()
+    for field, dtype in (("alpha", "<f8"), ("pi", "<f8"), ("p_max", "<f8"), ("bus", "<i8")):
+        digest.update(prosumers[field].astype(dtype).tobytes())
+    assert digest.hexdigest() == DRAW_DIGESTS[kind, seed]
+
+
+def test_aggregate_response_takes_a_list_of_records():
+    # the call form of perfbench's clear certificate: a list of single
+    # records gives the same bytes as the array subset
+    grid, prosumers = synthetic_grid_instance(n_prosumers=300, n_buses=30, n_lines=24, seed=3)
+    keep = np.arange(0, len(prosumers), 3)
+    h = grid.ptdf[:, keep]
+    u = np.random.default_rng(5).uniform(0.0, 5.0, grid.n_lines)
+    listed = aggregate_response([prosumers[i] for i in keep], u, h)
+    assert listed.tobytes() == aggregate_response(prosumers[keep], u, h).tobytes()
+
+
 def test_synthetic_grid_shape():
     grid, prosumers = synthetic_grid_instance(300, n_buses=50, n_lines=40, seed=12)
     assert grid.ptdf.shape == (40, 300)
-    assert len(prosumers) == 300
-    assert all(0 <= p.bus < 50 for p in prosumers)
+    assert prosumers.dtype == PROSUMER and len(prosumers) == 300
+    assert ((0 <= prosumers["bus"]) & (prosumers["bus"] < 50)).all()
     assert (grid.line_limits > 0).all()
 
 
@@ -702,8 +723,24 @@ def test_grid_model_validation():
             leader_q_diag=np.array([0.0]),
             leader_c=np.array([0.0]),
         )
-    with pytest.raises(ValueError):
-        Prosumer(-1.0, 5.0, 10.0, 0)
+    # every entry point refuses a follower with alpha <= 0 or p_max <= 0,
+    # the second of two; security_coupled_clearing before it admits no one
+    grid = GridModel(ptdf=np.array([[1.0, 1.0]]), line_limits=np.array([1.0]),
+                     leader_q_diag=np.array([1.0]), leader_c=np.array([0.0]))
+    entry_points = (
+        lambda pr: aggregate_response(pr, np.zeros(1), grid.ptdf),
+        lambda pr: welfare(pr, np.zeros(2)),
+        lambda pr: solve_social(grid, pr),
+        lambda pr: solve_stackelberg(grid, pr),
+        lambda pr: solve_base(grid, pr),
+        lambda pr: clear_all_scenarios(grid, pr),
+        lambda pr: security_coupled_clearing(grid, pr, 0.0, 1e9, np.ones(2), 256.0),
+    )
+    for field, bad in (("alpha", (0.0, 5.0, 10.0, 0)), ("alpha", (-1.0, 5.0, 10.0, 0)),
+                       ("p_max", (1.0, 5.0, 0.0, 0)), ("p_max", (1.0, 5.0, -1.0, 0))):
+        for call in entry_points:
+            with pytest.raises(ValueError, match=f"{field} must be positive"):
+                call(records((1.0, 5.0, 10.0, 0), bad))
 
 
 @pytest.mark.parametrize("field", ["line_limits", "leader_q_diag", "leader_c"])
