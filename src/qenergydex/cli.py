@@ -20,21 +20,12 @@ Only ``qsah-bench`` and ``full-stack`` run the handshake protocol, so only
 they need the ``cryptography`` package: it is imported at their first
 handshake (``qsah._crypto``), and the other commands never load it.
 
-The ``consensus``, ``links`` and ``qsah`` sections carry the fields of
-``ConsensusParams``, ``LinkModel`` and ``BaselineHandshakeModel`` (with
-those types' defaults) beside the harness's own keys: ``horizon``,
-``seeds`` and ``max_depth`` for the PoR-Lite ensemble, ``n_handshakes``
-and ``batch_size`` for the handshake benchmark. A key that no section
-defines, a value its parameter type rejects, or a harness key outside
-its range (a count below 1, a probability outside (0, 1), ...) exits with
-status 2 before any output is written. So do a config document that is
-not a JSON object, a seed that is not an integer in the signed 128-bit
-range ``substream_seed`` hashes, a full-stack validator set in which
-``full_stack.alpha`` makes a third or more Byzantine
-(``porlite.byzantine_count``), and a link on which a batch of handshakes
-may still be sending hellos when the next batch starts, since
-``qsah-bench`` and ``market`` take their latencies from the closed form
-(``qsah.check_batch_separation``).
+Each config section holds the harness's own keys, which ``_HARNESS_KEYS``
+lists with their defaults and ranges; the ``consensus``, ``links`` and
+``qsah`` sections also carry the fields of ``ConsensusParams``,
+``LinkModel`` and ``BaselineHandshakeModel``, at those types' defaults.
+``load_config`` checks the whole config: one it rejects exits with status 2
+before any output is written.
 """
 
 from __future__ import annotations
@@ -94,54 +85,101 @@ from .qsah import (
 from .rng import substream
 from .stats import ecdf
 
-DEFAULT_CONFIG = {
-    "seed": 1,
+
+def _real(v) -> bool:
+    """An int (not a bool) or a finite float: JSON admits Infinity and NaN."""
+    return type(v) is int or (type(v) is float and math.isfinite(v))
+
+
+# the ranges of harness keys: each the text its error gives and its test
+_COUNT = ("an integer >= 1", lambda v: type(v) is int and v >= 1)
+_POSITIVE = ("> 0", lambda v: _real(v) and v > 0)
+_NON_NEGATIVE = (">= 0", lambda v: _real(v) and v >= 0)
+_OPEN_UNIT = ("in (0, 1)", lambda v: _real(v) and 0 < v < 1)
+
+# each section's harness keys, as key -> (default, *ranges). Outside its
+# ranges a command raises mid-run, counts something a negative number of
+# times, passes its checks on an empty output, or runs to the end on a
+# value with no meaning (a negative deadline, key cost, noise level or pulse
+# amplitude, a fraction or QBER outside its interval, an infinite duration,
+# rate, pulse width or amplitude, a pulse width of 0 that drops every pulse)
+_HARNESS_KEYS = {
     "trace": {
-        "duration_s": 60.0,
-        "base_q": 0.01,
-        "noise_sigma": 0.004,
-        "pulse_count": 12,
-        "amp_lo": 0.01,
-        "amp_hi": 0.05,
-        "width_lo": 50.0,
-        "width_hi": 500.0,
+        "duration_s": (
+            60.0,
+            _POSITIVE,
+            # generate_qber_trace's sample count; round(0.5) is 0
+            ("long enough for one 1 kHz sample (> 0.0005)",
+             lambda v: _real(v) and int(round(v * SAMPLE_RATE_HZ)) >= 1),
+        ),
+        "base_q": (0.01, ("in [0, 1)", lambda v: _real(v) and 0 <= v < 1)),
+        "noise_sigma": (0.004, _NON_NEGATIVE),
+        "pulse_count": (12, ("an integer >= 0", lambda v: type(v) is int and v >= 0)),
+        "amp_lo": (0.01, _NON_NEGATIVE),
+        "amp_hi": (0.05, _NON_NEGATIVE),
+        "width_lo": (50.0, _POSITIVE),
+        "width_hi": (500.0, _POSITIVE),
     },
     "kms": {
-        "r_max_bps": 5.0e6,
-        "gamma0": 0.5,
-        "fixed_fraction": 0.8,
+        "r_max_bps": (5.0e6, _POSITIVE),
+        "gamma0": (0.5, _OPEN_UNIT),
+        "fixed_fraction": (0.8, ("in [0, 1]", lambda v: _real(v) and 0 <= v <= 1)),
     },
-    "links": asdict(LinkModel()),
-    "qsah": {**asdict(BaselineHandshakeModel()), "n_handshakes": 3000, "batch_size": 500},
-    "consensus": {**asdict(ConsensusParams()), "horizon": 100000, "seeds": 30, "max_depth": 80},
+    "qsah": {
+        "n_handshakes": (3000, _COUNT),
+        "batch_size": (500, _COUNT),
+    },
+    "consensus": {
+        "horizon": (100000, _COUNT),
+        "seeds": (30, _COUNT),
+        "max_depth": (80, _COUNT),
+    },
     "keypool": {
-        "rhos": [0.9, 0.99, 0.999, 0.9999],
-        "capacity": 200,
-        "max_events": 2000000,
-        "n_epochs": 100000,
-        "target_pi0": 1e-9,
-        "curve_rho_lo": 0.5,
-        "curve_rho_hi": 0.9999,
-        "curve_points": 40,
+        "rhos": (
+            [0.9, 0.99, 0.999, 0.9999],
+            ("a non-empty list of finite numbers > 0",
+             lambda v: type(v) is list and v and all(_real(rho) and rho > 0 for rho in v)),
+        ),
+        "capacity": (200, _COUNT),
+        "max_events": (2000000, _COUNT),
+        "n_epochs": (100000, _COUNT),
+        "target_pi0": (1e-9, _OPEN_UNIT),
+        "curve_rho_lo": (0.5, _OPEN_UNIT),
+        "curve_rho_hi": (0.9999, _OPEN_UNIT),
+        "curve_points": (40, ("an integer >= 2", lambda v: type(v) is int and v >= 2)),
     },
     "market": {
-        "n_prosumers": 3000,
-        "n_buses": 118,
-        "n_lines": 186,
-        "deadline_ms": 105.0,
-        "per_node_key_cost_bits": KEY_BITS,
-        "tol": 1e-6,
+        "n_prosumers": (3000, _COUNT),
+        "n_buses": (118, _COUNT),
+        "n_lines": (186, _COUNT),
+        "deadline_ms": (105.0, _NON_NEGATIVE),
+        "per_node_key_cost_bits": (KEY_BITS, _NON_NEGATIVE),
+        "tol": (1e-6, _POSITIVE),
     },
     "full_stack": {
-        "alpha": 0.0,
-        "heights": 300,
-        "n_handshakes": 64,
-        "n_validators": 20,
-        "pool_capacity_bits": 4000000,
-        "market_prosumers": 60,
-        "market_lines": 8,
+        "alpha": (0.0,),   # checked against the consensus parameters in load_config
+        "heights": (300, _COUNT),
+        "n_handshakes": (64, _COUNT),
+        "n_validators": (20, _COUNT),
+        "pool_capacity_bits": (4000000, _COUNT),
+        "market_prosumers": (60, _COUNT),
+        "market_lines": (8, _COUNT),
     },
 }
+
+# the config section that carries each parameter type's fields, at that
+# type's defaults, beside the section's harness keys
+_PARAM_SECTIONS = {ConsensusParams: "consensus", LinkModel: "links", BaselineHandshakeModel: "qsah"}
+
+
+def _default_config() -> dict:
+    config = {"seed": 1, **{section: asdict(cls()) for cls, section in _PARAM_SECTIONS.items()}}
+    for section, keys in _HARNESS_KEYS.items():
+        config.setdefault(section, {}).update((key, spec[0]) for key, spec in keys.items())
+    return config
+
+
+DEFAULT_CONFIG = _default_config()
 
 
 class ConfigError(ValueError):
@@ -165,7 +203,38 @@ def _merge(base: dict, override: dict) -> dict:
     return out
 
 
+def _params(config: dict, cls):
+    """``cls`` built from the keys of its config section that are its fields."""
+    section = config[_PARAM_SECTIONS[cls]]
+    try:
+        return cls(**{f.name: section[f.name] for f in fields(cls)})
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"section {_PARAM_SECTIONS[cls]!r}: {exc}") from exc
+
+
+def _full_stack_consensus(config: dict) -> ConsensusParams:
+    """The consensus parameters with the full-stack run's adversary share."""
+    try:
+        return replace(_params(config, ConsensusParams), alpha=config["full_stack"]["alpha"])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"full_stack.alpha: {exc}") from exc
+
+
 def load_config(path: str | None, seed: int | None) -> dict:
+    """``DEFAULT_CONFIG`` with the document at ``path``, then ``seed``, over it.
+
+    The document is a config or a prior ``manifest.json``. Every command
+    runs on what this returns, so it raises ConfigError for anything a
+    command would fail on or run to the end with no meaning: a document
+    that is not a JSON object or names an unknown key, a seed outside the
+    signed 128-bit range ``substream_seed`` hashes, a value a parameter
+    type rejects, a harness key outside a range ``_HARNESS_KEYS`` gives it,
+    a lower bound above its upper one, a full-stack validator set in which
+    ``full_stack.alpha`` makes a third or more Byzantine, and a link on
+    which a batch of handshakes may still be sending hellos when the next
+    batch starts, since ``qsah-bench`` and ``market`` take their latencies
+    from the closed form (``qsah.check_batch_separation``).
+    """
     config = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:
         try:
@@ -183,6 +252,35 @@ def load_config(path: str | None, seed: int | None) -> dict:
     seed = config["seed"]
     if type(seed) is not int or not -2 ** 127 <= seed < 2 ** 127:
         raise ConfigError(f"seed must be an integer in [-2**127, 2**127), got {seed!r}")
+
+    for cls in _PARAM_SECTIONS:
+        _params(config, cls)
+    for section, keys in _HARNESS_KEYS.items():
+        for key, (_default, *ranges) in keys.items():
+            value = config[section][key]
+            for rule, holds in ranges:
+                if not holds(value):
+                    raise ConfigError(f"{section}.{key} must be {rule}, got {value!r}")
+    for section, lo, hi in (("trace", "amp_lo", "amp_hi"), ("trace", "width_lo", "width_hi"),
+                            ("keypool", "curve_rho_lo", "curve_rho_hi")):
+        if not config[section][lo] <= config[section][hi]:
+            raise ConfigError(f"{section}.{lo} must not exceed {section}.{hi}")
+    fs = config["full_stack"]
+    _full_stack_consensus(config)
+    try:
+        byzantine_count(fs["n_validators"], fs["alpha"])
+    except ValueError as exc:
+        raise ConfigError(f"full_stack: {exc}") from exc
+    # the handshake runs whose latencies come from the closed form
+    link = _params(config, LinkModel)
+    batch_size = config["qsah"]["batch_size"]
+    for section, key in (("qsah", "n_handshakes"), ("market", "n_prosumers")):
+        try:
+            check_batch_separation(config[section][key], batch_size, link)
+        except ValueError as exc:
+            raise ConfigError(
+                f"links: {exc} when {section}.{key} exceeds qsah.batch_size"
+            ) from exc
     return config
 
 
@@ -227,116 +325,6 @@ def _trace_from_config(config: dict):
         amp_range=(t["amp_lo"], t["amp_hi"]),
         width_range=(t["width_lo"], t["width_hi"]),
     )
-
-
-# the config section that carries each parameter type's fields
-_PARAM_SECTIONS = {ConsensusParams: "consensus", LinkModel: "links", BaselineHandshakeModel: "qsah"}
-
-
-def _params(config: dict, cls):
-    """``cls`` built from the keys of its config section that are its fields."""
-    section = config[_PARAM_SECTIONS[cls]]
-    try:
-        return cls(**{f.name: section[f.name] for f in fields(cls)})
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"section {_PARAM_SECTIONS[cls]!r}: {exc}") from exc
-
-
-def _full_stack_consensus(config: dict) -> ConsensusParams:
-    """The consensus parameters with the full-stack run's adversary share."""
-    try:
-        return replace(_params(config, ConsensusParams), alpha=config["full_stack"]["alpha"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"full_stack.alpha: {exc}") from exc
-
-
-def _real(v) -> bool:
-    """An int (not a bool) or a finite float: JSON admits Infinity and NaN."""
-    return type(v) is int or (type(v) is float and math.isfinite(v))
-
-
-# the harness's own keys and the range each must lie in: outside it a
-# command raises mid-run, counts something a negative number of times,
-# passes its checks on an empty output, or runs to the end on a value with
-# no meaning (a negative deadline, key cost, noise level or pulse
-# amplitude, a fraction or QBER outside its interval, an infinite duration,
-# rate, pulse width or amplitude, a pulse width of 0 that drops every pulse)
-_HARNESS_RANGES = (
-    ("an integer >= 1", lambda v: type(v) is int and v >= 1, {
-        "qsah": ("n_handshakes", "batch_size"),
-        "consensus": ("horizon", "seeds", "max_depth"),
-        "keypool": ("capacity", "max_events", "n_epochs"),
-        "market": ("n_prosumers", "n_buses", "n_lines"),
-        "full_stack": ("heights", "n_handshakes", "n_validators", "pool_capacity_bits",
-                       "market_prosumers", "market_lines"),
-    }),
-    ("an integer >= 2", lambda v: type(v) is int and v >= 2, {
-        "keypool": ("curve_points",),
-    }),
-    ("an integer >= 0", lambda v: type(v) is int and v >= 0, {
-        "trace": ("pulse_count",),
-    }),
-    ("in (0, 1)", lambda v: _real(v) and 0 < v < 1, {
-        "kms": ("gamma0",),
-        "keypool": ("target_pi0", "curve_rho_lo", "curve_rho_hi"),
-    }),
-    ("> 0", lambda v: _real(v) and v > 0, {
-        "trace": ("duration_s", "width_lo", "width_hi"),
-        "kms": ("r_max_bps",),
-        "market": ("tol",),
-    }),
-    (">= 0", lambda v: _real(v) and v >= 0, {
-        "trace": ("noise_sigma", "amp_lo", "amp_hi"),
-        "market": ("deadline_ms", "per_node_key_cost_bits"),
-    }),
-    ("in [0, 1]", lambda v: _real(v) and 0 <= v <= 1, {
-        "kms": ("fixed_fraction",),
-    }),
-    ("in [0, 1)", lambda v: _real(v) and 0 <= v < 1, {
-        "trace": ("base_q",),
-    }),
-    # generate_qber_trace's sample count; round(0.5) is 0
-    ("long enough for one 1 kHz sample (> 0.0005)",
-     lambda v: _real(v) and int(round(v * SAMPLE_RATE_HZ)) >= 1, {
-        "trace": ("duration_s",),
-    }),
-)
-
-
-def _check_harness_keys(config: dict) -> None:
-    """Raise ConfigError for a harness key outside its range."""
-    for rule, holds, sections in _HARNESS_RANGES:
-        for section, keys in sections.items():
-            for key in keys:
-                value = config[section][key]
-                if not holds(value):
-                    raise ConfigError(f"{section}.{key} must be {rule}, got {value!r}")
-    rhos = config["keypool"]["rhos"]
-    if not (type(rhos) is list and rhos
-            and all(_real(rho) and rho > 0 for rho in rhos)):
-        raise ConfigError(
-            f"keypool.rhos must be a non-empty list of finite numbers > 0, got {rhos!r}"
-        )
-    for section, lo, hi in (("trace", "amp_lo", "amp_hi"), ("trace", "width_lo", "width_hi"),
-                            ("keypool", "curve_rho_lo", "curve_rho_hi")):
-        if not config[section][lo] <= config[section][hi]:
-            raise ConfigError(f"{section}.{lo} must not exceed {section}.{hi}")
-    fs = config["full_stack"]
-    _full_stack_consensus(config)
-    try:
-        byzantine_count(fs["n_validators"], fs["alpha"])
-    except ValueError as exc:
-        raise ConfigError(f"full_stack: {exc}") from exc
-    # the handshake runs whose latencies come from the closed form
-    link = _params(config, LinkModel)
-    batch_size = config["qsah"]["batch_size"]
-    for section, key in (("qsah", "n_handshakes"), ("market", "n_prosumers")):
-        try:
-            check_batch_separation(config[section][key], batch_size, link)
-        except ValueError as exc:
-            raise ConfigError(
-                f"links: {exc} when {section}.{key} exceeds qsah.batch_size"
-            ) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -477,10 +465,12 @@ def cmd_porlite(config: dict, out: Path, jobs: int = 1) -> list[tuple[str, bool,
     seeds = [substream(config["seed"], "porlite", k).integers(2 ** 63) for k in range(c["seeds"])]
 
     tasks = [(params, horizon, max_depth, int(s)) for s in seeds]
-    if jobs > 1:
+    # a process pool forks all its workers at the first submit: no more than the tasks
+    workers = min(jobs, len(tasks))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             metric_list = list(pool.map(_porlite_one_seed, tasks))
     else:
         metric_list = [_porlite_one_seed(t) for t in tasks]
@@ -774,9 +764,6 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         config = load_config(args.config, args.seed)
-        for cls in _PARAM_SECTIONS:   # reject what a parameter type refuses, before any output
-            _params(config, cls)
-        _check_harness_keys(config)
         if args.jobs < 1:
             raise ConfigError("--jobs must be >= 1")
     except ConfigError as exc:

@@ -1,9 +1,11 @@
+import concurrent.futures
 import hashlib
 import json
 import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +13,15 @@ import pytest
 
 import qenergydex
 from qenergydex import market, qkms
-from qenergydex.cli import _CSV_BLOCK, _HARNESS_RANGES, _write_csv, main
+from qenergydex.cli import (
+    _CSV_BLOCK,
+    _HARNESS_KEYS,
+    _PARAM_SECTIONS,
+    DEFAULT_CONFIG,
+    _write_csv,
+    load_config,
+    main,
+)
 
 
 def _fmt(v) -> str:
@@ -105,6 +115,20 @@ def test_manifest_replay_is_byte_identical(tmp_path):
         assert main([command, "--config", str(first / "manifest.json"), "--out", str(again)]) == 0
         assert json.loads((first / "manifest.json").read_text())["config"]["seed"] == 3
         assert _files(first) == _files(again)
+
+
+def test_default_config_is_pinned_and_each_key_declared_once():
+    # the digest of the literal DEFAULT_CONFIG that the table replaced
+    text = json.dumps(DEFAULT_CONFIG, sort_keys=True, indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "2bfc0ba664d2e7780178d898b109df14e9cc5616b52976092cc00452862a99ab")
+    param_fields = {section: {f.name for f in fields(cls)} for cls, section in _PARAM_SECTIONS.items()}
+    for section, keys in DEFAULT_CONFIG.items():
+        if section != "seed":
+            for key in keys:
+                harness = key in _HARNESS_KEYS.get(section, {})
+                assert harness != (key in param_fields.get(section, ())), f"{section}.{key}"
+    assert load_config(None, None) == DEFAULT_CONFIG
 
 
 def test_config_errors_exit_with_status_2(tmp_path, capsys):
@@ -252,11 +276,13 @@ BAD_VALUES = {
 }
 
 
+# keypool.rhos's list rule has its own cases in test_harness_key_errors_exit_with_status_2
 @pytest.mark.parametrize("rule, section, key", [
     (rule, section, key)
-    for rule, _holds, sections in _HARNESS_RANGES
-    for section, keys in sections.items()
-    for key in keys
+    for section, keys in _HARNESS_KEYS.items()
+    for key, (_default, *ranges) in keys.items()
+    for rule, _holds in ranges
+    if (section, key) != ("keypool", "rhos")
 ])
 def test_every_harness_range_is_checked_before_output(tmp_path, capsys, rule, section, key):
     for value in BAD_VALUES[rule]:
@@ -287,6 +313,34 @@ def test_porlite_jobs_2_writes_the_bytes_of_jobs_1(tmp_path):
         argv = ["porlite", "--check", "--jobs", jobs, "--config", str(config)]
         assert main([*argv, "--out", str(tmp_path / jobs)]) == 0
     assert _files(tmp_path / "1") == _files(tmp_path / "2")
+
+
+def test_porlite_forks_no_more_workers_than_seeds(tmp_path, monkeypatch):
+    # a process pool forks all of max_workers at its first submit; this one
+    # runs in process and records how many it was asked for
+    asked = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    config = tmp_path / "small.json"
+    config.write_text(json.dumps({"consensus": {"horizon": 20_000, "seeds": 3}}))
+    for jobs in ("1", "8"):
+        argv = ["porlite", "--check", "--jobs", jobs, "--config", str(config)]
+        assert main([*argv, "--out", str(tmp_path / jobs)]) == 0
+    assert asked == [3]
+    assert _files(tmp_path / "1") == _files(tmp_path / "8")
 
 
 def test_market_clears_each_admitted_set_once(tmp_path, monkeypatch):

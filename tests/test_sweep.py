@@ -4,7 +4,9 @@ import importlib.util
 import json
 from pathlib import Path
 
-from qenergydex.cli import COMMANDS, main
+import pytest
+
+from qenergydex.cli import COMMANDS, ConfigError, main
 
 ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location("sweep", ROOT / ".github" / "sweep.py")
@@ -63,3 +65,15 @@ def test_ratchet_fails_on_a_changed_verdict_in_either_direction(tmp_path, monkey
         assert sweep.main(["--check", str(path)]) == status
     assert capsys.readouterr().out.splitlines() == [
         "now fails: market / b / seed 6: y", "no longer fails: market / a / seed 4"]
+
+
+def test_sweep_runs_no_command_on_a_config_load_config_rejects(tmp_path, monkeypatch):
+    ran = []
+    monkeypatch.setattr(sweep, "COMMANDS", {
+        command: lambda config, out, command=command: ran.append(command) or []
+        for command in COMMANDS})
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"keypool": {"curve_points": 1}}))
+    with pytest.raises(ConfigError, match="keypool.curve_points must be an integer >= 2, got 1"):
+        sweep.sweep((1,), str(path))
+    assert ran == []
