@@ -51,7 +51,7 @@ from .keypool import (
 )
 from .market import (
     SCENARIOS,
-    aggregate_response,
+    grid_response,
     leader_cost,
     security_coupled_clearing,
     synthetic_grid_instance,
@@ -600,9 +600,9 @@ def cmd_market(config: dict, out: Path) -> list[tuple[str, bool, str]]:
         # STACK's prices, re-checked from the capped responses: line flows
         # within tol, and no dearer for the leader than SOCIAL's dual price
         # (always a feasible leader price)
-        h = grid.ptdf[:, keep]
+        admitted = grid.restrict(keep)
         u = outcomes["STACK"].u
-        flows = h @ aggregate_response(prosumers[keep], u, h)
+        flows = admitted.flows(grid_response(admitted, prosumers[keep], u))
         limits = grid.line_limits
         viol = float((np.maximum(0.0, flows - limits) / (1.0 + np.abs(limits))).max())
         cost = leader_cost(grid, u)

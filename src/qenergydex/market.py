@@ -5,6 +5,15 @@ respond to bus prices with the capped affine rule
 
     p_i(u) = clip( alpha_i (pi_i - (H^T u)_i), -p_max_i, +p_max_i ).
 
+H is the lines x prosumers PTDF, but it has one column per bus: prosumer i
+injects at bus b_i, so H = H_bus[:, b] and every product with H goes
+through the buses (Schweppe, Caramanis, Tabors & Bohn, Spot Pricing of
+Electricity, 1988: nodal prices). Prices are (H_bus^T u)[b], flows are
+H_bus times the per-bus sums of the injections (`np.bincount`), and the
+flow sensitivity H diag(w) H^T is H_bus diag(w summed per bus) H_bus^T
+(`GridModel.prices`, `flows` and `sensitivity`). Responses stay per
+prosumer, since each has its own cap kink; no solver forms H itself.
+
 The leader picks line shadow prices u >= 0 minimizing its strictly convex
 cost 0.5 u^T Q u + c^T u subject to the followers' induced line flows
 H p(u) staying inside the thermal limits. The social-welfare benchmark is
@@ -55,7 +64,7 @@ subset, and a list of records turns back into the array with
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -68,6 +77,7 @@ __all__ = [
     "NoConvergence",
     "follower_response",
     "aggregate_response",
+    "grid_response",
     "welfare",
     "leader_cost",
     "solve_social",
@@ -95,26 +105,40 @@ PROSUMER = np.dtype([("alpha", "f8"), ("pi", "f8"), ("p_max", "f8"), ("bus", "i8
 
 @dataclass(frozen=True)
 class GridModel:
-    """PTDF matrix (lines x prosumers), limits, and leader cost coefficients."""
+    """Shift factors by bus, each prosumer's bus, line limits and the leader's cost.
 
-    ptdf: np.ndarray
+    `bus_ptdf` is the lines x buses PTDF and `bus` the integer map from
+    prosumer to bus column: prosumer i injects at column `bus[i]`. A map
+    that is not a 1-D integer array, or has an entry outside
+    [0, n_buses), is refused. `ptdf`, the lines x prosumers matrix
+    `bus_ptdf[:, bus]`, is formed each time it is read, for oracles; the
+    solvers go through `prices`, `flows` and `sensitivity` instead.
+    `restrict` subsets the map and shares `bus_ptdf`.
+    """
+
+    bus_ptdf: np.ndarray
+    bus: np.ndarray
     line_limits: np.ndarray
     leader_q_diag: np.ndarray
     leader_c: np.ndarray
 
     def __post_init__(self):
-        # F-ordered, as `restrict`'s column selection returns it: the
-        # solvers' matrix products can round differently on a C-ordered copy
-        ptdf = np.asfortranarray(np.atleast_2d(np.asarray(self.ptdf, dtype=float)))
+        h = np.atleast_2d(np.asarray(self.bus_ptdf, dtype=float))
+        bus = np.asarray(self.bus)
+        if bus.ndim != 1 or not np.issubdtype(bus.dtype, np.integer):
+            raise ValueError("bus must be a 1-D integer array")
+        if ((bus < 0) | (bus >= h.shape[1])).any():
+            raise ValueError(f"bus entries must lie in [0, {h.shape[1]})")
         limits = np.asarray(self.line_limits, dtype=float)
         q = np.asarray(self.leader_q_diag, dtype=float)
         c = np.asarray(self.leader_c, dtype=float)
-        object.__setattr__(self, "ptdf", ptdf)
+        object.__setattr__(self, "bus_ptdf", h)
+        object.__setattr__(self, "bus", np.ascontiguousarray(bus, dtype=np.intp))
         object.__setattr__(self, "line_limits", limits)
         object.__setattr__(self, "leader_q_diag", q)
         object.__setattr__(self, "leader_c", c)
         for name, v in (("line_limits", limits), ("leader_q_diag", q), ("leader_c", c)):
-            if v.shape != (ptdf.shape[0],):
+            if v.shape != (h.shape[0],):
                 raise ValueError(f"{name} must have one entry per line")
         if (limits <= 0).any():
             raise ValueError("line limits must be positive")
@@ -123,16 +147,33 @@ class GridModel:
 
     @property
     def n_lines(self) -> int:
-        return self.ptdf.shape[0]
+        return self.bus_ptdf.shape[0]
+
+    @property
+    def n_buses(self) -> int:
+        return self.bus_ptdf.shape[1]
+
+    @property
+    def ptdf(self) -> np.ndarray:
+        """The lines x prosumers PTDF H = bus_ptdf[:, bus], a new array each read."""
+        return self.bus_ptdf[:, self.bus]
+
+    def prices(self, u: np.ndarray) -> np.ndarray:
+        """Each prosumer's congestion price (H^T u)_i: its bus's entry of H_bus^T u."""
+        return (self.bus_ptdf.T @ u)[self.bus]
+
+    def flows(self, p: np.ndarray) -> np.ndarray:
+        """Line flows H p of the prosumers' injections p, summed per bus first."""
+        return self.bus_ptdf @ np.bincount(self.bus, weights=p, minlength=self.n_buses)
+
+    def sensitivity(self, w: np.ndarray) -> np.ndarray:
+        """H diag(w) H^T for per-prosumer weights w, summed per bus first."""
+        w_bus = np.bincount(self.bus, weights=w, minlength=self.n_buses)
+        return (self.bus_ptdf * w_bus) @ self.bus_ptdf.T
 
     def restrict(self, keep: np.ndarray) -> "GridModel":
-        """Grid restricted to a subset of prosumer columns."""
-        return GridModel(
-            ptdf=self.ptdf[:, keep],
-            line_limits=self.line_limits,
-            leader_q_diag=self.leader_q_diag,
-            leader_c=self.leader_c,
-        )
+        """Grid of the prosumers ``keep``: their map entries, the same bus PTDF."""
+        return replace(self, bus=self.bus[keep])
 
 
 @dataclass(frozen=True)
@@ -170,9 +211,9 @@ def _vectors(prosumers) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return prosumers["alpha"], prosumers["pi"], prosumers["p_max"]
 
 
-def _response(alpha, pi, pmax, h, u):
-    """Capped responses clip(alpha (pi - H^T u), +-p_max) of stacked followers."""
-    return np.clip(alpha * (pi - h.T @ u), -pmax, pmax)
+def _response(alpha, pi, pmax, price):
+    """Capped responses clip(alpha (pi - price), +-p_max) of stacked followers."""
+    return np.clip(alpha * (pi - price), -pmax, pmax)
 
 
 def follower_response(prosumer: np.void, u: np.ndarray, h_column: np.ndarray) -> float:
@@ -185,9 +226,19 @@ def follower_response(prosumer: np.void, u: np.ndarray, h_column: np.ndarray) ->
 
 
 def aggregate_response(prosumers: np.ndarray, u: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Stacked follower responses; equals diag(alpha)(pi - H^T u) when no cap binds."""
+    """Stacked follower responses to line prices u through a prosumer-space
+    PTDF h (lines x prosumers, such as `GridModel.ptdf`); equals
+    diag(alpha)(pi - H^T u) when no cap binds. An oracle: `grid_response`
+    gives the same through the buses."""
     alpha, pi, pmax = _vectors(prosumers)
-    return _response(alpha, pi, pmax, np.atleast_2d(np.asarray(h, dtype=float)), np.atleast_1d(u))
+    h = np.atleast_2d(np.asarray(h, dtype=float))
+    return _response(alpha, pi, pmax, h.T @ np.atleast_1d(u))
+
+
+def grid_response(grid: GridModel, prosumers: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Stacked follower responses to line prices u, each at its bus's price."""
+    alpha, pi, pmax = _vectors(prosumers)
+    return _response(alpha, pi, pmax, grid.prices(np.atleast_1d(u)))
 
 
 def welfare(prosumers: np.ndarray, p: np.ndarray) -> float:
@@ -241,27 +292,24 @@ def solve_social(
     is 0. Capping |d| scales it by a positive factor and keeps that sign.
     """
     alpha, pi, pmax = _vectors(prosumers)
-    h = grid.ptdf
     limits = grid.line_limits
 
     def g_val(u):
-        p = _response(alpha, pi, pmax, h, u)
-        return _welfare(alpha, pi, p) - float(u @ (h @ p - limits)), p
+        p = _response(alpha, pi, pmax, grid.prices(u))
+        return _welfare(alpha, pi, p) - float(u @ (grid.flows(p) - limits))
 
     u = np.zeros(grid.n_lines)
-    g_u, p = g_val(u)
+    g_u = g_val(u)
     iterations = 0
     residual = math.inf
     for iterations in range(1, _NEWTON_STEPS + 1):
-        raw = alpha * (pi - h.T @ u)
-        p = np.clip(raw, -pmax, pmax)
-        flows = h @ p
+        raw = alpha * (pi - grid.prices(u))
+        flows = grid.flows(np.clip(raw, -pmax, pmax))
         residual = _kkt_residual_social(u, flows, limits)
         if residual <= tol:
             break
         grad = limits - flows
-        act = _smoothed_activity(raw, pmax)
-        m = (h * (act * alpha)) @ h.T
+        m = grid.sensitivity(_smoothed_activity(raw, pmax) * alpha)
         ridge = 1e-10 * (1.0 + float(np.trace(m)) / len(limits))
         free = (u > 0) | (grad < 0)
         d = np.zeros_like(u)
@@ -281,7 +329,7 @@ def solve_social(
         accepted = False
         for _bt in range(60):
             u_try = np.maximum(0.0, u + t_step * d)
-            g_try, _ = g_val(u_try)
+            g_try = g_val(u_try)
             if g_try <= g_u + 1e-4 * t_step * slope + 1e-15:
                 accepted = True
                 break
@@ -289,8 +337,8 @@ def solve_social(
         if not accepted:
             break
         u, g_u = u_try, g_try
-    p = _response(alpha, pi, pmax, h, u)
-    flows = h @ p
+    p = _response(alpha, pi, pmax, grid.prices(u))
+    flows = grid.flows(p)
     residual = _kkt_residual_social(u, flows, limits)
     if residual > tol:
         raise NoConvergence(f"social solver residual {residual:.2e} after {iterations} iterations")
@@ -314,11 +362,11 @@ def _smoothed_activity(raw, pmax):
 _RAY_KAPPAS = np.concatenate(([0.0], np.geomspace(1e-3, 1e4, 36)))
 
 
-def _uniform_price_ray(h, alpha, pi, pmax):
+def _uniform_price_ray(grid, alpha, pi, pmax):
     """Yield (u, line flows) at each probe price u = kappa * 1 of the uniform-price ray."""
     for kappa in _RAY_KAPPAS:
-        u = np.full(h.shape[0], kappa)
-        yield u, h @ _response(alpha, pi, pmax, h, u)
+        u = np.full(grid.n_lines, kappa)
+        yield u, grid.flows(_response(alpha, pi, pmax, grid.prices(u)))
 
 
 def _nnls(a, b, passive):
@@ -447,19 +495,20 @@ def solve_stackelberg(
 
     A descent over cap patterns. With the pattern of capped followers
     fixed, flows are f0 - M u with M = H_F diag(alpha_F) H_F^T over the
-    free followers F, and the leader problem on that piece is the convex
-    QP min C_grid(u) s.t. M u >= f0 - limits, u >= 0 (solved exactly by
-    `_leader_qp`; lines already overloaded at the current price may not
-    get worse; each QP's NNLS starts from the constraints active at the
-    previous QP of the same start). Each step solves the QP of the current
-    piece, then walks the segment toward its solution under the true
-    capped response and stops at the first line overload (flows are
-    piecewise linear along the segment, so the crossing is located over
-    the cap breakpoints and solved exactly). The cost is convex along the
-    segment and no larger at its end, so it never increases; the next
-    piece is the one the segment was in when it stopped. Steps repeat
-    until the cost stops decreasing, at most `_QP_STEPS_PER_START` QP
-    solves per start.
+    free followers F (formed as H_bus diag(w) H_bus^T, w the free
+    followers' alpha summed at each bus), and the leader problem on that
+    piece is the convex QP min C_grid(u) s.t. M u >= f0 - limits, u >= 0
+    (solved exactly by `_leader_qp`; lines already overloaded at the
+    current price may not get worse; each QP's NNLS starts from the
+    constraints active at the previous QP of the same start). Each step
+    solves the QP of the current piece, then walks the segment toward its
+    solution under the true capped response and stops at the first line
+    overload (flows are piecewise linear along the segment, so the
+    crossing is located over the cap breakpoints and solved exactly). The
+    cost is convex along the segment and no larger at its end, so it never
+    increases; the next piece is the one the segment was in when it
+    stopped. Steps repeat until the cost stops decreasing, at most
+    `_QP_STEPS_PER_START` QP solves per start.
 
     Starts: SOCIAL's dual price (always feasible, p(u) is then the social
     optimum) and the cheapest feasible point of the uniform-price ray; the
@@ -477,7 +526,6 @@ def solve_stackelberg(
     if social is None:
         social = solve_social(grid, prosumers, tol)
     alpha, pi, pmax = _vectors(prosumers)
-    h = grid.ptdf
     limits = grid.line_limits
     q = grid.leader_q_diag
     c = grid.leader_c
@@ -490,7 +538,7 @@ def solve_stackelberg(
         """(t, piece): how far along raw + t draw, t in [0, 1], flows stay
         under bound, and the responses of the piece where they stop."""
         def flows_at(t):
-            return h @ np.clip(raw + t * draw, -pmax, pmax)
+            return grid.flows(np.clip(raw + t * draw, -pmax, pmax))
 
         def over(flows):
             return bool((flows > bound + 1e-12 * scale).any())
@@ -517,32 +565,31 @@ def solve_stackelberg(
 
     def descend(u):
         cost = leader_cost(grid, u)
-        raw = alpha * (pi - h.T @ u)
+        raw = alpha * (pi - grid.prices(u))
         piece = raw
         passive = np.zeros(2 * len(q), dtype=bool)   # NNLS warm start, rows of [M; I]
         iters = 0
         while iters < _QP_STEPS_PER_START:
             iters += 1
             free = np.abs(piece) < pmax
-            f0 = h @ np.where(free, alpha * pi, np.clip(piece, -pmax, pmax))
-            h_free = h[:, free]
-            m = (h_free * alpha[free]) @ h_free.T
+            f0 = grid.flows(np.where(free, alpha * pi, np.clip(piece, -pmax, pmax)))
+            m = grid.sensitivity(np.where(free, alpha, 0.0))
             u_qp, passive = _leader_qp(m, np.minimum(f0 - limits, m @ u), q, c, passive)
             if leader_cost(grid, u_qp) >= cost - 1e-12 * (1.0 + abs(cost)):
                 break
-            draw = -alpha * (h.T @ (u_qp - u))
-            flows = h @ np.clip(raw, -pmax, pmax)
+            draw = -alpha * grid.prices(u_qp - u)
+            flows = grid.flows(np.clip(raw, -pmax, pmax))
             t, piece = first_overload(raw, draw, np.maximum(limits, flows))
             u_next = u + t * (u_qp - u)
             cost_next = leader_cost(grid, u_next)
             if cost_next >= cost - 1e-12 * (1.0 + abs(cost)):
                 break
             u, cost = u_next, cost_next
-            raw = alpha * (pi - h.T @ u)
+            raw = alpha * (pi - grid.prices(u))
         return u, cost, iters
 
     starts = [social.u]
-    ray = [u for u, flows in _uniform_price_ray(h, alpha, pi, pmax) if rel_viol(flows) <= tol]
+    ray = [u for u, flows in _uniform_price_ray(grid, alpha, pi, pmax) if rel_viol(flows) <= tol]
     if ray:
         starts.append(min(ray, key=lambda u: leader_cost(grid, u)))
     best_cost, u, total_iters = math.inf, starts[0], 0
@@ -551,8 +598,8 @@ def solve_stackelberg(
         total_iters += used
         if cost_k < best_cost:
             best_cost, u = cost_k, u_k
-    p = _response(alpha, pi, pmax, h, u)
-    residual = rel_viol(h @ p)
+    p = _response(alpha, pi, pmax, grid.prices(u))
+    residual = rel_viol(grid.flows(p))
     return MarketOutcome(
         u=u,
         p=p,
@@ -574,14 +621,13 @@ def solve_base(grid: GridModel, prosumers: np.ndarray, weighted: bool = False) -
     remain, and keeps whichever feasible candidate yields higher welfare.
     """
     alpha, pi, pmax = _vectors(prosumers)
-    h = grid.ptdf
     limits = grid.line_limits
     p0 = np.clip(alpha * pi, -pmax, pmax)
-    flows0 = h @ p0
+    flows0 = grid.flows(p0)
     violated = flows0 > limits
 
     def _scale(p):
-        flows = h @ p
+        flows = grid.flows(p)
         over = flows > limits
         if not over.any():
             return p
@@ -594,7 +640,7 @@ def solve_base(grid: GridModel, prosumers: np.ndarray, weighted: bool = False) -
         p_final = _scale(p0)
     else:
         worst = int(np.argmax(flows0 - limits))
-        row = h[worst]
+        row = grid.bus_ptdf[worst, grid.bus]     # the worst line's row of H
         need = flows0[worst] - limits[worst]
         # denom > 0: the worst line is violated, so row @ p0 = flows0[worst]
         # > limits[worst] > 0 and row has a nonzero entry; every alpha > 0
@@ -612,7 +658,7 @@ def solve_base(grid: GridModel, prosumers: np.ndarray, weighted: bool = False) -
         p=p_final,
         welfare=_welfare(alpha, pi, p_final),
         scenario="WBASE" if weighted else "BASE",
-        feasible=bool((h @ p_final <= limits * (1 + 1e-12) + 1e-9).all()),
+        feasible=bool((grid.flows(p_final) <= limits * (1 + 1e-12) + 1e-9).all()),
         iterations=0,
         kkt_residual=0.0,
     )
@@ -684,11 +730,7 @@ def security_coupled_clearing(
         clears = {}
     key = keep.tobytes()
     if key not in clears:
-        if keep.size == len(prosumers):
-            # every node admitted: the grid itself, without a copy of its PTDF
-            clears[key] = clear_all_scenarios(grid, prosumers, tol)
-        else:
-            clears[key] = clear_all_scenarios(grid.restrict(keep), prosumers[keep], tol)
+        clears[key] = clear_all_scenarios(grid.restrict(keep), prosumers[keep], tol)
     return keep, dict(clears[key])
 
 
@@ -715,7 +757,7 @@ def _sparse_unit_rows(rng, shape, density) -> np.ndarray:
     return m
 
 
-def _ensure_price_reachable(limits, h, alpha, pi, pmax) -> np.ndarray:
+def _ensure_price_reachable(limits, grid, alpha, pi, pmax) -> np.ndarray:
     """Raise limits just enough that some uniform price vector is feasible.
 
     The leader steers injections only through prices, so the reachable flow
@@ -724,28 +766,28 @@ def _ensure_price_reachable(limits, h, alpha, pi, pmax) -> np.ndarray:
     guarantees the leader problem has a feasible point.
     """
     best = np.full(limits.shape, np.inf)
-    for _u, flows in _uniform_price_ray(h, alpha, pi, pmax):
+    for _u, flows in _uniform_price_ray(grid, alpha, pi, pmax):
         worst = np.maximum(flows - limits, 0.0).max()
         if worst < np.maximum(best - limits, 0.0).max():
             best = flows
     return np.maximum(limits, best * (1.0 + 1e-9) + 1e-12)
 
 
-def _grid_with_limits(rng, h, prosumers, floor_share, limit_lo, limit_hi) -> GridModel:
-    """The grid over PTDF ``h``: each line's limit is its congestion-blind
-    flow times U(limit_lo, limit_hi), at least ``floor_share`` of the
-    largest such flow (or of 1), then lifted by ``_ensure_price_reachable``;
-    the leader's cost is |u|^2 / 2."""
+def _grid_with_limits(rng, bus_ptdf, bus, prosumers, floor_share, limit_lo, limit_hi) -> GridModel:
+    """The grid over bus PTDF ``bus_ptdf`` and prosumer-to-bus map ``bus``:
+    each line's limit is its congestion-blind flow times
+    U(limit_lo, limit_hi), at least ``floor_share`` of the largest such flow
+    (or of 1), then lifted by ``_ensure_price_reachable``; the leader's cost
+    is |u|^2 / 2."""
     alpha, pi, pmax = _vectors(prosumers)
-    flows0 = np.abs(h @ np.clip(alpha * pi, -pmax, pmax))
+    n_lines = len(bus_ptdf)
+    # unit limits until the drawn ones replace them
+    grid = GridModel(bus_ptdf=bus_ptdf, bus=bus, line_limits=np.ones(n_lines),
+                     leader_q_diag=np.ones(n_lines), leader_c=np.zeros(n_lines))
+    flows0 = np.abs(grid.flows(np.clip(alpha * pi, -pmax, pmax)))
     floor = max(float(flows0.max()), 1.0) * floor_share
-    limits = np.maximum(flows0 * rng.uniform(limit_lo, limit_hi, size=len(flows0)), floor)
-    return GridModel(
-        ptdf=h,
-        line_limits=_ensure_price_reachable(limits, h, alpha, pi, pmax),
-        leader_q_diag=np.ones(len(flows0)),
-        leader_c=np.zeros(len(flows0)),
-    )
+    limits = np.maximum(flows0 * rng.uniform(limit_lo, limit_hi, size=n_lines), floor)
+    return replace(grid, line_limits=_ensure_price_reachable(limits, grid, alpha, pi, pmax))
 
 
 def random_instance(
@@ -754,11 +796,15 @@ def random_instance(
     seed: int,
     congestion: float = 0.75,
 ) -> tuple[GridModel, np.ndarray]:
-    """Small random instance with a controllable share of binding lines."""
+    """Small random instance with a controllable share of binding lines.
+
+    Each prosumer has its own PTDF column: the grid's map is the identity
+    (the drawn ``bus`` field is not read)."""
     rng = substream(seed, "market", "instance")
     prosumers = _draw_prosumers(rng, n_prosumers, 0.4, 1.6, max(2, n_prosumers // 2))
     h = _sparse_unit_rows(rng, (n_lines, n_prosumers), 0.6)
-    return _grid_with_limits(rng, h, prosumers, 0.05, congestion, 1.6), prosumers
+    grid = _grid_with_limits(rng, h, np.arange(n_prosumers), prosumers, 0.05, congestion, 1.6)
+    return grid, prosumers
 
 
 def synthetic_grid_instance(
@@ -770,7 +816,7 @@ def synthetic_grid_instance(
     """Transmission-scale synthetic instance: prosumers mapped to buses.
 
     The PTDF over buses is sparse zero-mean with unit row normalization;
-    prosumer columns are the PTDF entries of their bus. Valuations are
+    the grid maps each prosumer to its drawn bus. Valuations are
     normal, capacities lognormal. Each line's limit is its congestion-blind
     flow times U(0.85, 1.8), above a floor, so that a moderate share of
     lines binds.
@@ -778,5 +824,4 @@ def synthetic_grid_instance(
     rng = substream(seed, "market", "grid118")
     prosumers = _draw_prosumers(rng, n_prosumers, 0.3, 1.5, n_buses)
     bus_ptdf = _sparse_unit_rows(rng, (n_lines, n_buses), 0.25)
-    h = bus_ptdf[:, prosumers["bus"]]
-    return _grid_with_limits(rng, h, prosumers, 0.02, 0.85, 1.8), prosumers
+    return _grid_with_limits(rng, bus_ptdf, prosumers["bus"], prosumers, 0.02, 0.85, 1.8), prosumers

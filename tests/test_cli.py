@@ -557,10 +557,12 @@ def test_full_stack_issues_each_key_id_once(tmp_path, monkeypatch):
 # SHA-256 of the other case studies' data files at reduced configs, seed 1.
 # The market config is past the clear memo: the stacks admit 600 and 599
 # nodes, and STACK takes 10 QPs on each. The same bytes with one BLAS
-# thread and with the default.
+# thread and with the default. The market bytes are those of the clear in
+# bus space, which sums flows per bus first: every value agrees with the
+# prosumer-space clear to rounding (STACK's welfare to the last digit).
 CASE_STUDY_PINS = {
     ("market", '{"market": {"n_prosumers": 600, "n_buses": 60, "n_lines": 50}}'): {
-        "welfare_grid.csv": "1678f3c3a661ed3b72ca01663f0f0fa047b5bb66c87d2f4fc7113b93cb14efec",
+        "welfare_grid.csv": "bd439bac1bbaf0508567049a0d35a035808c764f95f4735c829f26af65b5f8df",
     },
     ("rate-adapt", '{"trace": {"duration_s": 5.0}}'): {
         "cdf.csv": "776881f6be63fc0fdd821dffac9ccabab94e3928fae6bee05314a5a31032f975",

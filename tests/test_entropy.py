@@ -209,6 +209,9 @@ def test_trace_integer_base_level():
     assert np.array_equal(a.samples, generate_qber_trace(2.0, seed=3, base_q=0.0).samples)
 
 
+_EXP_ZERO_BELOW = -746.0   # np.exp rounds to 0.0 below this: exp(-745.13) is the least subnormal
+
+
 def _full_length_trace(duration_s, seed, width_range):
     """generate_qber_trace with each pulse added over the whole trace, its oracle."""
     n = int(round(duration_s * 1000.0))
@@ -218,18 +221,22 @@ def _full_length_trace(duration_s, seed, width_range):
     noise = rng.normal(0.0, 0.004, size=n)
     np.clip(noise, -3.0 * 0.004, 3.0 * 0.004, out=noise)
     q += noise
+    z = np.empty(n)
     bump = np.empty(n)
     for _ in range(int(round(12 * duration_s / 60.0))):
         center = rng.uniform(0.0, n)
         width = rng.uniform(*width_range)
         amp = rng.uniform(0.01, 0.05)
         # q += amp * np.exp(-0.5 * ((t - center) / width) ** 2), the same
-        # operations in one preallocated buffer
-        np.subtract(t, center, out=bump)
-        bump /= width
-        np.square(bump, out=bump)
-        bump *= -0.5
-        np.exp(bump, out=bump)
+        # operations in preallocated buffers. np.exp is 0.0 below -746
+        # (the test asserts it), so those entries keep the 0.0 they are
+        # given instead of taking np.exp's slow path on underflow
+        np.subtract(t, center, out=z)
+        z /= width
+        np.square(z, out=z)
+        z *= -0.5
+        bump.fill(0.0)
+        np.exp(z, out=bump, where=z >= _EXP_ZERO_BELOW)
         bump *= amp
         q += bump
     np.clip(q, 0.001, 0.08, out=q)
@@ -239,6 +246,7 @@ def _full_length_trace(duration_s, seed, width_range):
 def test_trace_pulse_windows_equal_full_length_pulses():
     # widths up to 20000 samples outreach every trace; 0.5 samples is
     # narrower than one step; centers fall near either end
+    assert np.exp(_EXP_ZERO_BELOW) == 0.0     # so the oracle may skip exp below it
     for width_range in ((50.0, 500.0), (0.5, 2.0), (5000.0, 20000.0)):
         for duration_s in (5.0, 60.0, 61.7, 300.0):
             for seed in range(1, 21):

@@ -13,6 +13,7 @@ from qenergydex.market import (
     aggregate_response,
     clear_all_scenarios,
     follower_response,
+    grid_response,
     leader_cost,
     random_instance,
     security_coupled_clearing,
@@ -34,7 +35,8 @@ def records(*rows):
 def toy_two_prosumer_one_line():
     prosumers = records((1.0, 10.0, 100.0, 0), (1.0, 6.0, 100.0, 0))
     grid = GridModel(
-        ptdf=np.array([[1.0, 1.0]]),
+        bus_ptdf=np.array([[1.0, 1.0]]),
+        bus=np.arange(2),
         line_limits=np.array([12.0]),
         leader_q_diag=np.array([2.0]),   # leader cost u^2
         leader_c=np.array([0.0]),
@@ -53,7 +55,8 @@ def line_violation(grid, prosumers, u):
 def toy_three_node():
     prosumers = records((1.0, 8.0, 20.0, 0), (2.0, 5.0, 20.0, 1), (0.5, 12.0, 20.0, 2))
     grid = GridModel(
-        ptdf=np.array([[1.0, 0.5, 0.8]]),
+        bus_ptdf=np.array([[1.0, 0.5, 0.8]]),
+        bus=np.arange(3),
         line_limits=np.array([9.0]),
         leader_q_diag=np.array([1.0]),
         leader_c=np.array([0.0]),
@@ -160,7 +163,8 @@ def test_social_three_node_vs_multiplier_scan():
 def test_social_no_line_limits_interior_optimum():
     prosumers = records((2.0, 4.0, 100.0, 0), (1.0, 3.0, 100.0, 0))
     grid = GridModel(
-        ptdf=np.array([[0.3, 0.4]]),
+        bus_ptdf=np.array([[0.3, 0.4]]),
+        bus=np.arange(2),
         line_limits=np.array([1e9]),
         leader_q_diag=np.array([1.0]),
         leader_c=np.array([0.0]),
@@ -173,7 +177,8 @@ def test_social_no_line_limits_interior_optimum():
 def test_stackelberg_unconstrained_zero_prices():
     prosumers = records((1.0, 5.0, 50.0, 0))
     grid = GridModel(
-        ptdf=np.array([[1.0]]),
+        bus_ptdf=np.array([[1.0]]),
+        bus=np.arange(1),
         line_limits=np.array([100.0]),
         leader_q_diag=np.array([1.0]),
         leader_c=np.array([0.0]),
@@ -187,13 +192,7 @@ def test_stackelberg_permutation_invariance():
     grid, prosumers = random_instance(10, 3, seed=21)
     out1 = solve_stackelberg(grid, prosumers)
     perm = [7, 2, 9, 0, 5, 1, 8, 3, 6, 4]
-    grid_p = GridModel(
-        ptdf=grid.ptdf[:, perm],
-        line_limits=grid.line_limits,
-        leader_q_diag=grid.leader_q_diag,
-        leader_c=grid.leader_c,
-    )
-    out2 = solve_stackelberg(grid_p, [prosumers[i] for i in perm])
+    out2 = solve_stackelberg(grid.restrict(perm), [prosumers[i] for i in perm])
     assert np.abs(out1.u - out2.u).max() <= 1e-5
 
 
@@ -231,9 +230,8 @@ def test_stack_certified_on_instance_without_reachability_lift():
     flows0 = np.abs(h @ np.clip(alpha * pi, -pmax, pmax))
     floor = max(float(flows0.max()), 1.0) * 0.05
     limits = np.maximum(flows0 * rng.uniform(0.75, 1.6, size=4), floor)
-    grid = GridModel(
-        ptdf=h, line_limits=limits, leader_q_diag=np.ones(4), leader_c=np.zeros(4)
-    )
+    grid = GridModel(bus_ptdf=h, bus=np.arange(12), line_limits=limits,
+                     leader_q_diag=np.ones(4), leader_c=np.zeros(4))
     stack = solve_stackelberg(grid, prosumers)
     social = solve_social(grid, prosumers)
     assert line_violation(grid, prosumers, stack.u) <= 1e-6
@@ -250,7 +248,8 @@ def test_stack_certified_on_instance_without_reachability_lift():
 def test_base_equals_unconstrained_when_feasible():
     prosumers = records((1.0, 3.0, 50.0, 0), (1.0, 2.0, 50.0, 0))
     grid = GridModel(
-        ptdf=np.array([[0.1, 0.1]]),
+        bus_ptdf=np.array([[0.1, 0.1]]),
+        bus=np.arange(2),
         line_limits=np.array([100.0]),
         leader_q_diag=np.array([1.0]),
         leader_c=np.array([0.0]),
@@ -264,7 +263,8 @@ def test_base_equals_unconstrained_when_feasible():
 def test_base_scaling_makes_worst_line_exactly_binding():
     prosumers = records((1.0, 10.0, 100.0, 0), (1.0, 10.0, 100.0, 0))
     grid = GridModel(
-        ptdf=np.array([[1.0, 1.0]]),
+        bus_ptdf=np.array([[1.0, 1.0]]),
+        bus=np.arange(2),
         line_limits=np.array([12.0]),
         leader_q_diag=np.array([1.0]),
         leader_c=np.array([0.0]),
@@ -522,7 +522,7 @@ def test_outcome_arrays_are_read_only():
 
 def test_security_filter_admits_all_with_slack_budget():
     # every node admitted: the same clear as on the whole grid, byte for
-    # byte (a copy of a C-ordered PTDF rounded differently in the solvers)
+    # byte (the restricted grid holds the same map and shares the bus PTDF)
     for n, seed in ((15, 7), (10, 4)):
         grid, prosumers = random_instance(n, 3, seed=seed)
         keep, outcomes = security_coupled_clearing(
@@ -702,6 +702,8 @@ def test_aggregate_response_takes_a_list_of_records():
 
 def test_synthetic_grid_shape():
     grid, prosumers = synthetic_grid_instance(300, n_buses=50, n_lines=40, seed=12)
+    assert grid.bus_ptdf.shape == (40, 50)
+    assert np.array_equal(grid.bus, prosumers["bus"])
     assert grid.ptdf.shape == (40, 300)
     assert prosumers.dtype == PROSUMER and len(prosumers) == 300
     assert ((0 <= prosumers["bus"]) & (prosumers["bus"] < 50)).all()
@@ -711,22 +713,25 @@ def test_synthetic_grid_shape():
 def test_grid_model_validation():
     with pytest.raises(ValueError):
         GridModel(
-            ptdf=np.array([[1.0]]),
+            bus_ptdf=np.array([[1.0]]),
+            bus=np.arange(1),
             line_limits=np.array([-1.0]),
             leader_q_diag=np.array([1.0]),
             leader_c=np.array([0.0]),
         )
     with pytest.raises(ValueError):
         GridModel(
-            ptdf=np.array([[1.0]]),
+            bus_ptdf=np.array([[1.0]]),
+            bus=np.arange(1),
             line_limits=np.array([1.0]),
             leader_q_diag=np.array([0.0]),
             leader_c=np.array([0.0]),
         )
     # every entry point refuses a follower with alpha <= 0 or p_max <= 0,
     # the second of two; security_coupled_clearing before it admits no one
-    grid = GridModel(ptdf=np.array([[1.0, 1.0]]), line_limits=np.array([1.0]),
-                     leader_q_diag=np.array([1.0]), leader_c=np.array([0.0]))
+    grid = GridModel(bus_ptdf=np.array([[1.0, 1.0]]), bus=np.arange(2),
+                     line_limits=np.array([1.0]), leader_q_diag=np.array([1.0]),
+                     leader_c=np.array([0.0]))
     entry_points = (
         lambda pr: aggregate_response(pr, np.zeros(1), grid.ptdf),
         lambda pr: welfare(pr, np.zeros(2)),
@@ -751,4 +756,74 @@ def test_grid_model_needs_one_entry_per_line(field, bad):
     good = {"line_limits": [1.0, 1.0], "leader_q_diag": [1.0, 1.0], "leader_c": [0.0, 0.0]}
     ptdf = np.array([[1.0, 0.5], [0.0, 1.0]])
     with pytest.raises(ValueError, match=field):
-        GridModel(ptdf=ptdf, **{**good, field: np.array(bad)})
+        GridModel(bus_ptdf=ptdf, bus=np.arange(2), **{**good, field: np.array(bad)})
+
+
+@pytest.mark.parametrize("bus", [
+    np.array([0.0, 1.0]),            # floats, even integral ones
+    np.array([True, False]),
+    np.array([[0, 1]]),              # not 1-D
+    np.int64(0),
+    np.array([0, 2]),                # past the last of the 2 buses
+    np.array([-1, 0]),
+    [0, 1.5],
+])
+def test_grid_model_refuses_a_bad_bus_map(bus):
+    with pytest.raises(ValueError, match="bus"):
+        GridModel(bus_ptdf=np.array([[1.0, 0.5]]), bus=bus, line_limits=[1.0],
+                  leader_q_diag=[1.0], leader_c=[0.0])
+
+
+# ---------------------------------------------------------------------------
+# bus space against prosumer space
+# ---------------------------------------------------------------------------
+
+
+def paper_instance():
+    """The seed-1 instance of the market case study (3000 prosumers, 118
+    buses, 186 lines), drawn as `cmd_market` draws it."""
+    from qenergydex.rng import substream
+
+    return synthetic_grid_instance(seed=substream(1, "market", "dataset", 0).integers(2 ** 63))
+
+
+def assert_within(bus_form, oracle, scale):
+    """Entrywise agreement to 1e-12 relative to the sum of the terms'
+    magnitudes, which bounds a sum's rounding in any order."""
+    assert bus_form.shape == oracle.shape
+    assert (np.abs(bus_form - oracle) <= 1e-12 * scale).all()
+
+
+@pytest.mark.parametrize("instance", ["random 1", "random 2", "random 3", "random 4", "paper"])
+def test_bus_space_matches_prosumer_space(instance):
+    # the solvers' bus-space products against the prosumer-space formulas
+    # over H = bus_ptdf[:, bus] that they replaced
+    if instance == "paper":
+        grid, prosumers = paper_instance()
+        assert grid.bus_ptdf.shape == (186, 118)
+    else:
+        grid, prosumers = random_instance(20, 5, seed=int(instance.split()[1]))
+        assert np.array_equal(grid.bus, np.arange(20))
+    h = grid.ptdf
+    alpha, pi, pmax = prosumers["alpha"], prosumers["pi"], prosumers["p_max"]
+    rng = np.random.default_rng(8)
+    for kappa in (0.01, 0.3, 3.0):
+        u = kappa * rng.uniform(0.0, 2.0, grid.n_lines) * (rng.random(grid.n_lines) < 0.7)
+        prices = h.T @ u
+        assert_within(grid.prices(u), prices, np.abs(h).T @ u)
+        p = aggregate_response(prosumers, u, h)
+        assert_within(grid_response(grid, prosumers, u), p, alpha * (np.abs(h).T @ u))
+        assert_within(grid.flows(p), h @ p, np.abs(h) @ np.abs(p))
+        raw = alpha * (pi - prices)
+        # the descent's M over the free followers F, and the Newton M
+        free = np.abs(raw) < pmax
+        h_free = h[:, free]
+        assert_within(grid.sensitivity(np.where(free, alpha, 0.0)),
+                      (h_free * alpha[free]) @ h_free.T,
+                      (np.abs(h_free) * alpha[free]) @ np.abs(h_free).T)
+        w = market._smoothed_activity(raw, pmax) * alpha
+        assert_within(grid.sensitivity(w), (h * w) @ h.T, (np.abs(h) * w) @ np.abs(h).T)
+    keep = np.arange(0, len(prosumers), 3)
+    sub = grid.restrict(keep)
+    assert np.shares_memory(sub.bus_ptdf, grid.bus_ptdf)
+    assert sub.ptdf.tobytes() == h[:, keep].tobytes()
