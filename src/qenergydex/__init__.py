@@ -29,7 +29,6 @@ from .porlite import (
     ConsensusParams,
     ValidatorNode,
     chain_growth_bound,
-    cp_violation_bound,
     election_seed,
     elect_leader,
     finality_depth,

@@ -476,14 +476,14 @@ def cmd_porlite(config: dict, out: Path, jobs: int = 1) -> list[tuple[str, bool,
         metric_list = [_porlite_one_seed(t) for t in tasks]
 
     depths = metric_list[0].depths
-    fork_emp = np.mean([m.fork_tail_empirical for m in metric_list], axis=0)
-    cp_emp = np.mean([m.cp_empirical for m in metric_list], axis=0)
+    tail = np.mean([m.fork_tail_empirical for m in metric_list], axis=0)
+    fork_emp, cp_emp = tail[:-1], tail[1:]
     growth_emp = np.mean([m.growth_empirical for m in metric_list], axis=0)
     hist = np.sum([m.finality_histogram for m in metric_list], axis=0)
     bounds = metric_list[0]
 
     _write_csv(out / "fork_tail.csv", "depth,empirical,bound", depths, fork_emp, bounds.fork_tail_bounds)
-    _write_csv(out / "cp_violation.csv", "depth,empirical,bound", depths, cp_emp, bounds.cp_bounds)
+    _write_csv(out / "cp_violation.csv", "depth,empirical,bound", depths, cp_emp, bounds.fork_tail_bounds)
     _write_csv(
         out / "growth_violation.csv", "depth,empirical,bound", depths, growth_emp, bounds.growth_bounds
     )

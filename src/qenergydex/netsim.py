@@ -152,7 +152,9 @@ class Network:
     def run_until(self, t_ms: float) -> list[Event]:
         """Process events up to and including virtual time ``t_ms``.
 
-        Returns the delivered events in delivery order.
+        The clock then reads the later of its time and ``t_ms``: a time in
+        the past delivers nothing and leaves the clock where it is, as
+        ``call_at`` does. Returns the delivered events in delivery order.
         """
         limit_us = int(round(t_ms * 1000.0))
         delivered: list[Event] = []
@@ -165,7 +167,7 @@ class Network:
             else:
                 self._handlers[ev.dst](self, ev)
             delivered.append(ev)
-        self._now_us = limit_us
+        self._now_us = max(self._now_us, limit_us)
         return delivered
 
     def run_to_quiescence(self) -> int:

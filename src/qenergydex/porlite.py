@@ -27,12 +27,14 @@ with alpha the Byzantine weight fraction and beta the empty-slot rate.
 
 Two simulation modes are provided: a fast analytic mode that draws the
 outcome sequence directly as Bernoulli-type noise (used for the large
-Monte Carlo ensembles), and a network mode that runs real VRF elections
-and key-service salt rentals, with the KMS round trip and the gossip
-legs drawn from the link model; its one Byzantine behaviour is
-equivocation (a Byzantine leader's height is a fork, and Byzantine
-validators withhold their votes). Network mode sends no messages: it
-samples the delays a message exchange would take.
+Monte Carlo ensembles), and a network mode that runs real VRF elections,
+with the KMS round trip and the gossip legs drawn from the link model.
+Network mode has one salt source: every salt is rented from the
+``KmsReplica`` it is given, and a height whose rental fails is an empty
+slot. Its one Byzantine behaviour is equivocation (a Byzantine leader's
+height is a fork, and Byzantine validators withhold their votes). Network
+mode sends no messages: it samples the delays a message exchange would
+take.
 """
 
 from __future__ import annotations
@@ -59,7 +61,6 @@ __all__ = [
     "confirm_threshold_met",
     "finality_depth",
     "fork_tail_bound",
-    "cp_violation_bound",
     "chain_growth_bound",
     "fork_persistence_tail",
     "cp_violation_fraction",
@@ -207,11 +208,6 @@ def fork_tail_bound(alpha: float, t: float) -> float:
     return math.exp(-2.0 * t * (1.0 - 2.0 * alpha) ** 2)
 
 
-def cp_violation_bound(alpha: float, k: float) -> float:
-    """Common-prefix violation bound at depth k (same Azuma form)."""
-    return fork_tail_bound(alpha, k)
-
-
 def chain_growth_bound(alpha: float, beta: float, epsilon: float, t: float) -> float:
     """Chernoff bound on growth shortfall below (1-eps)(1-alpha)(1-beta) t."""
     if not 0.0 <= alpha < 1.0 or not 0.0 <= beta < 1.0:
@@ -284,6 +280,8 @@ def cp_violation_fraction(outcomes: np.ndarray, max_depth: int) -> np.ndarray:
     adversarial streak has outlasted those k confirmations, i.e. a streak
     of length at least k + 1 is running: the fork tail shifted by one.
     """
+    # chain_metrics slices its one tail instead; this stays as the named
+    # common-prefix series, which perfbench/layers.py traces and a test checks
     return fork_persistence_tail(outcomes, max_depth + 1)[1:]
 
 
@@ -356,35 +354,36 @@ def finality_depths(outcomes: np.ndarray, max_depth: int = 200) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ChainMetrics:
-    """Empirical frequencies paired with their closed-form bounds per depth."""
+    """Empirical frequencies paired with their closed-form bounds per depth.
+
+    The fork tail is held once, at depths 1 ... max_depth + 1: its ``[:-1]``
+    is the fork-survival series and its ``[1:]`` the common-prefix series
+    (see cp_violation_fraction), and both pair with the one bound array.
+    """
 
     depths: np.ndarray
     fork_tail_empirical: np.ndarray
     fork_tail_bounds: np.ndarray
-    cp_empirical: np.ndarray
-    cp_bounds: np.ndarray
     growth_empirical: np.ndarray
     growth_bounds: np.ndarray
     finality_histogram: np.ndarray   # counts indexed by depth-1
 
     def dominated(self) -> bool:
         """True when every empirical frequency sits at or below its bound."""
+        tail, bound = self.fork_tail_empirical, self.fork_tail_bounds
         return bool(
-            (self.fork_tail_empirical <= self.fork_tail_bounds).all()
-            and (self.cp_empirical <= self.cp_bounds).all()
+            (tail[:-1] <= bound).all()
+            and (tail[1:] <= bound).all()
             and (self.growth_empirical <= self.growth_bounds).all()
         )
 
 
 def chain_metrics(trace: ChainTrace, params: ConsensusParams, max_depth: int = 80) -> ChainMetrics:
     depths = np.arange(1, max_depth + 1)
-    # one streak pass serves both tails: the common-prefix frequency at
-    # depth k is the fork tail at k + 1 (see cp_violation_fraction)
     tail = fork_persistence_tail(trace.outcomes, max_depth + 1)
     growth_emp = growth_violation_fraction(
         trace.outcomes, params.epsilon_growth, params.alpha, params.beta, max_depth
     )
-    # cp_violation_bound is fork_tail_bound, so both series share one array
     fork_b = np.array([fork_tail_bound(params.alpha, t) for t in depths])
     growth_b = np.array(
         [chain_growth_bound(params.alpha, params.beta, params.epsilon_growth, t) for t in depths]
@@ -393,10 +392,8 @@ def chain_metrics(trace: ChainTrace, params: ConsensusParams, max_depth: int = 8
     hist = np.bincount(finality_depths(trace.outcomes, max_depth), minlength=max_depth + 1)[1:]
     return ChainMetrics(
         depths=depths,
-        fork_tail_empirical=tail[:-1],
+        fork_tail_empirical=tail,
         fork_tail_bounds=fork_b,
-        cp_empirical=tail[1:],
-        cp_bounds=fork_b,
         growth_empirical=growth_emp,
         growth_bounds=growth_b,
         finality_histogram=hist,
@@ -465,17 +462,17 @@ def _simulate_network(
     nodes: list[ValidatorNode],
     link: LinkModel,
     seed: int,
-    kms: KmsReplica | None = None,
+    kms: KmsReplica,
 ) -> ChainTrace:
     """Per-height VRF election, salt rental, and weighted voting.
 
     Each height elects its leaders with the real VRF on a seed salted
-    from the key service (or from a seeded stream when none is attached).
-    No message is sent: the KMS round trip over ``KMS_LINK`` and the
-    three broadcast legs (proposal, vote, commit) over ``link`` are drawn
-    from the link model, and the honest weight is the vote. A block
-    confirms when that weight reaches 2/3 and the legs end within four
-    slots; otherwise the height is a fork and time moves to the next slot.
+    from ``kms``; a height whose rental fails is an empty slot. No message
+    is sent: the KMS round trip over ``KMS_LINK`` and the three broadcast
+    legs (proposal, vote, commit) over ``link`` are drawn from the link
+    model, and the honest weight is the vote. A block confirms when that
+    weight reaches 2/3 and the legs end within four slots; otherwise the
+    height is a fork and time moves to the next slot.
 
     Byzantine validators equivocate: a Byzantine leader sends conflicting
     blocks to two halves of the network, so its height is a fork, and no
@@ -485,7 +482,6 @@ def _simulate_network(
     if abs(total_weight - 1.0) > 1e-9:
         raise ValueError("validator weights must be normalized")
     delay_rng = substream(seed, "net")
-    salt_rng = substream(seed, "porlite", "salt")
     gossip_fanout = min(len(nodes), 16)
 
     def broadcast_time() -> float:
@@ -504,18 +500,12 @@ def _simulate_network(
     t = 0.0
     for height in range(horizon):
         t_height = t
-        # election salt: rented from the key service when one is attached
-        if kms is None:
-            salt = draw_bytes(salt_rng, 16)
-        else:
-            try:
-                salt = kms.rent(128, int(t)).key_bits[:16]
-            except InsufficientEntropy:
-                salt = None   # no salt, no election: an empty slot
-            else:
-                t += KMS_LINK.rtt(delay_rng) + 2 * DEFAULT_PROCESSING_MS
-
+        try:
+            salt = kms.rent(128, int(t)).key_bits[:16]
+        except InsufficientEntropy:
+            salt = None   # no salt, no election: an empty slot
         if salt is not None:
+            t += KMS_LINK.rtt(delay_rng) + 2 * DEFAULT_PROCESSING_MS
             seed_bytes = election_seed(prev_hash, salt)
             leaders = elect_leader(nodes, seed_bytes, h_q)
             produced += bool(leaders)
@@ -564,25 +554,21 @@ def simulate_chain(
     """Simulate ``horizon_heights`` block heights and compute the metrics.
 
     ``bernoulli`` draws the outcome sequence directly from the noise
-    abstraction; ``network`` runs real VRF elections and key-service salt
-    rentals, with link delays sampled from the link model and Byzantine
-    leaders equivocating, and sends no messages (see ``_simulate_network``).
+    abstraction and reads only ``seed``. ``network`` runs real VRF
+    elections among ``nodes``, with link delays sampled from ``link`` and
+    Byzantine leaders equivocating, and sends no messages (see
+    ``_simulate_network``); its one salt source is ``kms``, from which
+    every height rents its election salt. Network mode raises ValueError
+    when ``nodes``, ``link`` or ``kms`` is missing.
     """
     if horizon_heights < 1:
         raise ValueError("horizon must be >= 1")
     if mode == "bernoulli":
         trace = _simulate_bernoulli(params, horizon_heights, seed)
     elif mode == "network":
-        if nodes is None:
-            nodes = make_validators(20, params.alpha, seed)
-        trace = _simulate_network(
-            params,
-            horizon_heights,
-            nodes,
-            link or LinkModel(),
-            seed,
-            kms=kms,
-        )
+        if nodes is None or link is None or kms is None:
+            raise ValueError("network mode needs the validators, the link and the key service")
+        trace = _simulate_network(params, horizon_heights, nodes, link, seed, kms)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     metrics = chain_metrics(trace, params, max_depth=max_depth)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaincc
 
+from qenergydex import entropy
 from qenergydex.entropy import (
     QberTrace,
     binary_entropy,
@@ -247,6 +248,10 @@ def test_trace_pulse_windows_equal_full_length_pulses():
     # widths up to 20000 samples outreach every trace; 0.5 samples is
     # narrower than one step; centers fall near either end
     assert np.exp(_EXP_ZERO_BELOW) == 0.0     # so the oracle may skip exp below it
+    # every term outside a pulse's window is exactly 0.0 (exp is monotone):
+    # holds at a reach of 39 widths, fails at 38 (2.75e-314). The summed
+    # trace below cannot see a missing term beyond about 9.7 widths.
+    assert np.exp(-0.5 * entropy._PULSE_REACH ** 2) == 0.0
     for width_range in ((50.0, 500.0), (0.5, 2.0), (5000.0, 20000.0)):
         for duration_s in (5.0, 60.0, 61.7, 300.0):
             for seed in range(1, 21):

@@ -57,6 +57,23 @@ def test_zero_jitter_one_way_delivery():
     assert got == [10.0 + DEFAULT_PROCESSING_MS]
 
 
+def test_run_until_an_earlier_time_keeps_the_clock():
+    # zero jitter: a message sent at 50 ms lands 11 ms later, at 61 ms,
+    # whatever earlier time a run asked for in between
+    net = Network(seed=0, default_link=LinkModel(d0_ms=20.0, jitter_max_ms=0.0))
+    net.register_node("a")
+    got = []
+    net.register_node("b", lambda n, ev: got.append(n.now_ms))
+    net.run_until(50.0)
+    assert net.run_until(10.0) == []
+    assert net.now_ms == 50.0
+    ev = net.send("a", "b", b"x")
+    assert ev.deliver_at_us == 61_000
+    net.run_until(100.0)
+    assert got == [61.0]
+    assert net.now_ms == 100.0
+
+
 def test_unknown_node():
     net = Network(seed=0)
     net.register_node("a")

@@ -14,7 +14,6 @@ from qenergydex.porlite import (
     chain_growth_bound,
     chain_metrics,
     confirm_threshold_met,
-    cp_violation_bound,
     cp_violation_fraction,
     elect_leader,
     election_seed,
@@ -144,7 +143,6 @@ def test_fork_tail_bound_values():
     assert fork_tail_bound(0.25, 56) == pytest.approx(math.exp(-28.0))
     assert fork_tail_bound(0.25, 56) <= 2.0**-40
     assert fork_tail_bound(0.25, 0) == 1.0
-    assert cp_violation_bound(0.25, 56) == fork_tail_bound(0.25, 56)
 
 
 def test_chain_growth_bound_value():
@@ -244,6 +242,11 @@ def trace_digest(trace):
     return hashlib.sha256(trace.outcomes.tobytes() + repr(trace.block_interval_ms).encode()).hexdigest()
 
 
+def funded_kms(seed):
+    """A key service whose pool never runs dry over these runs."""
+    return KmsReplica(0, KeyPoolState(balance_bits=10**9, capacity_bits=10**9, gen_rate_bps=10**6), seed=seed)
+
+
 def test_bernoulli_mode_mix_and_domination():
     params = ConsensusParams()
     trace, metrics = simulate_chain(params, 100_000, seed=0, mode="bernoulli")
@@ -266,7 +269,9 @@ def test_bernoulli_zero_adversary():
 def test_network_mode_zero_adversary_safety():
     params = ConsensusParams(alpha=0.0)
     nodes = make_validators(20, 0.0, seed=2)
-    trace, metrics = simulate_chain(params, 800, nodes=nodes, seed=2, mode="network")
+    trace, metrics = simulate_chain(
+        params, 800, nodes=nodes, link=LinkModel(), seed=2, mode="network", kms=funded_kms(2)
+    )
     assert (trace.outcomes != -1).all()
     assert metrics.dominated()
 
@@ -276,7 +281,7 @@ def test_network_mode_block_interval_calibration():
     pool = KeyPoolState(balance_bits=10**9, capacity_bits=10**9, gen_rate_bps=10**6)
     kms = KmsReplica(0, pool, seed=3)
     nodes = make_validators(20, 0.25, seed=3)
-    trace, _ = simulate_chain(params, 1500, nodes=nodes, seed=3, mode="network", kms=kms)
+    trace, _ = simulate_chain(params, 1500, nodes=nodes, link=LinkModel(), seed=3, mode="network", kms=kms)
     assert 0.9 * 65.0 <= trace.block_interval_ms <= 1.1 * 65.0
 
 
@@ -287,8 +292,9 @@ def test_network_mode_entropy_starvation_stalls_elections():
     poor = KmsReplica(
         0, KeyPoolState(balance_bits=256, capacity_bits=1024, gen_rate_bps=50.0), seed=4
     )
-    trace_rich, _ = simulate_chain(params, 400, nodes=nodes, seed=4, mode="network", kms=rich)
-    trace_poor, _ = simulate_chain(params, 400, nodes=nodes, seed=4, mode="network", kms=poor)
+    link = LinkModel()
+    trace_rich, _ = simulate_chain(params, 400, nodes=nodes, link=link, seed=4, mode="network", kms=rich)
+    trace_poor, _ = simulate_chain(params, 400, nodes=nodes, link=link, seed=4, mode="network", kms=poor)
     empty_rich = float((trace_rich.outcomes == 0).mean())
     empty_poor = float((trace_poor.outcomes == 0).mean())
     assert empty_poor > empty_rich + 0.5
@@ -299,20 +305,38 @@ def test_network_mode_full_target_rate_keeps_every_slot_led():
     # at target rate 1 the threshold controller's operating point is
     # h_q = h_max = 1, where every validator leads every height
     params = ConsensusParams(target_block_rate=1.0)
-    trace, _ = simulate_chain(params, 150, seed=7, mode="network")
+    nodes = make_validators(20, 0.25, seed=7)
+    trace, _ = simulate_chain(
+        params, 150, nodes=nodes, link=LinkModel(), seed=7, mode="network", kms=funded_kms(7)
+    )
     assert (trace.outcomes != 0).all()
 
 
 def test_network_mode_equivocation():
     # every Byzantine-led height is a fork; the digest is sha256 of the
-    # outcomes and mean interval (see trace_digest)
+    # outcomes and mean interval (see trace_digest), with every salt rented
+    # from the key service
     params = ConsensusParams()
     nodes = make_validators(15, 0.25, seed=5)
-    trace, metrics = simulate_chain(params, 500, nodes=nodes, seed=5, mode="network")
+    trace, metrics = simulate_chain(
+        params, 500, nodes=nodes, link=LinkModel(), seed=5, mode="network", kms=funded_kms(5)
+    )
     assert len(trace) == 500
     assert (trace.outcomes == -1).any()
     assert metrics.dominated()
-    assert trace_digest(trace) == "05308f93ff496801bd0d6c470c6057c1ac6e7c25ea46b3e47a17ca0f558f5049"
+    assert trace_digest(trace) == "5fa78b3fcac340b585b1357eb6077be41859ba35bdeb1af6e29a0ec4b0b6a1a6"
+
+
+def test_network_mode_needs_validators_link_and_key_service():
+    # the key service is network mode's one salt source: no seeded fallback
+    params = ConsensusParams()
+    given = dict(nodes=make_validators(10, 0.25, seed=8), link=LinkModel(), kms=funded_kms(8))
+    for missing in given:
+        kwargs = {k: v for k, v in given.items() if k != missing}
+        with pytest.raises(ValueError, match="network mode needs"):
+            simulate_chain(params, 10, seed=8, mode="network", **kwargs)
+    trace, _ = simulate_chain(params, 10, seed=8, mode="network", **given)
+    assert len(trace) == 10
 
 
 def test_make_validators_keeps_byzantine_weight_below_a_third():
@@ -355,8 +379,11 @@ def test_metrics_shapes_and_bounds_pairing():
     trace, metrics = simulate_chain(params, 5000, seed=6, mode="bernoulli", max_depth=30)
     assert len(metrics.depths) == 30
     assert metrics.fork_tail_bounds[0] == pytest.approx(fork_tail_bound(0.25, 1))
-    assert metrics.cp_bounds[-1] == pytest.approx(cp_violation_bound(0.25, 30))
-    assert np.array_equal(metrics.cp_bounds, metrics.fork_tail_bounds)
+    assert metrics.fork_tail_bounds[-1] == pytest.approx(fork_tail_bound(0.25, 30))
+    # one tail at depths 1 ... 31 holds both series against the one bound array
+    assert len(metrics.fork_tail_empirical) == 31
+    assert np.array_equal(metrics.fork_tail_empirical[:-1], fork_persistence_tail(trace.outcomes, 30))
+    assert np.array_equal(metrics.fork_tail_empirical[1:], cp_violation_fraction(trace.outcomes, 30))
     assert metrics.growth_bounds[9] == pytest.approx(chain_growth_bound(0.25, 0.10, 0.20, 10))
     # tails are monotone non-increasing
     assert (np.diff(metrics.fork_tail_empirical) <= 1e-12).all()
