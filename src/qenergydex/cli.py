@@ -50,6 +50,7 @@ from .keypool import (
     stationary_distribution,
 )
 from .market import (
+    DEFAULT_TOL,
     SCENARIOS,
     grid_response,
     leader_cost,
@@ -154,7 +155,7 @@ _HARNESS_KEYS = {
         "n_lines": (186, _COUNT),
         "deadline_ms": (105.0, _NON_NEGATIVE),
         "per_node_key_cost_bits": (KEY_BITS, _NON_NEGATIVE),
-        "tol": (1e-6, _POSITIVE),
+        "tol": (DEFAULT_TOL, _POSITIVE),
     },
     "full_stack": {
         "alpha": (0.0,),   # checked against the consensus parameters in load_config
@@ -602,9 +603,7 @@ def cmd_market(config: dict, out: Path) -> list[tuple[str, bool, str]]:
         # (always a feasible leader price)
         admitted = grid.restrict(keep)
         u = outcomes["STACK"].u
-        flows = admitted.flows(grid_response(admitted, prosumers[keep], u))
-        limits = grid.line_limits
-        viol = float((np.maximum(0.0, flows - limits) / (1.0 + np.abs(limits))).max())
+        viol = admitted.overload(admitted.flows(grid_response(admitted, prosumers[keep], u)))
         cost = leader_cost(grid, u)
         social_cost = leader_cost(grid, outcomes["SOCIAL"].u)
         checks.append((
@@ -691,17 +690,12 @@ def cmd_full_stack(config: dict, out: Path) -> list[tuple[str, bool, str]]:
         per_node_key_cost_bits=KEY_BITS,
     )
 
-    bits_rented = total_rent_failures = 0
-    for ev in kms.events:
-        if ev.event == "rent":
-            bits_rented += ev.bits
-        elif ev.event == "rent_fail":
-            total_rent_failures += 1
+    bits_rented, _rents, rent_failures = kms.tally()
     report = {
         "entropy": {
             "generation_bps": gen_bps,
             "bits_rented": bits_rented,
-            "rent_failures": total_rent_failures,
+            "rent_failures": rent_failures,
         },
         "handshakes": {"attempted": fs["n_handshakes"], "established": established},
         "consensus": {

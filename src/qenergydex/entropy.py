@@ -57,7 +57,8 @@ class QberTrace:
         object.__setattr__(self, "samples", samples)
         if samples.size == 0:
             raise ValueError("trace must contain at least one sample")
-        if samples.min() < self.q_lo - 1e-15 or samples.max() > self.q_hi + 1e-15:
+        # written so that a NaN sample fails: every comparison with NaN is False
+        if not (samples.min() >= self.q_lo - 1e-15 and samples.max() <= self.q_hi + 1e-15):
             raise ValueError("samples violate the clipping bounds")
 
     def __len__(self) -> int:
@@ -90,9 +91,12 @@ def extractable_length(n: int, q: float, epsilon: float = DEFAULT_EPSILON) -> in
 
 
 def binary_entropy_vec(q: np.ndarray) -> np.ndarray:
-    """Vectorized binary entropy with the 0 log 0 = 0 convention."""
+    """Vectorized binary entropy with the 0 log 0 = 0 convention.
+
+    Raises ValueError unless every q lies in [0, 1]; a NaN does not.
+    """
     q = np.asarray(q, dtype=float)
-    if (q < 0).any() or (q > 1).any():
+    if not ((q >= 0) & (q <= 1)).all():
         raise ValueError("q must lie in [0, 1]")
     out = np.zeros_like(q)
     interior = (q > 0) & (q < 1)

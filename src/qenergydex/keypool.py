@@ -59,9 +59,9 @@ class BirthDeathParams:
     capacity: int
 
     def __post_init__(self):
-        if self.mu <= 0 or self.lam <= 0 or self.k <= 0:
+        if not (self.mu > 0 and self.lam > 0 and self.k > 0):
             raise ValueError("all rates must be positive")
-        if self.capacity < 1:
+        if not self.capacity >= 1:
             raise ValueError("capacity must be >= 1")
 
     @property
@@ -72,7 +72,7 @@ class BirthDeathParams:
     @classmethod
     def from_rho(cls, rho: float, capacity: int, mu: float = 1.0) -> "BirthDeathParams":
         """Convenience constructor fixing mu and deriving the death rate."""
-        if rho <= 0:
+        if not rho > 0:
             raise ValueError("rho must be positive")
         return cls(mu=mu, lam=rho * mu, k=1.0, capacity=capacity)
 
@@ -86,9 +86,9 @@ class StationaryDistribution:
     def __post_init__(self):
         pi = np.asarray(self.pi, dtype=float)
         object.__setattr__(self, "pi", pi)
-        if pi.min() < 0:
+        if not pi.min() >= 0:
             raise ValueError("probabilities must be non-negative")
-        if abs(pi.sum() - 1.0) > 1e-9:
+        if not abs(pi.sum() - 1.0) <= 1e-9:
             raise ValueError("distribution must sum to 1")
 
     @property

@@ -38,10 +38,14 @@ Scenario set:
           violated line,
   WBASE   congestion-blind response with welfare-aware curtailment
           (relief direction proportional to alpha_i H_bi, the least
-          welfare-loss direction in the 1/alpha metric), falling back to
-          uniform rescaling when targeted relief is insufficient; of the
-          two feasible candidates the better one is kept, so WBASE never
-          does worse than BASE.
+          welfare-loss direction in the 1/alpha metric), rescaled the same
+          way when targeted relief is insufficient; of it and BASE the
+          better one is kept, so WBASE never does worse than BASE.
+
+BASE and WBASE come from one congestion-blind pass (`solve_base`). Every
+scenario's `feasible` is one rule: `GridModel.overload` of its line flows,
+the worst overload relative to 1 + |limit|, is at most the clear's tol
+(`DEFAULT_TOL` for BASE and WBASE, which take no tol).
 
 Security coupling: a node participates when its sampled handshake latency
 meets the deadline and the cumulative key cost fits the entropy budget
@@ -140,9 +144,11 @@ class GridModel:
         for name, v in (("line_limits", limits), ("leader_q_diag", q), ("leader_c", c)):
             if v.shape != (h.shape[0],):
                 raise ValueError(f"{name} must have one entry per line")
-        if (limits <= 0).any():
-            raise ValueError("line limits must be positive")
-        if (q <= 0).any():
+        if not np.isfinite(h).all():
+            raise ValueError("bus_ptdf entries must be finite")
+        if not (np.isfinite(limits) & (limits > 0)).all():
+            raise ValueError("line limits must be finite and positive")
+        if not (q > 0).all():
             raise ValueError("leader cost must be strictly convex (q > 0)")
 
     @property
@@ -171,6 +177,12 @@ class GridModel:
         w_bus = np.bincount(self.bus, weights=w, minlength=self.n_buses)
         return (self.bus_ptdf * w_bus) @ self.bus_ptdf.T
 
+    def overload(self, flows: np.ndarray) -> float:
+        """The worst line overload max(0, flow - limit) / (1 + |limit|) of
+        line flows ``flows``; 0 when no line is over its limit."""
+        limits = self.line_limits
+        return float((np.maximum(0.0, flows - limits) / (1.0 + np.abs(limits))).max(initial=0.0))
+
     def restrict(self, keep: np.ndarray) -> "GridModel":
         """Grid of the prosumers ``keep``: their map entries, the same bus PTDF."""
         return replace(self, bus=self.bus[keep])
@@ -198,9 +210,9 @@ class MarketOutcome:
 def _records(prosumers) -> np.ndarray:
     """The followers as a `PROSUMER` array, checked: alpha > 0 and p_max > 0."""
     prosumers = np.asarray(prosumers, dtype=PROSUMER)
-    if (prosumers["alpha"] <= 0).any():
+    if not (prosumers["alpha"] > 0).all():
         raise ValueError("alpha must be positive")
-    if (prosumers["p_max"] <= 0).any():
+    if not (prosumers["p_max"] > 0).all():
         raise ValueError("p_max must be positive")
     return prosumers
 
@@ -263,12 +275,13 @@ def leader_cost(grid: GridModel, u: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _kkt_residual_social(u, flows, limits) -> float:
-    scale = 1.0 + np.abs(limits)
-    viol = np.maximum(0.0, flows - limits) / scale
+def _kkt_residual_social(grid, u, flows) -> float:
+    """The larger of the worst line overload and the worst complementary
+    slackness u (limit - flow), each relative to 1 + |limit|."""
+    limits = grid.line_limits
     slack = np.maximum(0.0, limits - flows)
-    cs = (u * slack) / (scale * (1.0 + np.abs(u)))
-    return float(max(viol.max(initial=0.0), cs.max(initial=0.0)))
+    cs = (u * slack) / ((1.0 + np.abs(limits)) * (1.0 + np.abs(u)))
+    return max(grid.overload(flows), float(cs.max(initial=0.0)))
 
 
 def solve_social(
@@ -305,7 +318,7 @@ def solve_social(
     for iterations in range(1, _NEWTON_STEPS + 1):
         raw = alpha * (pi - grid.prices(u))
         flows = grid.flows(np.clip(raw, -pmax, pmax))
-        residual = _kkt_residual_social(u, flows, limits)
+        residual = _kkt_residual_social(grid, u, flows)
         if residual <= tol:
             break
         grad = limits - flows
@@ -339,7 +352,7 @@ def solve_social(
         u, g_u = u_try, g_try
     p = _response(alpha, pi, pmax, grid.prices(u))
     flows = grid.flows(p)
-    residual = _kkt_residual_social(u, flows, limits)
+    residual = _kkt_residual_social(grid, u, flows)
     if residual > tol:
         raise NoConvergence(f"social solver residual {residual:.2e} after {iterations} iterations")
     return MarketOutcome(
@@ -347,7 +360,7 @@ def solve_social(
         p=p,
         welfare=_welfare(alpha, pi, p),
         scenario="SOCIAL",
-        feasible=bool((flows <= limits + 1e-6 * (1 + np.abs(limits))).all()),
+        feasible=grid.overload(flows) <= tol,
         iterations=iterations,
         kkt_residual=residual,
     )
@@ -518,10 +531,9 @@ def solve_stackelberg(
     the SOCIAL-price bound, not global optimality.
 
     `iterations` counts QP solves over all starts. `kkt_residual` is the
-    primal part of the KKT residual: the worst line overload of the
-    returned prices, recomputed from the capped response, relative to
-    1 + |limit|. `feasible` is that residual <= tol. Raises NoConvergence
-    when `solve_social` does.
+    primal part of the KKT residual: `GridModel.overload` of the returned
+    prices' flows, recomputed from the capped response. `feasible` is that
+    residual <= tol. Raises NoConvergence when `solve_social` does.
     """
     if social is None:
         social = solve_social(grid, prosumers, tol)
@@ -530,9 +542,6 @@ def solve_stackelberg(
     q = grid.leader_q_diag
     c = grid.leader_c
     scale = 1.0 + np.abs(limits)
-
-    def rel_viol(flows):
-        return float((np.maximum(0.0, flows - limits) / scale).max(initial=0.0))
 
     def first_overload(raw, draw, bound):
         """(t, piece): how far along raw + t draw, t in [0, 1], flows stay
@@ -589,7 +598,8 @@ def solve_stackelberg(
         return u, cost, iters
 
     starts = [social.u]
-    ray = [u for u, flows in _uniform_price_ray(grid, alpha, pi, pmax) if rel_viol(flows) <= tol]
+    ray = [u for u, flows in _uniform_price_ray(grid, alpha, pi, pmax)
+           if grid.overload(flows) <= tol]
     if ray:
         starts.append(min(ray, key=lambda u: leader_cost(grid, u)))
     best_cost, u, total_iters = math.inf, starts[0], 0
@@ -599,7 +609,7 @@ def solve_stackelberg(
         if cost_k < best_cost:
             best_cost, u = cost_k, u_k
     p = _response(alpha, pi, pmax, grid.prices(u))
-    residual = rel_viol(grid.flows(p))
+    residual = grid.overload(grid.flows(p))
     return MarketOutcome(
         u=u,
         p=p,
@@ -611,56 +621,48 @@ def solve_stackelberg(
     )
 
 
-def solve_base(grid: GridModel, prosumers: np.ndarray, weighted: bool = False) -> MarketOutcome:
-    """Congestion-blind clearing with after-the-fact feasibility repair.
+def _rescale(p, flows, limits):
+    """p scaled by the one factor that makes its worst violated line exactly binding."""
+    over = flows > limits
+    if not over.any():
+        return p
+    return float(np.min(limits[over] / flows[over])) * p
 
-    BASE rescales every injection by the single factor that makes the worst
+
+def solve_base(grid: GridModel, prosumers: np.ndarray) -> tuple[MarketOutcome, MarketOutcome]:
+    """Congestion-blind clearing with after-the-fact feasibility repair: (BASE, WBASE).
+
+    Both start from one congestion-blind dispatch and its line flows. BASE
+    rescales every injection by the single factor that makes the worst
     violated line exactly binding. WBASE first curtails along the least
     welfare-loss direction for the worst line (proportional to
-    alpha_i H_bi), re-clips, falls back to uniform rescaling if violations
-    remain, and keeps whichever feasible candidate yields higher welfare.
+    alpha_i H_bi), re-clips, rescales the same way if violations remain,
+    and is BASE instead when that yields less welfare. `feasible` is
+    `GridModel.overload` of the returned dispatch's flows <= `DEFAULT_TOL`.
     """
     alpha, pi, pmax = _vectors(prosumers)
     limits = grid.line_limits
     p0 = np.clip(alpha * pi, -pmax, pmax)
     flows0 = grid.flows(p0)
-    violated = flows0 > limits
-
-    def _scale(p):
-        flows = grid.flows(p)
-        over = flows > limits
-        if not over.any():
-            return p
-        theta = float(np.min(limits[over] / flows[over]))
-        return theta * p
-
-    if not violated.any():
-        p_final = p0
-    elif not weighted:
-        p_final = _scale(p0)
-    else:
-        worst = int(np.argmax(flows0 - limits))
+    p_base = p_wbase = _rescale(p0, flows0, limits)
+    worst = int(np.argmax(flows0 - limits))
+    if flows0[worst] > limits[worst]:
         row = grid.bus_ptdf[worst, grid.bus]     # the worst line's row of H
         need = flows0[worst] - limits[worst]
         # denom > 0: the worst line is violated, so row @ p0 = flows0[worst]
         # > limits[worst] > 0 and row has a nonzero entry; every alpha > 0
         denom = float(np.sum(alpha * row * row))
         relief = need * (alpha * row) / denom
-        p_candidate = np.clip(p0 - relief, -pmax, pmax)
-        p_candidate = _scale(p_candidate)   # no-op if targeted relief sufficed
-        p_uniform = _scale(p0)
-        if _welfare(alpha, pi, p_candidate) < _welfare(alpha, pi, p_uniform):
-            p_candidate = p_uniform
-        p_final = p_candidate
-
-    return MarketOutcome(
-        u=np.zeros(grid.n_lines),
-        p=p_final,
-        welfare=_welfare(alpha, pi, p_final),
-        scenario="WBASE" if weighted else "BASE",
-        feasible=bool((grid.flows(p_final) <= limits * (1 + 1e-12) + 1e-9).all()),
-        iterations=0,
-        kkt_residual=0.0,
+        p_targeted = np.clip(p0 - relief, -pmax, pmax)
+        # a no-op when the targeted relief sufficed
+        p_targeted = _rescale(p_targeted, grid.flows(p_targeted), limits)
+        if _welfare(alpha, pi, p_targeted) >= _welfare(alpha, pi, p_base):
+            p_wbase = p_targeted
+    u = np.zeros(grid.n_lines)
+    return tuple(
+        MarketOutcome(u=u, p=p, welfare=_welfare(alpha, pi, p), scenario=scenario,
+                      feasible=grid.overload(grid.flows(p)) <= DEFAULT_TOL)
+        for scenario, p in (("BASE", p_base), ("WBASE", p_wbase))
     )
 
 
@@ -668,12 +670,9 @@ def clear_all_scenarios(
     grid: GridModel, prosumers: np.ndarray, tol: float = DEFAULT_TOL
 ) -> dict[str, MarketOutcome]:
     social = solve_social(grid, prosumers, tol)
-    return {
-        "SOCIAL": social,
-        "STACK": solve_stackelberg(grid, prosumers, tol, social=social),
-        "BASE": solve_base(grid, prosumers, weighted=False),
-        "WBASE": solve_base(grid, prosumers, weighted=True),
-    }
+    stack = solve_stackelberg(grid, prosumers, tol, social=social)
+    base, wbase = solve_base(grid, prosumers)
+    return {"SOCIAL": social, "STACK": stack, "BASE": base, "WBASE": wbase}
 
 
 # ---------------------------------------------------------------------------
@@ -713,13 +712,14 @@ def security_coupled_clearing(
         raise ValueError(
             f"need one latency per prosumer, not {len(latencies)} for {len(prosumers)}"
         )
-    if per_node_key_cost_bits < 0:
+    if not per_node_key_cost_bits >= 0:
         raise ValueError("per-node key cost must be >= 0")
     on_time = np.flatnonzero(latencies <= handshake_deadline_ms)
-    # the running cost of admitting the first k on-time nodes, added up
-    # left to right as a loop would; with costs >= 0 it never falls, so
-    # the nodes that fit the budget are a prefix
-    cost = np.cumsum(np.full(len(on_time), float(per_node_key_cost_bits)))
+    # the cost of admitting the first k on-time nodes is k * cost, one
+    # rounded product: at k = n it equals a budget of cost * n exactly, which
+    # a running sum of fractional costs can overshoot. It never falls with
+    # k, so the nodes that fit the budget are a prefix
+    cost = np.arange(1, len(on_time) + 1) * float(per_node_key_cost_bits)
     keep = on_time[cost <= key_budget_bits]
     if keep.size == 0:
         u, p = np.zeros(grid.n_lines), np.zeros(0)

@@ -84,7 +84,7 @@ class ValidatorNode:
     byzantine: bool = False
 
     def __post_init__(self):
-        if self.weight <= 0:
+        if not self.weight > 0:
             raise ValueError("weight must be positive")
         if len(self.vrf_secret) != 32:
             raise ValueError("vrf secret must be 32 bytes")

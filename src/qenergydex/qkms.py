@@ -6,7 +6,10 @@ is spent by Rent(n) calls, clamped to [0, capacity]. ``full-stack`` sets
 the rate to its trace's mean secure capacity (``secure_capacity_bps``),
 the series the rate controller meters against. Rentals fail without side
 effects when n exceeds the balance. An issued key is active until it is
-retired, which happens at most once.
+retired, which happens at most once. Every rental, failed rental and
+retirement is one ``KmsEvent`` in the replica's log; ``KmsReplica.tally``
+counts the bits rented, the rentals and the failed rentals in it, over the
+whole log or a window, for ``audit`` and the ``full-stack`` report.
 
 A key identifier's top byte is the replica index, so two replicas with
 different indices never issue the same identifier; two with the same
@@ -87,8 +90,8 @@ class KeyPoolState:
             raise ValueError("capacity must be positive")
         if not 0 <= self.balance_bits <= self.capacity_bits:
             raise ValueError("balance must lie in [0, capacity]")
-        if self.gen_rate_bps < 0:
-            raise ValueError("generation rate must be non-negative")
+        if not 0 <= self.gen_rate_bps < math.inf:
+            raise ValueError("generation rate must be finite and non-negative")
 
 
 def step_bucket(s: KeyPoolState, delta_ms: int) -> KeyPoolState:
@@ -320,26 +323,32 @@ class KmsReplica:
     def record_qber(self, q: float, now_ms: int) -> None:
         self._qber_samples.append((now_ms, q))
 
-    def audit(self, session_id: str, window_ms: tuple[int, int],
-              sample_bits: int = 10 ** 6) -> AuditReport:
-        """Summarize consumption inside the window and raise anomaly flags.
-
-        ``empty_pool`` flags any failed rental in the window; ``qber_alarm``
-        fires when the mean of the QBER samples recorded in the window
-        deviates from the baseline by enough that the chi-square test would
-        miss it with probability below 1e-6. Both bounds of the window are
-        inclusive.
-        """
-        lo, hi = window_ms
+    def tally(self, window_ms: tuple[int, int] | None = None) -> tuple[int, int, int]:
+        """(bits rented, rentals, failed rentals) over the whole log, or over
+        the events inside ``window_ms``, both of its bounds inclusive."""
         bits = rents = failures = 0
         for ev in self.events:
-            if not lo <= ev.t_ms <= hi:
+            if window_ms is not None and not window_ms[0] <= ev.t_ms <= window_ms[1]:
                 continue
             if ev.event == "rent":
                 rents += 1
                 bits += ev.bits
             elif ev.event == "rent_fail":
                 failures += 1
+        return bits, rents, failures
+
+    def audit(self, session_id: str, window_ms: tuple[int, int],
+              sample_bits: int = 10 ** 6) -> AuditReport:
+        """Summarize consumption inside the window and raise anomaly flags.
+
+        The counts are ``tally(window_ms)``. ``empty_pool`` flags any failed
+        rental in the window; ``qber_alarm`` fires when the mean of the QBER
+        samples recorded in the window deviates from the baseline by enough
+        that the chi-square test would miss it with probability below 1e-6.
+        Both bounds of the window are inclusive.
+        """
+        lo, hi = window_ms
+        bits, rents, failures = self.tally(window_ms)
         flags = []
         if failures:
             flags.append("empty_pool")

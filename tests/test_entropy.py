@@ -270,3 +270,15 @@ def test_trace_clipping_many_seeds():
 def test_trace_rejects_out_of_range_samples():
     with pytest.raises(ValueError):
         QberTrace(samples=np.array([0.5]))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="clipping bounds"):
+            QberTrace(samples=np.array([0.01, bad]))
+
+
+def test_nan_qber_is_refused_not_a_perfect_channel():
+    # a NaN sample once got entropy 0, so more capacity than any real sample
+    for q in ([np.nan, 0.01], [0.01, np.inf]):
+        with pytest.raises(ValueError, match=r"q must lie in \[0, 1\]"):
+            secure_capacity_bps(5e6, np.array(q))
+        with pytest.raises(ValueError, match=r"q must lie in \[0, 1\]"):
+            entropy.binary_entropy_vec(np.array(q))

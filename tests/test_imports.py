@@ -1,7 +1,4 @@
-"""Every name a package module imports is used in that module.
-
-``__init__.py`` is left out: it imports names only to re-export them.
-"""
+"""Every name a package module imports is used in that module."""
 
 import ast
 from pathlib import Path
@@ -9,7 +6,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "qenergydex"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(PACKAGE.glob("*.py"))
 
 
 def imported_names(tree: ast.Module) -> set[str]:

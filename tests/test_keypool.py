@@ -86,6 +86,9 @@ def test_distribution_validation():
         StationaryDistribution(pi=np.array([0.5, 0.4]))
     with pytest.raises(ValueError):
         StationaryDistribution(pi=np.array([1.5, -0.5]))
+    for pi in ([np.nan, 1.0], [0.5, 0.5, np.nan]):
+        with pytest.raises(ValueError):
+            StationaryDistribution(pi=np.array(pi))
 
 
 def test_min_capacity_bound_values():
@@ -154,6 +157,12 @@ def test_params_validation():
         BirthDeathParams(mu=1.0, lam=1.0, k=1.0, capacity=0)
     with pytest.raises(ValueError):
         BirthDeathParams.from_rho(-0.5, 10)
+    nan = float("nan")
+    for mu, lam, k in ((nan, 1.0, 1.0), (1.0, nan, 1.0), (1.0, 1.0, nan)):
+        with pytest.raises(ValueError, match="rates"):
+            BirthDeathParams(mu=mu, lam=lam, k=k, capacity=5)
+    with pytest.raises(ValueError, match="rho"):
+        BirthDeathParams.from_rho(nan, 10)
     p = BirthDeathParams(mu=100.0, lam=50.0, k=1.0, capacity=10)
     for bad in (0, -1):
         with pytest.raises(ValueError):

@@ -254,8 +254,7 @@ def test_base_equals_unconstrained_when_feasible():
         leader_q_diag=np.array([1.0]),
         leader_c=np.array([0.0]),
     )
-    base = solve_base(grid, prosumers)
-    wbase = solve_base(grid, prosumers, weighted=True)
+    base, wbase = solve_base(grid, prosumers)
     assert np.allclose(base.p, [3.0, 2.0])
     assert np.allclose(base.p, wbase.p)
 
@@ -269,7 +268,7 @@ def test_base_scaling_makes_worst_line_exactly_binding():
         leader_q_diag=np.array([1.0]),
         leader_c=np.array([0.0]),
     )
-    base = solve_base(grid, prosumers)
+    base, _wbase = solve_base(grid, prosumers)
     # scaling factor is limit / flow = 12/20
     assert np.allclose(base.p, [6.0, 6.0])
     assert (grid.ptdf @ base.p)[0] == pytest.approx(12.0)
@@ -280,8 +279,7 @@ def test_wbase_beats_base_on_heterogeneous_alpha():
     strict = 0
     for seed in range(40):
         grid, prosumers = random_instance(10, 2, seed=400 + seed, congestion=0.55)
-        base = solve_base(grid, prosumers)
-        wbase = solve_base(grid, prosumers, weighted=True)
+        base, wbase = solve_base(grid, prosumers)
         assert wbase.welfare >= base.welfare - 1e-9
         assert wbase.feasible
         if wbase.welfare > base.welfare + 1e-9:
@@ -562,25 +560,25 @@ def test_security_filter_needs_one_latency_per_prosumer():
 
 
 def loop_admission(latencies, deadline, budget, cost_per_node):
-    """The scalar admission loop ``security_coupled_clearing`` used to run.
-
-    It visited the nodes sorted by ``Prosumer.id``, which always equalled
-    the index, so here it visits them in index order.
+    """The scalar admission loop, in index order: an on-time node is
+    admitted when the k nodes admitted with it cost k * cost_per_node
+    within the budget. That is one rounded product, not the running sum
+    the loop once kept, which at fractional costs can overshoot a budget of
+    cost * n and drop the last node.
     """
     admitted = []
-    cost = 0.0
     for i in range(len(latencies)):
         lat = latencies[i]
-        if lat <= deadline and cost + cost_per_node <= budget:
+        if lat <= deadline and (len(admitted) + 1) * cost_per_node <= budget:
             admitted.append(i)
-            cost += cost_per_node
-    return np.array(sorted(admitted), dtype=int)
+    return np.array(admitted, dtype=int)
 
 
 def admission_cases():
     """(latencies, deadline, budget, cost): latencies at the deadline and
-    NaN, a zero cost, costs whose running sum rounds, and budgets that
-    admit everyone, no one, or cut the on-time nodes partway."""
+    NaN, a zero cost, costs whose running sum rounds away from k * cost,
+    and budgets that admit everyone, no one, or cut the on-time nodes
+    partway, at and just under that running sum among them."""
     rng = np.random.default_rng(13)
     for n in (1, 2, 7, 40):
         for _ in range(30):
@@ -613,10 +611,24 @@ def test_security_filter_admits_as_the_loop_did(monkeypatch):
         assert keep.tobytes() == expected.tobytes(), (n, deadline, budget, cost)
 
 
+@pytest.mark.parametrize("n, cost, n_lines", [
+    (3000, 100.7, 2),   # the market case study's prosumer count at a fractional key cost
+    (20, 0.1, 5),
+])
+def test_security_filter_slack_budget_admits_every_node_at_fractional_costs(n, cost, n_lines):
+    # cmd_market's budget cost * n fits every on-time node; a running sum
+    # of the costs ends above it here and used to drop the last node
+    assert np.cumsum(np.full(n, cost))[-1] > cost * n
+    grid, prosumers = random_instance(n, n_lines, seed=1)
+    keep, _ = security_coupled_clearing(grid, prosumers, cost * n, 1.0, np.zeros(n), cost)
+    assert keep.tobytes() == np.arange(n).tobytes()
+
+
 def test_security_filter_refuses_a_negative_cost():
     grid, prosumers = random_instance(6, 2, seed=9)
-    with pytest.raises(ValueError, match="cost"):
-        security_coupled_clearing(grid, prosumers, 1e12, 100.0, np.full(6, 10.0), -1.0)
+    for cost in (-1.0, np.nan):
+        with pytest.raises(ValueError, match="cost"):
+            security_coupled_clearing(grid, prosumers, 1e12, 100.0, np.full(6, 10.0), cost)
 
 
 def test_security_clears_are_memoized_by_admitted_set(monkeypatch):
@@ -727,7 +739,7 @@ def test_grid_model_validation():
             leader_q_diag=np.array([0.0]),
             leader_c=np.array([0.0]),
         )
-    # every entry point refuses a follower with alpha <= 0 or p_max <= 0,
+    # every entry point refuses a follower with alpha or p_max <= 0 or NaN,
     # the second of two; security_coupled_clearing before it admits no one
     grid = GridModel(bus_ptdf=np.array([[1.0, 1.0]]), bus=np.arange(2),
                      line_limits=np.array([1.0]), leader_q_diag=np.array([1.0]),
@@ -742,10 +754,36 @@ def test_grid_model_validation():
         lambda pr: security_coupled_clearing(grid, pr, 0.0, 1e9, np.ones(2), 256.0),
     )
     for field, bad in (("alpha", (0.0, 5.0, 10.0, 0)), ("alpha", (-1.0, 5.0, 10.0, 0)),
-                       ("p_max", (1.0, 5.0, 0.0, 0)), ("p_max", (1.0, 5.0, -1.0, 0))):
+                       ("alpha", (np.nan, 5.0, 10.0, 0)), ("p_max", (1.0, 5.0, 0.0, 0)),
+                       ("p_max", (1.0, 5.0, -1.0, 0)), ("p_max", (1.0, 5.0, np.nan, 0))):
         for call in entry_points:
             with pytest.raises(ValueError, match=f"{field} must be positive"):
                 call(records((1.0, 5.0, 10.0, 0), bad))
+
+
+@pytest.mark.parametrize("field, bad, message", [
+    ("line_limits", [1.0, np.nan], "line limits"),
+    ("line_limits", [1.0, np.inf], "line limits"),
+    ("line_limits", [-np.inf, 1.0], "line limits"),
+    ("leader_q_diag", [np.nan, 1.0], "strictly convex"),
+    ("bus_ptdf", [[1.0, np.nan], [0.0, 1.0]], "bus_ptdf"),
+])
+def test_grid_model_refuses_nan_and_infinite_entries(field, bad, message):
+    good = {"bus_ptdf": [[1.0, 0.5], [0.0, 1.0]], "line_limits": [1.0, 1.0],
+            "leader_q_diag": [1.0, 1.0], "leader_c": [0.0, 0.0]}
+    with pytest.raises(ValueError, match=message):
+        GridModel(bus=np.arange(2), **{**good, field: np.array(bad)})
+
+
+def test_overload_hand_values_on_two_lines():
+    # limits 2 and 4: the relative overload of a line is (flow - limit) / (1 + limit)
+    grid = GridModel(bus_ptdf=np.eye(2), bus=np.arange(2), line_limits=[2.0, 4.0],
+                     leader_q_diag=[1.0, 1.0], leader_c=[0.0, 0.0])
+    assert grid.overload(np.array([2.0, 4.0])) == 0.0       # at the limits
+    assert grid.overload(np.array([-9.0, 1.0])) == 0.0      # under them
+    assert grid.overload(np.array([3.5, 4.0])) == 0.5       # 1.5 / 3
+    assert grid.overload(np.array([2.3, 6.5])) == 0.5       # max(0.3 / 3, 2.5 / 5)
+    assert grid.overload(np.array([2.6, 4.5])) == pytest.approx(0.2)
 
 
 @pytest.mark.parametrize("field", ["line_limits", "leader_q_diag", "leader_c"])

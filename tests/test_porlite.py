@@ -362,6 +362,12 @@ def test_make_validators_keeps_byzantine_weight_below_a_third():
     assert (20, 0.3) not in refused
 
 
+@pytest.mark.parametrize("weight", [0.0, -1.0, math.nan])
+def test_validator_weight_must_be_positive(weight):
+    with pytest.raises(ValueError, match="weight"):
+        ValidatorNode(node_id="v0", vrf_secret=bytes(32), weight=weight)
+
+
 def test_simulate_chain_validation():
     with pytest.raises(ValueError):
         simulate_chain(ConsensusParams(), 0)

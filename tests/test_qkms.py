@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -93,6 +94,9 @@ def test_pool_state_validation():
         KeyPoolState(balance_bits=-1, capacity_bits=100, gen_rate_bps=0.0)
     with pytest.raises(ValueError):
         KeyPoolState(balance_bits=200, capacity_bits=100, gen_rate_bps=0.0)
+    for rate in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="generation rate"):
+            KeyPoolState(balance_bits=0, capacity_bits=100, gen_rate_bps=rate)
 
 
 # ---------------------------------------------------------------------------
@@ -389,6 +393,34 @@ def test_audit_counts_and_empty_pool_flag():
     assert report.bits_consumed == 256
     assert report.failure_count == 1
     assert "empty_pool" in report.anomaly_flags
+
+
+def test_tally_matches_a_scalar_replay_of_the_log():
+    # rents, failed rents and retires at t = 0, 5, ..., 95, with several
+    # events at some times: the whole log and windows that start and end
+    # exactly on events, both bounds inclusive
+    kms = KmsReplica(0, make_pool(2000, 2000, rate=4000.0), seed=3)
+    rng = substream(3, "test", "tally")
+    for t in range(0, 100, 5):
+        for _ in range(int(rng.integers(1, 4))):
+            try:
+                key = kms.rent(int(rng.integers(1, 600)), t)
+            except InsufficientEntropy:
+                continue
+            if rng.random() < 0.3:
+                kms.retire(key.key_id, t)
+    assert {ev.event for ev in kms.events} == {"rent", "rent_fail", "retire"}
+
+    def replay(lo, hi):
+        inside = [ev for ev in kms.events if lo <= ev.t_ms <= hi]
+        rented = [ev.bits for ev in inside if ev.event == "rent"]
+        return sum(rented), len(rented), sum(ev.event == "rent_fail" for ev in inside)
+
+    assert kms.tally() == replay(-math.inf, math.inf)
+    for window in ((0, 95), (5, 5), (10, 45), (45, 50), (96, 200), (20, 19)):
+        assert kms.tally(window) == replay(*window), window
+        report = kms.audit("sid", window)
+        assert (report.bits_consumed, report.rent_count, report.failure_count) == replay(*window)
 
 
 def test_audit_qber_alarm():
