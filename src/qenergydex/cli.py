@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import itertools
 import json
 import math
 import sys
@@ -301,17 +302,33 @@ def _write_csv(path: Path, header: str, *columns) -> None:
     double), any other column with ``str``. Columns of unequal length raise
     ValueError before the file is opened. Rows are formatted and written
     ``_CSV_BLOCK`` at a time, so the Python objects staged at once number
-    O(``_CSV_BLOCK`` x columns) whatever the row count.
+    O(``_CSV_BLOCK`` x columns) whatever the row count. A column object
+    passed more than once is formatted once and its texts shared, and a
+    broadcast column (stride 0) is formatted from its one value; the texts
+    stay lazy iterators that the row join consumes in step.
     """
     cols = [np.asarray(col) for col in columns]
     lengths = [len(col) for col in cols]
     if len(set(lengths)) > 1:
         raise ValueError(f"{path.name}: columns differ in length: {lengths}")
     formats = [repr if col.dtype.kind == "f" else str for col in cols]
+    # the position at which each argument first appears
+    seen: dict[int, int] = {}
+    firsts = [seen.setdefault(id(col), j) for j, col in enumerate(columns)]
+    n = max(lengths, default=0)
     with open(path, "w", newline="") as fh:
         fh.write(header + "\n")
-        for lo in range(0, max(lengths, default=0), _CSV_BLOCK):
-            cells = [map(fmt, col[lo:lo + _CSV_BLOCK].tolist()) for fmt, col in zip(formats, cols)]
+        for lo in range(0, n, _CSV_BLOCK):
+            hi = min(n, lo + _CSV_BLOCK)
+            cells = []
+            for first, fmt, col in zip(firsts, formats, cols):
+                if first < len(cells):
+                    cells[first], texts = itertools.tee(cells[first])
+                elif col.strides == (0,):
+                    texts = itertools.repeat(fmt(col[0].item()), hi - lo)
+                else:
+                    texts = map(fmt, col[lo:hi].tolist())
+                cells.append(texts)
             fh.write("".join([",".join(row) + "\n" for row in zip(*cells)]))
 
 
@@ -512,17 +529,17 @@ def cmd_porlite(config: dict, out: Path, jobs: int = 1) -> list[tuple[str, bool,
 def cmd_keypool(config: dict, out: Path) -> list[tuple[str, bool, str]]:
     kp = config["keypool"]
     capacity = kp["capacity"]
+    chains = [BirthDeathParams.from_rho(rho, capacity, mu=1000.0) for rho in kp["rhos"]]
+    sims = simulate_pool(
+        chains,
+        seed=config["seed"],
+        max_events=kp["max_events"],
+        n_epochs=kp["n_epochs"],
+    )
     rows = []
     ci_ok = True
-    for rho in kp["rhos"]:
-        params = BirthDeathParams.from_rho(rho, capacity, mu=1000.0)
+    for rho, params, sim in zip(kp["rhos"], chains, sims):
         theo = stationary_distribution(params).empty_probability
-        sim = simulate_pool(
-            params,
-            seed=config["seed"],
-            max_events=kp["max_events"],
-            n_epochs=kp["n_epochs"],
-        )
         lo, hi = sim.wilson_ci
         rows.append((rho, theo, sim.empty_fraction, lo, hi))
         if sim.empty_fraction == 0.0 and hi < theo:

@@ -24,12 +24,15 @@ distribution unchanged. Every step is a clamp map, and clamp maps compose
 into clamp maps, so each chunk of events is computed by a scan in numpy
 rather than one event at a time. The run splits into equal-event-count
 epochs for the Wilson interval, and memory stays O(block) whatever the
-event count.
+event count. One call runs several chains (say, one per load factor) on
+one draw of uniforms, as common random numbers: each chain's result is the
+one it would get alone, and the draw and its logarithms are made once.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -191,7 +194,7 @@ class PoolSimResult:
 # events per chunk: uniforms are drawn, scanned and tallied this many at a time
 _BLOCK = 65_536
 # longest row of steps in _clamped_walk (rows are at most the capacity)
-_SCAN_COLS = 128
+_SCAN_COLS = 256
 
 
 def _clamped_walk(x0: int, steps: np.ndarray, M: int) -> np.ndarray:
@@ -206,7 +209,7 @@ def _clamped_walk(x0: int, steps: np.ndarray, M: int) -> np.ndarray:
     A scalar pass composes the row maps into each row's start x; the state
     after j steps is min(hi_j, max(lo_j, x + S_j)), and as x is in [0, M] the
     0 terms cannot change it, so they are left out. The pass takes n / L
-    iterations: a run at M = 1 takes about twelve times as long as at M = 200.
+    iterations: a run at M = 1 takes about fifteen times as long as at M = 200.
     """
     n = len(steps)
     L = min(_SCAN_COLS, M)
@@ -228,27 +231,33 @@ def _clamped_walk(x0: int, steps: np.ndarray, M: int) -> np.ndarray:
 
 
 def simulate_pool(
-    p: BirthDeathParams,
+    chains: Sequence[BirthDeathParams],
     seed: int = 0,
     max_events: int = 1_000_000,
     n_epochs: int = 10_000,
-) -> PoolSimResult:
-    """Continuous-time simulation of the pool chain, uniformized.
+) -> list[PoolSimResult]:
+    """Continuous-time simulation of pool chains, uniformized, on one draw.
 
-    The chain runs at the constant rate mu + lambda*k: each event takes an
+    Each chain runs at the constant rate mu + lambda*k: each event takes an
     exponential holding time at that rate and steps +1 with probability
     mu / (mu + lambda*k), else -1, clamped to [0, M]. A step that the
     clamp cancels (a birth at capacity, a death when empty) is a
     self-loop; it counts towards ``max_events`` like any other event, and
     it leaves the stationary distribution unchanged (Jensen 1953).
 
-    The walk starts full, at state M. Events are processed in chunks of
-    ``_BLOCK``, carrying the state from one chunk to the next, so memory
-    is O(block) whatever ``max_events``. Within a chunk the ±1 steps are
-    drawn as int8, the states come from a row scan of the clamp maps
-    (``_clamped_walk``) and the time-weighted occupancy from one weighted
-    ``bincount``.
-    ``empty_fraction`` is the time-weighted occupancy of state 0. The
+    One draw drives every chain (common random numbers): event i of each
+    chain reads the same holding uniform and the same direction uniform, so
+    each chain's result equals that of a call for it alone, whatever the
+    other chains. Returns one result per chain, in order.
+
+    Each walk starts full, at state M. Events are processed in chunks of
+    ``_BLOCK``: a chunk's standard exponentials are computed once, and then
+    each chain in turn scales them by its rate, steps through the chunk
+    (the ±1 steps as int8, the states from a row scan of the clamp maps,
+    ``_clamped_walk``) and tallies its time-weighted occupancy with one
+    weighted ``bincount``, carrying its state to the next chunk. So memory
+    is O(block) whatever ``max_events``, with one chain's path held at a
+    time. ``empty_fraction`` is the time-weighted occupancy of state 0. The
     Wilson 95% interval is computed over per-epoch empty indicators: the
     run splits into ``n_epochs`` equal-event-count epochs and each
     contributes the state observed at its boundary.
@@ -258,40 +267,41 @@ def simulate_pool(
     if max_events < 1:
         raise ValueError("max_events must be >= 1")
     rng = substream(seed, "keypool")
-    M = p.capacity
-    rate = p.mu + p.lam * p.k
-    p_up = p.mu / rate
-    state = M
-
-    occupancy = np.zeros(M + 1)
+    rates = [p.mu + p.lam * p.k for p in chains]
+    states = [p.capacity for p in chains]
+    occupancy = [np.zeros(p.capacity + 1) for p in chains]
+    empties = [0] * len(chains)
     events = 0
     epoch_stride = max(1, max_events // max(1, n_epochs))
-    epoch_empties = 0
     epoch_count = 0
 
     while events < max_events:
-        # exponential holding times by inversion
-        u_hold = rng.random(_BLOCK)
-        u_dir = rng.random(_BLOCK)
         n = min(_BLOCK, max_events - events)
-        dt = -np.log1p(-u_hold[:n]) / rate
-        path = _clamped_walk(state, (u_dir[:n] < p_up).view(np.int8) * 2 - 1, M)
-        occupancy += np.bincount(path[:n], weights=dt, minlength=M + 1)
+        # standard exponentials by inversion, -log1p(-u), in place
+        e = rng.random(_BLOCK)[:n]
+        u_dir = rng.random(_BLOCK)[:n]
+        np.negative(e, out=e)
+        np.log1p(e, out=e)
+        np.negative(e, out=e)
         # step i of the chunk is event events + i + 1 of the run; an epoch
         # ends at each event number that is a multiple of the stride
         first = (-(events + 1)) % epoch_stride
-        marks = path[first + 1 :: epoch_stride]
-        epoch_count += len(marks)
-        epoch_empties += int(np.count_nonzero(marks == 0))
+        for c, (p, rate) in enumerate(zip(chains, rates)):
+            M = p.capacity
+            path = _clamped_walk(states[c], (u_dir < p.mu / rate).view(np.int8) * 2 - 1, M)
+            occupancy[c] += np.bincount(path[:n], weights=e / rate, minlength=M + 1)
+            empties[c] += int(np.count_nonzero(path[first + 1 :: epoch_stride] == 0))
+            states[c] = int(path[n])
+        epoch_count += len(range(first, n, epoch_stride))
         events += n
-        state = int(path[n])
 
-    visits = occupancy / occupancy.sum()
-    # the stride is at most max_events, so the run sees at least one epoch
-    ci = wilson_interval(epoch_empties, epoch_count)
-
-    return PoolSimResult(
-        empty_fraction=float(visits[0]),
-        visits=visits,
-        wilson_ci=ci,
-    )
+    results = []
+    for occ, k in zip(occupancy, empties):
+        visits = occ / occ.sum()
+        # the stride is at most max_events, so the run sees at least one epoch
+        results.append(PoolSimResult(
+            empty_fraction=float(visits[0]),
+            visits=visits,
+            wilson_ci=wilson_interval(k, epoch_count),
+        ))
+    return results

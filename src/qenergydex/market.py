@@ -148,8 +148,10 @@ class GridModel:
             raise ValueError("bus_ptdf entries must be finite")
         if not (np.isfinite(limits) & (limits > 0)).all():
             raise ValueError("line limits must be finite and positive")
-        if not (q > 0).all():
-            raise ValueError("leader cost must be strictly convex (q > 0)")
+        if not (np.isfinite(q) & (q > 0)).all():
+            raise ValueError("leader cost must be finite and strictly convex (q > 0)")
+        if not np.isfinite(c).all():
+            raise ValueError("leader_c entries must be finite")
 
     @property
     def n_lines(self) -> int:

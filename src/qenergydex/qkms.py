@@ -321,6 +321,9 @@ class KmsReplica:
     # -- monitoring ----------------------------------------------------------
 
     def record_qber(self, q: float, now_ms: int) -> None:
+        """Record one QBER sample at ``now_ms``; it must lie in [0, 1)."""
+        if not 0.0 <= q < 1.0:
+            raise ValueError("q_t must lie in [0, 1)")
         self._qber_samples.append((now_ms, q))
 
     def tally(self, window_ms: tuple[int, int] | None = None) -> tuple[int, int, int]:

@@ -76,11 +76,30 @@ def test_column_writer_matches_row_writer(tmp_path):
         assert written.count(b"\n") == rows + 1
 
 
+def test_column_writer_shares_repeated_and_broadcast_columns(tmp_path):
+    # one array passed three times, and stride-0 columns of float64, int64
+    # and float32, each also passed twice
+    for rows in (0, 1, _CSV_BLOCK + 1):
+        values = np.random.default_rng(rows).random(rows)
+        broadcast = [np.broadcast_to(np.float64(0.1), (rows,)), np.broadcast_to(np.int64(-7), (rows,)),
+                     np.broadcast_to(np.float32(1 / 3), (rows,))]
+        assert all(col.strides == (0,) for col in broadcast)
+        columns = [values, *broadcast, values, broadcast[2], values, broadcast[0]]
+        header = ",".join(f"c{j}" for j in range(len(columns)))
+        _write_csv(tmp_path / "cols.csv", header, *columns)
+        _write_rows(tmp_path / "rows.csv", header, zip(*columns))
+        written = (tmp_path / "cols.csv").read_bytes()
+        assert written == (tmp_path / "rows.csv").read_bytes()
+        assert written.count(b"\n") == rows + 1
+
+
 def test_column_writer_stages_one_block_at_a_time(tmp_path):
     columns = list(np.random.default_rng(5).random((7, 200_000)))
+    # a column passed twice and a broadcast column are staged per block too
+    columns += [columns[0], np.broadcast_to(0.1, (200_000,))]
     tracemalloc.start()
     try:
-        _write_csv(tmp_path / "big.csv", ",".join("abcdefg"), *columns)
+        _write_csv(tmp_path / "big.csv", ",".join("abcdefghi"), *columns)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

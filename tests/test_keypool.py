@@ -129,7 +129,7 @@ def test_capacity_bound_is_conservative_above_half_load():
 
 def test_simulation_near_certain_fullness():
     p = BirthDeathParams.from_rho(0.01, 50)
-    res = simulate_pool(p, seed=1, max_events=10**6, n_epochs=1000)
+    (res,) = simulate_pool([p], seed=1, max_events=10**6, n_epochs=1000)
     assert res.empty_fraction == 0.0
 
 
@@ -138,14 +138,14 @@ def test_simulation_wilson_covers_theory_at_low_rho():
     # tiny theoretical probability
     p = BirthDeathParams.from_rho(0.9, 200)
     theo = stationary_distribution(p).empty_probability
-    res = simulate_pool(p, seed=2, max_events=500_000, n_epochs=50_000)
+    (res,) = simulate_pool([p], seed=2, max_events=500_000, n_epochs=50_000)
     assert res.empty_fraction == 0.0
     assert res.wilson_ci[1] >= theo
 
 
 def test_simulation_histogram_converges_to_closed_form():
     p = BirthDeathParams.from_rho(0.5, 20)
-    res = simulate_pool(p, seed=3, max_events=10**7, n_epochs=10_000)
+    (res,) = simulate_pool([p], seed=3, max_events=10**7, n_epochs=10_000)
     tv = 0.5 * float(np.abs(res.visits - stationary_distribution(p).pi).sum())
     assert tv <= 0.01
 
@@ -166,7 +166,7 @@ def test_params_validation():
     p = BirthDeathParams(mu=100.0, lam=50.0, k=1.0, capacity=10)
     for bad in (0, -1):
         with pytest.raises(ValueError):
-            simulate_pool(p, max_events=bad)
+            simulate_pool([p], max_events=bad)
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +210,7 @@ def loop_uniformized_pool(p, seed=0, max_events=1_000_000, n_epochs=10_000):
 
 
 def assert_matches_loop(p, **kw):
-    fast = simulate_pool(p, **kw)
+    (fast,) = simulate_pool([p], **kw)
     visits, ci = loop_uniformized_pool(p, **kw)
     assert fast.wilson_ci == ci   # same epoch-boundary states
     assert np.allclose(fast.visits, visits, rtol=1e-11, atol=1e-14)
@@ -255,3 +255,36 @@ def test_clamped_walk_one_barrier_rows_match_loop():
                 for x0 in (0, M):
                     fast = _clamped_walk(x0, steps, M)
                     assert np.array_equal(fast, loop_clamped_walk(x0, steps, M)), (M, p_up, n, x0)
+
+
+# ---------------------------------------------------------------------------
+# several chains on one draw
+# ---------------------------------------------------------------------------
+
+
+def test_chains_on_one_draw_equal_their_own_runs():
+    # capacities within one scan row, at the paper's 200, and a repeated rho,
+    # in one call and again in reverse order: each chain's result is the
+    # bytes of its call alone
+    chains = [BirthDeathParams.from_rho(rho, M, mu=10.0)
+              for rho, M in ((0.9, 1), (0.99, 200), (1.5, 12), (0.9, 200), (0.9, 1))]
+    kw = dict(seed=4, max_events=_BLOCK + 4_001, n_epochs=33)
+    alone = {p: simulate_pool([p], **kw)[0] for p in chains}
+    for order in (chains, chains[::-1]):
+        together = simulate_pool(order, **kw)
+        assert len(together) == len(order)
+        for p, res in zip(order, together):
+            assert res.visits.tobytes() == alone[p].visits.tobytes()
+            assert res.wilson_ci == alone[p].wilson_ci
+            assert res.empty_fraction == alone[p].empty_fraction
+
+
+def test_each_chain_of_one_call_matches_the_loop_across_chunks():
+    # three chunks, each chain its own state and occupancy across them
+    chains = [BirthDeathParams.from_rho(rho, M, mu=10.0) for rho, M in ((0.95, 7), (1.5, 3), (0.5, 12))]
+    kw = dict(seed=5, max_events=2 * _BLOCK + 10_000, n_epochs=7)
+    for p, fast in zip(chains, simulate_pool(chains, **kw)):
+        visits, ci = loop_uniformized_pool(p, **kw)
+        assert fast.wilson_ci == ci
+        assert np.allclose(fast.visits, visits, rtol=1e-11, atol=1e-14)
+        assert fast.empty_fraction == fast.visits[0]

@@ -767,6 +767,8 @@ def test_grid_model_validation():
     ("line_limits", [-np.inf, 1.0], "line limits"),
     ("leader_q_diag", [np.nan, 1.0], "strictly convex"),
     ("bus_ptdf", [[1.0, np.nan], [0.0, 1.0]], "bus_ptdf"),
+    ("leader_q_diag", [1.0, np.inf], "strictly convex"),
+    ("leader_c", [0.0, np.nan], "leader_c"),
 ])
 def test_grid_model_refuses_nan_and_infinite_entries(field, bad, message):
     good = {"bus_ptdf": [[1.0, 0.5], [0.0, 1.0]], "line_limits": [1.0, 1.0],

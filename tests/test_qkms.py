@@ -456,3 +456,32 @@ def test_audit_qber_alarm_reads_only_its_window():
     # both bounds are inclusive: one 0.05 sample at t = 9 tips the window
     assert alarms((9, 20))
     assert not alarms((10, 20))
+
+
+def test_audit_qber_window_includes_samples_on_either_bound():
+    # the only alarming samples sit at t = 10, among baseline samples at
+    # every other time: a window alarms exactly when it includes t = 10
+    kms = KmsReplica(0, make_pool(), seed=6, baseline_qber=0.01)
+    for t in range(21):
+        for _ in range(3):
+            kms.record_qber(0.05 if t == 10 else 0.01, t)
+
+    def alarms(window):
+        return "qber_alarm" in kms.audit("sid", window).anomaly_flags
+
+    assert alarms((5, 10))        # at the upper bound
+    assert alarms((10, 15))       # at the lower bound
+    assert alarms((10, 10))
+    assert not alarms((5, 9))
+    assert not alarms((11, 15))
+
+
+def test_record_qber_refuses_a_sample_outside_the_unit_interval():
+    # one NaN in a window would make the audited mean NaN and silence its alarm
+    kms = KmsReplica(0, make_pool(), seed=6, baseline_qber=0.01)
+    for t in range(50):
+        kms.record_qber(0.05, t)
+    for bad in (math.nan, -0.01, 1.0, math.inf):
+        with pytest.raises(ValueError, match="q_t must lie"):
+            kms.record_qber(bad, 10)
+    assert "qber_alarm" in kms.audit("sid", (0, 100)).anomaly_flags
