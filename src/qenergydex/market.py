@@ -24,11 +24,12 @@ sit at +-p_max) the flows are affine in u and it is a convex QP; the
 leader solver descends over cap patterns, one exact QP per step, checking
 each step against the true capped response. Each QP is solved through its
 NNLS dual by an in-house Lawson-Hanson active-set method (`_nnls`, numpy
-only), warm-started from the constraints active at the previous QP of the
-same descent. The NNLS residual is unique, so each QP point is unique up
-to rounding however the NNLS is started. SOCIAL's dual price is always a
-feasible leader price and is one of its start points, so STACK never
-costs the leader more than SOCIAL's price does.
+only), warm-started from the constraints active at the QP before it, and
+the first QP from SOCIAL's price pattern. The NNLS returns the least
+squares on its final passive set, so where it starts changes its work,
+not its result. SOCIAL's dual price is always a feasible leader price and
+is one of its start points, so STACK never costs the leader more than
+SOCIAL's price does.
 
 Scenario set:
 
@@ -403,8 +404,10 @@ def _nnls(a, b, passive):
     that set, re-solved with its nonpositive entries dropped until the rest
     are positive, is a feasible start; the empty set is a cold start. A set
     whose Gram submatrix is not clearly positive definite is replaced by
-    the empty set. Raises NoConvergence after 3n least-squares solves, the
-    cap of scipy.optimize.nnls.
+    the empty set; otherwise that Gram serves the first least squares. The
+    result is the least squares on the final passive set, so a warm start
+    saves solves without moving it. Raises NoConvergence after 3n
+    least-squares solves, the cap of scipy.optimize.nnls.
     """
     n = a.shape[1]
     max_iter = _NNLS_SOLVES_PER_COLUMN * n
@@ -413,23 +416,27 @@ def _nnls(a, b, passive):
     tol *= np.linalg.norm(b)
     solves = 0
 
-    def lstsq(p):
+    def lstsq(p, gram=None):
+        """The least squares on the columns p; `gram`, if given, is a_p^T a_p."""
         nonlocal solves
         solves += 1
         if solves > max_iter:
             raise NoConvergence(f"NNLS not solved in {max_iter} iterations")
         s = np.zeros(n)
         ap = a[:, p]
-        gram = ap.T @ ap
+        if gram is None:
+            gram = ap.T @ ap
         s[p] = np.linalg.solve(gram, ap.T @ b)
         s[p] += np.linalg.solve(gram, ap.T @ (b - ap @ s[p]))
         return s
 
     p = np.zeros(n, dtype=bool)
+    gram = None
     if passive.any():
         # a squared Cholesky pivot is the squared distance of its column
         # from the span of the columns before it
-        gram = a[:, passive].T @ a[:, passive]
+        ap = a[:, passive]
+        gram = ap.T @ ap
         try:
             if (np.diag(np.linalg.cholesky(gram)) ** 2 > 1e-8 * np.diag(gram)).all():
                 p = passive.copy()
@@ -437,7 +444,8 @@ def _nnls(a, b, passive):
             pass
     x = np.zeros(n)
     while p.any():
-        s = lstsq(p)
+        s = lstsq(p, gram)                   # the first solve takes the check's Gram
+        gram = None
         if (s[p] > 0).all():
             x = s
             break
@@ -477,20 +485,37 @@ def _leader_qp(m, b, q, c, passive):
     residual is unique, so the QP point is unique up to rounding, whatever
     the dual z and however the NNLS is started.
 
-    `passive` marks the rows of [m; I] whose multipliers z were positive in
-    an earlier QP; it warm-starts the NNLS. Returns the point and the same
-    mask for this QP.
+    The NNLS matrix is written from its blocks, one column per kept row of
+    [m; I] / sqrt(q): the normalized rows of m / sqrt(q), exact unit
+    columns for the u >= 0 rows (such a row's norm is 1 / sqrt(q_j)), and
+    f over the same norms in the last row. It is held in Fortran order, as
+    the memory order of the matrix moves the descent at rounding level.
+
+    `passive` marks the rows of [m; I] to warm-start the NNLS from, such
+    as those whose multipliers z were positive in an earlier QP. Returns
+    the point and the mask of this QP's positive multipliers.
     """
+    n = len(q)
     rq = np.sqrt(q)
-    g = np.vstack((m, np.eye(len(q))))
-    e = g / rq
-    f = np.concatenate((b, np.zeros(len(q)))) + g @ (c / q)
+    inv = 1.0 / rq                   # row j of I / sqrt(q) holds inv[j] alone: its norm
+    e = m / rq
+    norms = np.linalg.norm(e, axis=1)
     # rows of lines no free follower loads read 0 >= f, which the caller's
     # feasible point already satisfies; drop them and normalize the rest
-    norms = np.linalg.norm(e, axis=1)
-    rows = norms > 1e-12 * norms.max()
-    a = np.vstack(((e[rows] / norms[rows, None]).T, f[rows] / norms[rows]))
-    rhs = np.zeros(len(q) + 1)
+    floor = 1e-12 * max(norms.max(), inv.max())
+    rows = np.concatenate((norms > floor, inv > floor))
+    lines, bounds = np.flatnonzero(rows[:n]), np.flatnonzero(rows[n:])
+    k = len(lines)
+    # row i of `at` is column i of a: the i-th kept row of [m; I] / sqrt(q)
+    # and its entry of f, both over that row's norm
+    at = np.zeros((k + len(bounds), n + 1))
+    np.divide(e[lines], norms[lines, None], out=at[:k, :n])
+    at[k + np.arange(len(bounds)), bounds] = 1.0
+    cq = c / q
+    at[:k, n] = (b + m @ cq)[lines] / norms[lines]
+    at[k:, n] = cq[bounds] / inv[bounds]
+    a = at.T
+    rhs = np.zeros(n + 1)
     rhs[-1] = 1.0
     z = _nnls(a, rhs, passive[rows])
     r = a @ z - rhs
@@ -514,16 +539,19 @@ def solve_stackelberg(
     followers' alpha summed at each bus), and the leader problem on that
     piece is the convex QP min C_grid(u) s.t. M u >= f0 - limits, u >= 0
     (solved exactly by `_leader_qp`; lines already overloaded at the
-    current price may not get worse; each QP's NNLS starts from the
-    constraints active at the previous QP of the same start). Each step
-    solves the QP of the current piece, then walks the segment toward its
-    solution under the true capped response and stops at the first line
-    overload (flows are piecewise linear along the segment, so the
-    crossing is located over the cap breakpoints and solved exactly). The
-    cost is convex along the segment and no larger at its end, so it never
-    increases; the next piece is the one the segment was in when it
-    stopped. Steps repeat until the cost stops decreasing, at most
-    `_QP_STEPS_PER_START` QP solves per start.
+    current price may not get worse). One NNLS warm start serves the whole
+    call: the first QP starts from SOCIAL's price pattern (the rows of
+    lines with a positive price, the bound rows of the others), and every
+    later QP, the first of the second start included, from the constraints
+    active at the QP before it. Each step solves the QP of the current
+    piece, then walks the segment toward its solution under the true
+    capped response and stops at the first line overload (flows are
+    piecewise linear along the segment, so the crossing is located over
+    the cap breakpoints and solved exactly). The cost is convex along the
+    segment and no larger at its end, so it never increases; the next
+    piece is the one the segment was in when it stopped. Steps repeat
+    until the cost stops decreasing, at most `_QP_STEPS_PER_START` QP
+    solves per start.
 
     Starts: SOCIAL's dual price (always feasible, p(u) is then the social
     optimum) and the cheapest feasible point of the uniform-price ray; the
@@ -574,11 +602,15 @@ def solve_stackelberg(
         frac = min(1.0, max(0.0, float(np.min((bound[up] - f_lo[up]) / rise[up], initial=1.0))))
         return ts[lo] + frac * (ts[hi] - ts[lo]), raw + 0.5 * (ts[lo] + ts[hi]) * draw
 
+    # the NNLS warm start, rows of [M; I]: SOCIAL's price pattern, then the
+    # constraints active at the QP before, across starts
+    passive = np.concatenate((social.u > 0, social.u <= 0))
+
     def descend(u):
+        nonlocal passive
         cost = leader_cost(grid, u)
         raw = alpha * (pi - grid.prices(u))
         piece = raw
-        passive = np.zeros(2 * len(q), dtype=bool)   # NNLS warm start, rows of [M; I]
         iters = 0
         while iters < _QP_STEPS_PER_START:
             iters += 1

@@ -210,6 +210,22 @@ def test_stackelberg_cs_on_single_line_instances():
         assert cs <= 1e-4 * (1.0 + float(np.abs(grid.line_limits).max()))
 
 
+def test_stack_stops_where_a_line_reaches_its_limit_past_a_cap_kink():
+    # From the probe start u = 10^1.2 follower 2 sits at its -p_max cap,
+    # and the QP of that piece, u = 11 - 2 delta, overloads the line by
+    # 2 delta / (1 + limit) = 1.05e-8 once the follower leaves its cap. The
+    # walk toward it must stop where the line reaches its limit, at the
+    # optimum u = 11 - delta, not take that overload for rounding
+    delta = 1e-7
+    prosumers = records((1.0, 30.0, 100.0, 0), (1.0, 10.0, 1.0, 1))
+    grid = GridModel(bus_ptdf=np.array([[1.0, 1.0]]), bus=np.arange(2),
+                     line_limits=np.array([18.0 + 2 * delta]),
+                     leader_q_diag=np.ones(1), leader_c=np.zeros(1))
+    stack = solve_stackelberg(grid, prosumers, tol=1e-12)
+    assert stack.feasible and stack.kkt_residual <= 1e-12
+    assert stack.u[0] == pytest.approx(11.0 - delta, rel=0, abs=1e-12)
+
+
 def test_stack_certified_on_instance_without_reachability_lift():
     # the raw generator recipe without the reachability lift. Limits are
     # positive, so injections p = 0 are a Slater point of SOCIAL's problem:
@@ -461,6 +477,60 @@ def test_leader_qp_point_is_feasible_and_start_independent():
             assert np.allclose(other, points[0], rtol=1e-10, atol=1e-10)
 
 
+def stacked_nnls_matrix(m, b, q, c):
+    """The NNLS matrix of `_leader_qp` as the stacked [m; I] construction
+    formed it, its kept rows, and the rounding scale of its last row: the
+    magnitudes of the terms of b + [m; I] (c / q), summed, over the row
+    norms."""
+    rq = np.sqrt(q)
+    g = np.vstack((m, np.eye(len(q))))
+    e = g / rq
+    f = np.concatenate((b, np.zeros(len(q)))) + g @ (c / q)
+    norms = np.linalg.norm(e, axis=1)
+    rows = norms > 1e-12 * norms.max()
+    a = np.vstack(((e[rows] / norms[rows, None]).T, f[rows] / norms[rows]))
+    scale = np.concatenate((np.abs(b), np.zeros(len(q)))) + np.abs(g) @ np.abs(c / q)
+    return a, rows, scale[rows] / norms[rows]
+
+
+def test_leader_qp_matrix_equals_the_stacked_construction(monkeypatch):
+    # the block-built matrix against the stacked one, in bytes and in
+    # memory order, with q != 1 and with rows of m dropped
+    seen = []
+    real = market._nnls
+
+    def capture(a, b, passive):
+        seen.append(a)
+        return real(a, b, passive)
+
+    monkeypatch.setattr(market, "_nnls", capture)
+    rng = np.random.default_rng(17)
+    dropped = 0
+    for trial in range(200):
+        n_lines, n_free = int(rng.integers(1, 41)), int(rng.integers(1, 60))
+        h = rng.normal(size=(n_lines, n_free)) * (rng.random((n_lines, n_free)) < 0.6)
+        h[rng.random(n_lines) < 0.25] = 0.0                   # lines no free follower loads
+        m = (h * rng.lognormal(0.0, 0.4, size=n_free)) @ h.T
+        b = m @ np.abs(rng.normal(size=n_lines)) - np.abs(rng.normal(size=n_lines))
+        q = rng.uniform(0.5, 2.0, size=n_lines)
+        c = rng.normal(size=n_lines) if trial % 2 else np.zeros(n_lines)
+        _leader_qp(m, b, q, c, np.zeros(2 * n_lines, dtype=bool))
+        a = seen.pop()
+        ref, rows, scale = stacked_nnls_matrix(m, b, q, c)
+        dropped += not rows.all()
+        assert a.shape == ref.shape and a.flags.f_contiguous
+        # with one line the stack's first block is one row, and numpy stacked
+        # it in C order
+        assert a.strides == ref.strides or n_lines == 1
+        if trial % 2 == 0:
+            assert a.tobytes() == ref.tobytes()
+        else:
+            # b + m (c / q) and the stacked product may round apart
+            assert a[:-1].tobytes() == ref[:-1].tobytes()
+            assert (np.abs(a[-1] - ref[-1]) <= 1e-15 * scale).all()
+    assert dropped > 0
+
+
 def test_stackelberg_warm_start_state_is_per_call():
     # the descent's NNLS warm start lives inside one call, so repeated
     # solves in one process give the same bytes
@@ -469,6 +539,51 @@ def test_stackelberg_warm_start_state_is_per_call():
     second = solve_stackelberg(grid, prosumers)
     assert first.u.tobytes() == second.u.tobytes()
     assert first.iterations == second.iterations
+
+
+@pytest.mark.parametrize("instance", ["paper", "random"])
+def test_warm_started_nnls_pinned_to_the_cold_start_at_every_leader_qp(monkeypatch, instance):
+    # _nnls returns the least squares on its final passive set, so the warm
+    # starts of solve_stackelberg change its work, never one byte of z
+    real = market._nnls
+    warm_starts = []
+
+    def warm_and_cold(a, b, passive):
+        z = real(a, b, passive)
+        assert z.tobytes() == real(a, b, np.zeros_like(passive)).tobytes()
+        warm_starts.append(passive.any())
+        return z
+
+    monkeypatch.setattr(market, "_nnls", warm_and_cold)
+    if instance == "paper":
+        instances = [paper_instance()]
+    else:
+        instances = [random_instance(*shape, seed=seed)
+                     for shape in ((12, 4), (20, 5), (8, 1), (10, 3)) for seed in range(10)]
+    for grid, prosumers in instances:
+        solve_stackelberg(grid, prosumers)
+    assert any(warm_starts)
+
+
+def test_stackelberg_threads_one_warm_start_through_every_qp(monkeypatch):
+    # the first QP starts from SOCIAL's price pattern and every later one,
+    # across both starts, from the mask of the QP before it
+    real = market._leader_qp
+    masks = []
+
+    def recorded(m, b, q, c, passive):
+        u, active = real(m, b, q, c, passive)
+        masks.append((passive.copy(), active.copy()))
+        return u, active
+
+    monkeypatch.setattr(market, "_leader_qp", recorded)
+    grid, prosumers = random_instance(20, 5, seed=26)
+    social = solve_social(grid, prosumers)
+    stack = solve_stackelberg(grid, prosumers, social=social)
+    assert len(masks) == stack.iterations > 2
+    assert np.array_equal(masks[0][0], np.concatenate((social.u > 0, social.u <= 0)))
+    for (_, active), (passive, _) in zip(masks, masks[1:]):
+        assert np.array_equal(passive, active)
 
 
 def _outcome_bytes(o):
