@@ -32,14 +32,19 @@ echo '{"kms": {"fixed_fraction": 1.0, "gamma0": 0.99}}' > out/rate-adapt-gamma09
 # capacity 12: the key-pool walk's rows are shorter than _SCAN_COLS
 echo '{"keypool": {"capacity": 12}}' > out/keypool-capacity12.json
 "${run[@]}" keypool --check --config out/keypool-capacity12.json --out out/keypool-capacity12
-# one load factor alone: every row runs on the same draw, and its row must
-# equal the rho = 0.99 row of the paper run, so no row depends on the others
-echo '{"keypool": {"rhos": [0.99]}}' > out/keypool-rho099.json
-"${run[@]}" keypool --check --config out/keypool-rho099.json --out out/keypool-rho099
-if [ "$(tail -n +2 out/keypool-rho099/table2.csv)" != "$(grep '^0\.99,' out/keypool/table2.csv)" ]; then
-  echo "keypool-rho099: its table2.csv row differs from the rho = 0.99 row of out/keypool" >&2
-  exit 1
-fi
+# each load factor of the paper run alone (out/keypool-rho099 is rho = 0.99):
+# every row runs on the same draw, and each one-row table2.csv must equal
+# that row of the paper run, so no row depends on the others
+for row in $(tail -n +2 out/keypool/table2.csv); do
+  rho=${row%%,*}
+  name="keypool-rho${rho/./}"
+  echo "{\"keypool\": {\"rhos\": [$rho]}}" > "out/$name.json"
+  "${run[@]}" keypool --check --config "out/$name.json" --out "out/$name"
+  if [ "$(tail -n +2 "out/$name/table2.csv")" != "$row" ]; then
+    echo "$name: its table2.csv row differs from the rho = $rho row of out/keypool" >&2
+    exit 1
+  fi
+done
 # small batches on a slow link: the handshake oracle beyond the default shape
 echo '{"qsah": {"n_handshakes": 1000, "batch_size": 7}, "links": {"d0_ms": 900.0, "jitter_max_ms": 50.0}}' > out/qsah-slow-link.json
 "${run[@]}" qsah-bench --check --config out/qsah-slow-link.json --out out/qsah-slow-link

@@ -368,11 +368,11 @@ def cmd_rate_adapt(config: dict, out: Path) -> list[tuple[str, bool, str]]:
 
     names, rates, levels = [], [], []
     for name, result in (("rate_adapt", adaptive), ("fixed", fixed)):
-        n = len(result.output_bps)
-        idx = np.arange(0, n, max(1, n // 2000))
+        e = ecdf(result.output_bps)
+        idx = np.arange(0, e.x.size, max(1, e.x.size // 2000))
         names += [name] * len(idx)
-        rates.append(np.sort(result.output_bps)[idx])
-        levels.append((idx + 1) / n)
+        rates.append(e.x[idx])
+        levels.append(e.f[idx])
     _write_csv(
         out / "cdf.csv", "strategy,rate_bps,ecdf", names, np.concatenate(rates), np.concatenate(levels)
     )
@@ -661,9 +661,8 @@ def cmd_full_stack(config: dict, out: Path) -> list[tuple[str, bool, str]]:
         client = ClientSession(key, nonce_rng)
         msg1 = client.client_hello(now_ms)
         msg2 = server.server_response(key.key_id, msg1)
-        client.client_finish(msg2)
-        if client.state == "established":
-            established += 1
+        client.client_finish(msg2)   # raises AuthFail unless established
+        established += 1
 
     # consensus with salts rented from the same pool
     params = _full_stack_consensus(config)

@@ -16,17 +16,19 @@ the local balance recursion pi_s * lambda*k = pi_(s-1) * mu that defines
 this chain.
 
 The Monte Carlo check ``simulate_pool`` runs the chain uniformized at the
-constant rate mu + lambda*k (Jensen 1953): holding times are i.i.d.
-exponential, and each event steps the pool by +1 or -1, clamped to
-[0, M]. A clamped step (a birth at capacity, a death when empty) is a
-self-loop. Self-loops count as events, and they leave the stationary
-distribution unchanged. Every step is a clamp map, and clamp maps compose
+constant rate mu + lambda*k (Jensen 1953): each event steps the pool by +1
+or -1, clamped to [0, M]. A clamped step (a birth at capacity, a death when
+empty) is a self-loop. Self-loops count as events, and they leave the
+stationary distribution unchanged. The holding times are i.i.d. and
+independent of the path, so the share of events spent in a state is the
+conditional mean, given the path, of the time-weighted occupancy
+(conditional Monte Carlo); no holding time is drawn. Clamp maps compose
 into clamp maps, so each chunk of events is computed by a scan in numpy
 rather than one event at a time. The run splits into equal-event-count
 epochs for the Wilson interval, and memory stays O(block) whatever the
 event count. One call runs several chains (say, one per load factor) on
-one draw of uniforms, as common random numbers: each chain's result is the
-one it would get alone, and the draw and its logarithms are made once.
+one draw of uniforms, as common random numbers: each chain's result is
+the one it would get alone.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -64,8 +67,9 @@ class BirthDeathParams:
     def __post_init__(self):
         if not (self.mu > 0 and self.lam > 0 and self.k > 0):
             raise ValueError("all rates must be positive")
-        if not self.capacity >= 1:
-            raise ValueError("capacity must be >= 1")
+        M = self.capacity
+        if isinstance(M, bool) or not (isinstance(M, Integral) and M >= 1):
+            raise ValueError(f"capacity must be an integer >= 1, got {self.capacity!r}")
 
     @property
     def rho(self) -> float:
@@ -184,14 +188,17 @@ def exact_min_capacity(rho: float, target_pi0: float) -> int:
 
 @dataclass(frozen=True)
 class PoolSimResult:
-    """Monte Carlo outcome: time-weighted occupancy and empty-state stats."""
+    """Monte Carlo outcome: occupancy and empty-state stats. The share of
+    visits is, given the path, the conditional mean of the time-weighted
+    occupancy: the uniformized chain's holding times are i.i.d. and
+    independent of the path."""
 
-    empty_fraction: float
-    visits: np.ndarray          # time-weighted occupancy per state, sums to 1
+    empty_fraction: float       # visits[0]
+    visits: np.ndarray          # share of events spent in each state, sums to 1
     wilson_ci: tuple[float, float]
 
 
-# events per chunk: uniforms are drawn, scanned and tallied this many at a time
+# events per chunk: direction uniforms are drawn, scanned and tallied this many at a time
 _BLOCK = 65_536
 # longest row of steps in _clamped_walk (rows are at most the capacity)
 _SCAN_COLS = 256
@@ -238,70 +245,57 @@ def simulate_pool(
 ) -> list[PoolSimResult]:
     """Continuous-time simulation of pool chains, uniformized, on one draw.
 
-    Each chain runs at the constant rate mu + lambda*k: each event takes an
-    exponential holding time at that rate and steps +1 with probability
-    mu / (mu + lambda*k), else -1, clamped to [0, M]. A step that the
-    clamp cancels (a birth at capacity, a death when empty) is a
-    self-loop; it counts towards ``max_events`` like any other event, and
-    it leaves the stationary distribution unchanged (Jensen 1953).
+    Each chain runs at the constant rate mu + lambda*k: each event steps +1
+    with probability mu / (mu + lambda*k), else -1, clamped to [0, M]. A
+    step that the clamp cancels (a birth at capacity, a death when empty)
+    is a self-loop; it counts towards ``max_events`` like any other event,
+    and it leaves the stationary distribution unchanged (Jensen 1953).
+    ``visits[s]`` is the share of the events that start in state s. The
+    holding times are i.i.d. Exp(mu + lambda*k) and independent of the
+    path, so this share is the conditional mean, given the path, of the
+    time-weighted occupancy (conditional Monte Carlo, Asmussen & Glynn
+    2007, ch. V); no holding time is drawn.
 
     One draw drives every chain (common random numbers): event i of each
-    chain reads the same holding uniform and the same direction uniform, so
-    each chain's result equals that of a call for it alone, whatever the
-    other chains. Returns one result per chain, in order.
+    chain reads the same direction uniform, so each chain's result equals
+    that of a call for it alone, whatever the other chains. Returns one
+    result per chain, in order.
 
-    Each walk starts full, at state M. Events are processed in chunks of
-    ``_BLOCK``: a chunk's standard exponentials are computed once, and then
-    each chain in turn scales them by its rate, steps through the chunk
-    (the ±1 steps as int8, the states from a row scan of the clamp maps,
-    ``_clamped_walk``) and tallies its time-weighted occupancy with one
-    weighted ``bincount``, carrying its state to the next chunk. So memory
+    Each walk starts full, at state M. Events run in chunks of ``_BLOCK``:
+    a chunk's direction uniforms are drawn once, and then each chain in
+    turn steps through the chunk (the ±1 steps as int8, the states from a
+    row scan of the clamp maps, ``_clamped_walk``) and tallies its visits
+    with one ``bincount``, carrying its state to the next chunk. So memory
     is O(block) whatever ``max_events``, with one chain's path held at a
-    time. ``empty_fraction`` is the time-weighted occupancy of state 0. The
-    Wilson 95% interval is computed over per-epoch empty indicators: the
-    run splits into ``n_epochs`` equal-event-count epochs and each
-    contributes the state observed at its boundary.
-
-    Stops after ``max_events`` events.
+    time. The Wilson 95% interval is computed over per-epoch empty
+    indicators: the run splits into ``n_epochs`` equal-event-count epochs
+    and each contributes the state observed at its boundary.
     """
     if max_events < 1:
         raise ValueError("max_events must be >= 1")
     rng = substream(seed, "keypool")
-    rates = [p.mu + p.lam * p.k for p in chains]
+    up = [p.mu / (p.mu + p.lam * p.k) for p in chains]
     states = [p.capacity for p in chains]
-    occupancy = [np.zeros(p.capacity + 1) for p in chains]
+    counts = [np.zeros(p.capacity + 1, dtype=np.int64) for p in chains]
     empties = [0] * len(chains)
-    events = 0
     epoch_stride = max(1, max_events // max(1, n_epochs))
-    epoch_count = 0
 
-    while events < max_events:
+    for events in range(0, max_events, _BLOCK):
         n = min(_BLOCK, max_events - events)
-        # standard exponentials by inversion, -log1p(-u), in place
-        e = rng.random(_BLOCK)[:n]
-        u_dir = rng.random(_BLOCK)[:n]
-        np.negative(e, out=e)
-        np.log1p(e, out=e)
-        np.negative(e, out=e)
+        u_dir = rng.random(n)
         # step i of the chunk is event events + i + 1 of the run; an epoch
         # ends at each event number that is a multiple of the stride
         first = (-(events + 1)) % epoch_stride
-        for c, (p, rate) in enumerate(zip(chains, rates)):
-            M = p.capacity
-            path = _clamped_walk(states[c], (u_dir < p.mu / rate).view(np.int8) * 2 - 1, M)
-            occupancy[c] += np.bincount(path[:n], weights=e / rate, minlength=M + 1)
+        for c, p in enumerate(chains):
+            path = _clamped_walk(states[c], (u_dir < up[c]).view(np.int8) * 2 - 1, p.capacity)
+            counts[c] += np.bincount(path[:n], minlength=len(counts[c]))
             empties[c] += int(np.count_nonzero(path[first + 1 :: epoch_stride] == 0))
             states[c] = int(path[n])
-        epoch_count += len(range(first, n, epoch_stride))
-        events += n
 
+    # the stride is at most max_events, so the run sees at least one epoch
+    epoch_count = max_events // epoch_stride
     results = []
-    for occ, k in zip(occupancy, empties):
-        visits = occ / occ.sum()
-        # the stride is at most max_events, so the run sees at least one epoch
-        results.append(PoolSimResult(
-            empty_fraction=float(visits[0]),
-            visits=visits,
-            wilson_ci=wilson_interval(k, epoch_count),
-        ))
+    for visited, k in zip(counts, empties):
+        visits = visited / max_events
+        results.append(PoolSimResult(float(visits[0]), visits, wilson_interval(k, epoch_count)))
     return results

@@ -211,12 +211,15 @@ class MarketOutcome:
 
 
 def _records(prosumers) -> np.ndarray:
-    """The followers as a `PROSUMER` array, checked: alpha > 0 and p_max > 0."""
+    """The followers as a `PROSUMER` array: alpha, p_max > 0 and alpha, pi, p_max finite."""
     prosumers = np.asarray(prosumers, dtype=PROSUMER)
     if not (prosumers["alpha"] > 0).all():
         raise ValueError("alpha must be positive")
     if not (prosumers["p_max"] > 0).all():
         raise ValueError("p_max must be positive")
+    for name in ("alpha", "pi", "p_max"):
+        if not np.isfinite(prosumers[name]).all():
+            raise ValueError(f"{name} must be finite")
     return prosumers
 
 
@@ -729,10 +732,10 @@ def security_coupled_clearing(
     Node i is admitted, in index order, when its handshake latency
     ``qsah_latencies[i]`` meets the deadline and the cumulative key cost of
     admitted nodes stays inside the entropy budget; a latency count other
-    than the prosumer count, or a negative per-node cost, raises
-    ValueError. The filter depends only on latency and key cost, never on
-    the market data. ``keep`` holds the admitted indices in ascending
-    order.
+    than the prosumer count, a negative per-node cost, or a NaN budget or
+    deadline raises ValueError; a NaN latency counts as late. The filter
+    depends only on latency and key cost, never on the market data.
+    ``keep`` holds the admitted indices in ascending order.
 
     `clears` memoizes the clears of one instance, keyed by the admitted
     indices' bytes (`keep.tobytes()`): an admitted set already in it is not
@@ -748,6 +751,8 @@ def security_coupled_clearing(
         )
     if not per_node_key_cost_bits >= 0:
         raise ValueError("per-node key cost must be >= 0")
+    if math.isnan(key_budget_bits) or math.isnan(handshake_deadline_ms):
+        raise ValueError("the key budget and the handshake deadline must not be NaN")
     on_time = np.flatnonzero(latencies <= handshake_deadline_ms)
     # the cost of admitting the first k on-time nodes is k * cost, one
     # rounded product: at k = n it equals a budget of cost * n exactly, which

@@ -490,10 +490,10 @@ def test_porlite_finality_marker_holds_at_every_security_level(tmp_path, capsys)
 # moves any byte of table2.csv or of the PoR-Lite curves fails here
 MONTE_CARLO_PINS = {
     ("keypool", "paper"): {
-        "table2.csv": "12719708412ed2db23160cdc226aa6889c3b2b1c70b74f17cca6589d77ce47e4",
+        "table2.csv": "046f05b38ad8f6420a79253708747586d94f73c77519b75784f255f99ccbf68b",
     },
     ("keypool", "capacity 12"): {
-        "table2.csv": "95a48421ae91cdbc2236faa46b252fbff9de435c683093edc2e7998266721807",
+        "table2.csv": "02d29479dc57570609fdd2a0c156cb55dd53583ed37e492b608821a594679a86",
     },
     ("porlite", "paper"): {
         "cp_violation.csv": "8c932459e0e5c812ffd5d54130f94639f65ee1b30dda50f9b355e9595ecfdeaa",

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qenergydex import keypool
 from qenergydex.keypool import (
     BirthDeathParams,
     StationaryDistribution,
@@ -182,38 +183,32 @@ def loop_clamped_walk(x0, steps, M):
 
 
 def loop_uniformized_pool(p, seed=0, max_events=1_000_000, n_epochs=10_000):
-    """One event at a time, on the same draws as simulate_pool."""
+    """One event at a time, on the same direction uniforms as simulate_pool,
+    drawn a whole block at a time; visits are counted, no time is drawn."""
     rng = substream(seed, "keypool")
     M = p.capacity
-    rate = p.mu + p.lam * p.k
+    up = p.mu / (p.mu + p.lam * p.k)
     state = M
-    occupancy = np.zeros(M + 1)
-    events = 0
+    visits = np.zeros(M + 1, dtype=np.int64)
     stride = max(1, max_events // max(1, n_epochs))
     marks = []
-    idx = _BLOCK
-    while events < max_events:
-        if idx == _BLOCK:
-            u_hold = rng.random(_BLOCK)
+    for event in range(max_events):
+        if event % _BLOCK == 0:
             u_dir = rng.random(_BLOCK)
-            idx = 0
-        dt = -math.log1p(-u_hold[idx]) / rate
-        step = 1 if u_dir[idx] < p.mu / rate else -1
-        idx += 1
-        occupancy[state] += dt
+        step = 1 if u_dir[event % _BLOCK] < up else -1
+        visits[state] += 1
         state = min(M, max(0, state + step))
-        events += 1
-        if events % stride == 0:
+        if (event + 1) % stride == 0:
             marks.append(state)
     ci = wilson_interval(sum(1 for x in marks if x == 0), len(marks))
-    return occupancy / occupancy.sum(), ci
+    return visits / max_events, ci
 
 
 def assert_matches_loop(p, **kw):
     (fast,) = simulate_pool([p], **kw)
     visits, ci = loop_uniformized_pool(p, **kw)
     assert fast.wilson_ci == ci   # same epoch-boundary states
-    assert np.allclose(fast.visits, visits, rtol=1e-11, atol=1e-14)
+    assert fast.visits.tobytes() == visits.tobytes()
     assert fast.empty_fraction == fast.visits[0]
 
 
@@ -286,5 +281,41 @@ def test_each_chain_of_one_call_matches_the_loop_across_chunks():
     for p, fast in zip(chains, simulate_pool(chains, **kw)):
         visits, ci = loop_uniformized_pool(p, **kw)
         assert fast.wilson_ci == ci
-        assert np.allclose(fast.visits, visits, rtol=1e-11, atol=1e-14)
+        assert fast.visits.tobytes() == visits.tobytes()
         assert fast.empty_fraction == fast.visits[0]
+
+
+class CountingDraws:
+    """A generator that records the length of each ``random`` draw and has
+    no other method, so any other draw raises AttributeError."""
+
+    def __init__(self, rng, draws):
+        self._rng, self._draws = rng, draws
+
+    def random(self, n):
+        self._draws.append(n)
+        return self._rng.random(n)
+
+
+def test_one_direction_draw_per_chunk(monkeypatch):
+    # two chains, three chunks, the last one short: one uniform per event,
+    # shared by the chains, and no holding-time draw
+    draws = []
+    monkeypatch.setattr(keypool, "substream", lambda *a: CountingDraws(substream(*a), draws))
+    chains = [BirthDeathParams.from_rho(rho, 7, mu=10.0) for rho in (0.9, 1.5)]
+    simulate_pool(chains, seed=6, max_events=2 * _BLOCK + 10_000, n_epochs=7)
+    assert draws == [_BLOCK, _BLOCK, 10_000]
+
+
+@pytest.mark.parametrize("capacity", [2.5, True, False, 0, -3, 1.0, "3", float("nan")])
+def test_params_refuse_a_capacity_that_is_not_an_integer_at_least_one(capacity):
+    with pytest.raises(ValueError, match="capacity must be an integer >= 1"):
+        BirthDeathParams(mu=1.0, lam=0.5, k=1.0, capacity=capacity)
+    with pytest.raises(ValueError, match="capacity must be an integer >= 1"):
+        BirthDeathParams.from_rho(0.5, capacity)
+
+
+def test_params_accept_numpy_integer_capacities():
+    for capacity in (np.int64(3), np.int32(3), 3):
+        p = BirthDeathParams.from_rho(0.5, capacity)
+        assert len(stationary_distribution(p)) == 4

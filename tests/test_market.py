@@ -746,6 +746,39 @@ def test_security_filter_refuses_a_negative_cost():
             security_coupled_clearing(grid, prosumers, 1e12, 100.0, np.full(6, 10.0), cost)
 
 
+@pytest.mark.parametrize("field, bad", [
+    ("alpha", np.inf), ("pi", np.inf), ("pi", -np.inf), ("pi", np.nan), ("p_max", np.inf),
+])
+def test_every_entry_point_refuses_a_non_finite_follower(field, bad):
+    # with one pi = inf, solve_base reported BASE and WBASE at welfare inf as
+    # feasible; with one pi = NaN, clear_all_scenarios ran until NoConvergence
+    grid, prosumers = random_instance(12, 4, seed=1)
+    prosumers = prosumers.copy()
+    prosumers[field][5] = bad
+    u = np.zeros(grid.n_lines)
+    entry_points = (
+        lambda pr: aggregate_response(pr, u, grid.ptdf),
+        lambda pr: grid_response(grid, pr, u),
+        lambda pr: welfare(pr, np.zeros(12)),
+        lambda pr: solve_social(grid, pr),
+        lambda pr: solve_stackelberg(grid, pr),
+        lambda pr: solve_base(grid, pr),
+        lambda pr: clear_all_scenarios(grid, pr),
+        lambda pr: security_coupled_clearing(grid, pr, np.inf, 1e9, np.zeros(12), 1.0),
+    )
+    for call in entry_points:
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            call(prosumers)
+
+
+@pytest.mark.parametrize("budget, deadline", [(np.nan, 100.0), (1e12, np.nan), (np.nan, np.nan)])
+def test_security_filter_refuses_a_nan_budget_or_deadline(budget, deadline):
+    # both used to admit no node and return a "feasible" clear at welfare 0
+    grid, prosumers = random_instance(12, 4, seed=1)
+    with pytest.raises(ValueError, match="budget and the handshake deadline must not be NaN"):
+        security_coupled_clearing(grid, prosumers, budget, deadline, np.full(12, 10.0), 1.0)
+
+
 def test_security_clears_are_memoized_by_admitted_set(monkeypatch):
     calls = []
     real = market.clear_all_scenarios
