@@ -65,8 +65,9 @@ class BirthDeathParams:
     capacity: int
 
     def __post_init__(self):
-        if not (self.mu > 0 and self.lam > 0 and self.k > 0):
-            raise ValueError("all rates must be positive")
+        # NaN fails the comparison
+        if not all(0 < r < math.inf for r in (self.mu, self.lam, self.k)):
+            raise ValueError("all rates must be finite and positive")
         M = self.capacity
         if isinstance(M, bool) or not (isinstance(M, Integral) and M >= 1):
             raise ValueError(f"capacity must be an integer >= 1, got {self.capacity!r}")

@@ -304,8 +304,9 @@ def solve_social(
     prosumers) guarded by Armijo backtracking on the dual value.
 
     Each Newton direction is a descent direction. On the free lines it is
-    d = -S^-1 g with S = M + ridge I, where M = H diag(act alpha) H^T is
-    positive semidefinite (act >= 0, alpha > 0) and ridge > 0, so S is
+    d = -S^-1 g with S = M + ridge I, where M = H diag(act alpha) H^T, with
+    act the 0/1 indicator of the prosumers inside their caps, is positive
+    semidefinite (act >= 0, alpha > 0) and ridge > 0, so S is
     symmetric positive definite: the solve cannot fail, and the slope
     g.d = -g^T S^-1 g is negative unless g = 0 on the free lines, when d
     is 0. Capping |d| scales it by a positive factor and keeps that sign.
@@ -328,7 +329,7 @@ def solve_social(
         if residual <= tol:
             break
         grad = limits - flows
-        m = grid.sensitivity(_smoothed_activity(raw, pmax) * alpha)
+        m = grid.sensitivity((np.abs(raw) < pmax) * alpha)
         ridge = 1e-10 * (1.0 + float(np.trace(m)) / len(limits))
         free = (u > 0) | (grad < 0)
         d = np.zeros_like(u)
@@ -370,12 +371,6 @@ def solve_social(
         iterations=iterations,
         kkt_residual=residual,
     )
-
-
-def _smoothed_activity(raw, pmax):
-    # 1 inside the cap, 0 outside, linear ramp of width delta near the kink
-    delta = 1e-8 * (1.0 + pmax)
-    return np.clip((pmax - np.abs(raw)) / delta + 0.5, 0.0, 1.0)
 
 
 _RAY_KAPPAS = np.concatenate(([0.0], np.geomspace(1e-3, 1e4, 36)))

@@ -171,8 +171,16 @@ class Network:
         return delivered
 
     def run_to_quiescence(self) -> int:
-        """Deliver events until none remain; return how many."""
+        """Deliver events until none remain; return how many.
+
+        The run goes in waves: each is one ``run_until`` up to the latest
+        time in the queue, and what a wave schedules after that time makes
+        the next wave. The heap's (time, sequence) keys alone fix the
+        delivery order, so each handler sees the same events at the same
+        clock readings as a run stepped one event time at a time.
+        """
         delivered = 0
         while self._queue:
-            delivered += len(self.run_until(self._queue[0][0] / 1000.0))
+            last_us = max(t_us for t_us, _, _ in self._queue)
+            delivered += len(self.run_until(last_us / 1000.0))
         return delivered

@@ -2,7 +2,9 @@
 and the adaptive output-rate controller.
 
 The pool is a token bucket: balance B accrues at the generation rate and
-is spent by Rent(n) calls, clamped to [0, capacity]. ``full-stack`` sets
+is spent by Rent(n) calls, clamped to [0, capacity]. Each replica owns its
+bucket: it copies the ``KeyPoolState`` it is given and changes that copy in
+place, so the caller's object never changes. ``full-stack`` sets
 the rate to its trace's mean secure capacity (``secure_capacity_bps``),
 the series the rate controller meters against. Rentals fail without side
 effects when n exceeds the balance. An issued key is active until it is
@@ -53,7 +55,6 @@ __all__ = [
     "InsufficientEntropy",
     "UnknownKey",
     "AlreadyRetired",
-    "step_bucket",
     "rate_adapt_step",
     "run_rate_controller",
     "RateControllerResult",
@@ -76,9 +77,13 @@ class AlreadyRetired(RuntimeError):
     """Retire called twice for the same key."""
 
 
-@dataclass(frozen=True)
+@dataclass
 class KeyPoolState:
-    """Token-bucket snapshot: balance, capacity, generation rate, clock."""
+    """Token bucket: balance, capacity, generation rate, clock.
+
+    A ``KmsReplica`` holds its own copy and changes it in place: ``accrue``
+    moves the clock, ``KmsReplica.rent`` spends the balance.
+    """
 
     balance_bits: int
     capacity_bits: int
@@ -94,17 +99,16 @@ class KeyPoolState:
             raise ValueError("generation rate must be finite and non-negative")
 
 
-def step_bucket(s: KeyPoolState, delta_ms: int) -> KeyPoolState:
-    """Advance the bucket by ``delta_ms``: B' = min(M, B + floor(R_gen * delta)).
+    def accrue(self, now_ms: int) -> None:
+        """Accrue generation up to ``now_ms``: B <- min(M, B + floor(R_gen * delta)).
 
-    Only accrual happens here; ``KmsReplica.rent`` spends bits, and only
-    bits the balance holds.
-    """
-    if delta_ms <= 0:
-        raise ValueError("delta_ms must be positive")
-    replenished = math.floor(s.gen_rate_bps * delta_ms / 1000.0)
-    balance = min(s.capacity_bits, s.balance_bits + replenished)
-    return replace(s, balance_bits=balance, clock_ms=s.clock_ms + delta_ms)
+        The clock moves to ``now_ms``; a time at or before it changes nothing.
+        """
+        delta = now_ms - self.clock_ms
+        if delta > 0:
+            replenished = math.floor(self.gen_rate_bps * delta / 1000.0)
+            self.balance_bits = min(self.capacity_bits, self.balance_bits + replenished)
+            self.clock_ms = now_ms
 
 
 @dataclass
@@ -263,7 +267,7 @@ class KmsReplica:
         if not 0 <= replica_id < 256:
             raise ValueError("replica_id must fit one byte")
         self.replica_id = replica_id
-        self.pool = pool
+        self.pool = replace(pool)      # the replica's own bucket
         self.baseline_qber = baseline_qber
         self._rng = substream(seed, "kms", replica_id)
         self.keys: dict[str, KeyRecord] = {}
@@ -276,36 +280,22 @@ class KmsReplica:
         # 128-bit id, replica index in the top byte: replicas cannot collide
         return (bytes([self.replica_id]) + draw_bytes(self._rng, 15)).hex()
 
-    def advance_clock(self, now_ms: int) -> None:
-        """Accrue generation up to ``now_ms`` (no-op if clock already there)."""
-        delta = now_ms - self.pool.clock_ms
-        if delta > 0:
-            self.pool = step_bucket(self.pool, delta)
-
     def rent(self, n_bits: int, now_ms: int) -> KeyRecord:
         """Issue ``n_bits`` of key material or raise InsufficientEntropy."""
         if n_bits <= 0:
             raise ValueError("n_bits must be positive")
-        self.advance_clock(now_ms)
-        if n_bits > self.pool.balance_bits:
+        pool = self.pool
+        pool.accrue(now_ms)
+        if n_bits > pool.balance_bits:
             self.events.append(KmsEvent(now_ms, "rent_fail", self.replica_id, "-", n_bits,
-                                        self.pool.balance_bits))
-            raise InsufficientEntropy(
-                f"requested {n_bits} bits, balance {self.pool.balance_bits}"
-            )
-        self.pool = replace(self.pool, balance_bits=self.pool.balance_bits - n_bits)
+                                        pool.balance_bits))
+            raise InsufficientEntropy(f"requested {n_bits} bits, balance {pool.balance_bits}")
+        pool.balance_bits -= n_bits
         key_id = self._new_key_id()
-        # key material comes in whole 64-bit words: the same bytes as
-        # Generator.bytes, which at lengths taking an odd number of 32-bit
-        # words would also buffer a half-word for the next key id
-        n_bytes = (n_bits + 7) // 8
-        record = KeyRecord(
-            key_id=key_id,
-            key_bits=draw_bytes(self._rng, (n_bytes + 7) // 8 * 8)[:n_bytes],
-        )
+        record = KeyRecord(key_id=key_id, key_bits=draw_bytes(self._rng, (n_bits + 7) // 8))
         self.keys[key_id] = record
         self.events.append(KmsEvent(now_ms, "rent", self.replica_id, key_id, n_bits,
-                                    self.pool.balance_bits))
+                                    pool.balance_bits))
         return record
 
     def retire(self, key_id: str, now_ms: int = 0) -> None:

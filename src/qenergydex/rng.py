@@ -35,20 +35,13 @@ def substream(root_seed: int, *labels: str | int) -> np.random.Generator:
 
 
 def draw_bytes(rng: np.random.Generator, n: int) -> bytes:
-    """``n`` random bytes from whole 64-bit words of ``rng``'s bit generator.
+    """The first ``n`` bytes of ceil(n/8) whole 64-bit words of ``rng``'s bit generator.
 
-    ``Generator.bytes(n)`` draws ceil(n/4) 32-bit words, and PCG64 serves
-    them as the low, then the high half of each 64-bit word, keeping an
-    unused high half buffered for the next 32-bit draw. This draw equals
-    ``rng.bytes(n)``, and leaves the bit generator in the same state, when
-    ceil(n/4) is even and no half-word is buffered on entry. None is when
-    every earlier draw from ``rng`` took whole 64-bit words, as
-    ``draw_bytes`` and float draws do; ``integers`` over a range below
-    2**32 takes 32-bit words, as ``Generator.bytes`` does. A length whose
-    ``Generator.bytes`` takes an odd number of 32-bit words (ceil(n/4) odd,
-    or n < 1, which takes one) raises ValueError: that draw buffers its
-    last high half, so the two streams would part from there on.
+    Each word is laid out little-endian, low half first, as
+    ``Generator.bytes`` serves its 32-bit words. So when every earlier draw
+    took whole words, the bytes are those of ``rng.bytes(n)``, and when
+    ceil(n/4) is even the generator state after the draw is too.
     """
-    if n < 1 or (n + 3) // 4 % 2:
-        raise ValueError(f"Generator.bytes({n}) takes an odd number of 32-bit words")
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     return rng.bit_generator.random_raw((n + 7) // 8).astype("<u8").tobytes()[:n]

@@ -170,6 +170,17 @@ def test_params_validation():
             simulate_pool([p], max_events=bad)
 
 
+def test_params_refuse_non_finite_rates():
+    # refused at construction, not deep inside stationary_distribution with
+    # an invalid-value warning or a math domain error
+    for bad in (math.inf, math.nan):
+        for rates in ((bad, 1.0, 1.0), (1.0, bad, 1.0), (1.0, 1.0, bad)):
+            with pytest.raises(ValueError, match="finite and positive"):
+                BirthDeathParams(*rates, capacity=5)
+    with pytest.raises(ValueError, match="finite and positive"):
+        BirthDeathParams.from_rho(math.inf, 10)
+
+
 # ---------------------------------------------------------------------------
 # the scan kernel vs a scalar loop of the same uniformized chain
 # ---------------------------------------------------------------------------

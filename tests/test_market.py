@@ -1003,13 +1003,14 @@ def test_bus_space_matches_prosumer_space(instance):
         assert_within(grid_response(grid, prosumers, u), p, alpha * (np.abs(h).T @ u))
         assert_within(grid.flows(p), h @ p, np.abs(h) @ np.abs(p))
         raw = alpha * (pi - prices)
-        # the descent's M over the free followers F, and the Newton M
+        # the descent's M over the free followers F, which is also the
+        # Newton M, and M at fractional weights
         free = np.abs(raw) < pmax
         h_free = h[:, free]
         assert_within(grid.sensitivity(np.where(free, alpha, 0.0)),
                       (h_free * alpha[free]) @ h_free.T,
                       (np.abs(h_free) * alpha[free]) @ np.abs(h_free).T)
-        w = market._smoothed_activity(raw, pmax) * alpha
+        w = rng.random(alpha.size) * alpha
         assert_within(grid.sensitivity(w), (h * w) @ h.T, (np.abs(h) * w) @ np.abs(h).T)
     keep = np.arange(0, len(prosumers), 3)
     sub = grid.restrict(keep)

@@ -191,3 +191,51 @@ def test_run_to_quiescence_counts_deliveries():
     assert got == list(range(11))
     assert net.now_ms == 900.0
     assert net.run_to_quiescence() == 0
+
+
+def _run_per_event_time(net):
+    # the oracle: one run_until per distinct event time
+    delivered = 0
+    while net._queue:
+        delivered += len(net.run_until(net._queue[0][0] / 1000.0))
+    return delivered
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_run_to_quiescence_matches_the_per_event_time_loop(seed):
+    # timers on a whole-millisecond grid and zero-jitter messages that land
+    # on it too, so many events tie in time; handlers and timers schedule
+    # more sends and timers, some of them in the past
+    def run(drive):
+        rng = np.random.default_rng(seed)
+        net = Network(seed=seed, default_link=LinkModel(d0_ms=2.0, jitter_max_ms=0.0))
+        log = []
+
+        def spawn(depth):
+            for _ in range(int(rng.integers(0, 3)) if depth < 4 else 0):
+                if rng.random() < 0.5:
+                    net.send("a", str(rng.choice(["a", "b"])), depth + 1)
+                else:
+                    t_ms = net.now_ms + float(rng.integers(-1, 4))
+                    net.call_at(t_ms, (lambda d: lambda: on_timer(d))(depth + 1))
+
+        def on_timer(depth):
+            log.append(("timer", net.now_ms, depth))
+            spawn(depth)
+
+        def on_msg(n, ev):
+            log.append((ev.dst, n.now_ms, ev.seq, ev.payload))
+            spawn(ev.payload)
+
+        net.register_node("a", on_msg)
+        net.register_node("b", on_msg)
+        for _ in range(30):
+            if rng.random() < 0.5:
+                net.send("a", "b", 0)
+            else:
+                net.call_at(float(rng.integers(0, 20)), lambda: on_timer(0))
+        return drive(net), log, net.now_ms
+
+    waves = run(Network.run_to_quiescence)
+    assert waves == run(_run_per_event_time)
+    assert waves[0] == len(waves[1]) > 30

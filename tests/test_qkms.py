@@ -15,7 +15,6 @@ from qenergydex.qkms import (
     UnknownKey,
     rate_adapt_step,
     run_rate_controller,
-    step_bucket,
 )
 from qenergydex.rng import substream
 
@@ -40,7 +39,13 @@ def test_step_bucket_inside_bounds():
 
 def test_step_bucket_capacity_clamp():
     s = KeyPoolState(balance_bits=1150, capacity_bits=1200, gen_rate_bps=500_000.0)
-    assert step_bucket(s, 1).balance_bits == 1200
+    s.accrue(1)
+    assert (s.balance_bits, s.clock_ms) == (1200, 1)
+    # a time at or before the clock changes nothing
+    s.balance_bits = 0
+    for now in (1, 0):
+        s.accrue(now)
+        assert (s.balance_bits, s.clock_ms) == (0, 1)
 
 
 def test_step_bucket_exact_depletion():
@@ -54,10 +59,9 @@ def test_step_bucket_over_consumption_clamps_at_zero():
     # emptied pool stays at zero
     kms = KmsReplica(0, KeyPoolState(balance_bits=100, capacity_bits=1200, gen_rate_bps=0.0), seed=1)
     kms.rent(100, now_ms=1)
-    pool = kms.pool
     with pytest.raises(InsufficientEntropy):
         kms.rent(1, now_ms=1)
-    assert kms.pool == pool and pool.balance_bits == 0
+    assert (kms.pool.balance_bits, kms.pool.clock_ms) == (0, 1)
     assert len(kms.keys) == 1
     # the refused rent drew nothing: the next key is a fresh replica's second
     kms.pool = fresh_pool = KeyPoolState(balance_bits=512, capacity_bits=1200, gen_rate_bps=0.0)
@@ -87,6 +91,20 @@ def test_bucket_never_leaves_bounds_random_walk():
                 kms.rent(n_bits, now)
         assert kms.pool.balance_bits == balance
         assert 0 <= balance <= 1000
+
+
+def test_replicas_never_change_the_pool_they_were_given():
+    # each replica copies its pool: two replicas built from one rent and
+    # accrue independently, and the caller's object keeps its values
+    pool = KeyPoolState(balance_bits=500, capacity_bits=1000, gen_rate_bps=100_000.0)
+    a, b = KmsReplica(0, pool, seed=1), KmsReplica(1, pool, seed=1)
+    a.rent(400, now_ms=1)                 # 500 + 100 - 400
+    b.rent(50, now_ms=3)                  # 500 + 300 - 50
+    with pytest.raises(InsufficientEntropy):
+        a.rent(300, now_ms=1)
+    assert (a.pool.balance_bits, a.pool.clock_ms) == (200, 1)
+    assert (b.pool.balance_bits, b.pool.clock_ms) == (750, 3)
+    assert pool == KeyPoolState(balance_bits=500, capacity_bits=1000, gen_rate_bps=100_000.0)
 
 
 def test_pool_state_validation():

@@ -59,11 +59,15 @@ def test_draw_bytes_matches_generator_bytes():
         assert _pcg_state(fast) == _pcg_state(slow)
 
 
-def test_draw_bytes_rejects_odd_word_counts():
-    # Generator.bytes would buffer a half-word here, so later draws would part
-    rng = substream(1, "bytes")
-    before = _pcg_state(rng)
-    for n in (0, 1, 4, 9, 12, 20, 28):
+def test_draw_bytes_at_odd_word_counts_takes_whole_words():
+    # where Generator.bytes would take an odd number of 32-bit words, the
+    # draw is the leading bytes of the whole-word draw and moves the stream
+    # as that draw does
+    for n in (1, 4, 9, 12, 20, 28):
+        part, whole = substream(n, "bytes"), substream(n, "bytes")
+        leading = draw_bytes(whole, (n + 7) // 8 * 8)[:n]
+        assert draw_bytes(part, n) == leading == substream(n, "bytes").bytes(n)
+        assert _pcg_state(part) == _pcg_state(whole)
+    for n in (0, -1):
         with pytest.raises(ValueError):
-            draw_bytes(rng, n)
-    assert _pcg_state(rng) == before
+            draw_bytes(substream(1, "bytes"), n)
