@@ -32,6 +32,10 @@ echo '{"kms": {"fixed_fraction": 1.0, "gamma0": 0.99}}' > out/rate-adapt-gamma09
 # capacity 12: the key-pool walk's rows are shorter than _SCAN_COLS
 echo '{"keypool": {"capacity": 12}}' > out/keypool-capacity12.json
 "${run[@]}" keypool --check --config out/keypool-capacity12.json --out out/keypool-capacity12
+# the empty share's law at and above rho = 1, where rho^j overflows and
+# the stationary mass sits at the empty end
+echo '{"keypool": {"rhos": [0.5, 1.0, 1.5], "capacity": 12}}' > out/keypool-rho-above1.json
+"${run[@]}" keypool --check --config out/keypool-rho-above1.json --out out/keypool-rho-above1
 # each load factor of the paper run alone (out/keypool-rho099 is rho = 0.99):
 # every row runs on the same draw, and each one-row table2.csv must equal
 # that row of the paper run, so no row depends on the others

@@ -16,19 +16,14 @@ the local balance recursion pi_s * lambda*k = pi_(s-1) * mu that defines
 this chain.
 
 The Monte Carlo check ``simulate_pool`` runs the chain uniformized at the
-constant rate mu + lambda*k (Jensen 1953): each event steps the pool by +1
-or -1, clamped to [0, M]. A clamped step (a birth at capacity, a death when
-empty) is a self-loop. Self-loops count as events, and they leave the
-stationary distribution unchanged. The holding times are i.i.d. and
-independent of the path, so the share of events spent in a state is the
-conditional mean, given the path, of the time-weighted occupancy
-(conditional Monte Carlo); no holding time is drawn. Clamp maps compose
-into clamp maps, so each chunk of events is computed by a scan in numpy
-rather than one event at a time. The run splits into equal-event-count
-epochs for the Wilson interval, and memory stays O(block) whatever the
-event count. One call runs several chains (say, one per load factor) on
-one draw of uniforms, as common random numbers: each chain's result is
-the one it would get alone.
+constant rate mu + lambda*k (Jensen 1953), several chains on one draw of
+uniforms, and counts the events that start in each state; clamp maps
+compose into clamp maps, so each chunk of events is one scan in numpy. The
+empty share has an exact noise law (``empty_share_law``; Kemeny & Snell,
+*Finite Markov Chains*, 1960, ch. 4) and a batch-means interval (Asmussen &
+Glynn, *Stochastic Simulation*, 2007, ch. IV). A run with no empty visit,
+such as rho = 0.9 at M = 200 where pi_0 is about 7e-11, has the interval
+[0, 0]; its check rests on the law.
 """
 
 from __future__ import annotations
@@ -41,7 +36,6 @@ from numbers import Integral
 import numpy as np
 
 from .rng import substream
-from .stats import wilson_interval
 
 __all__ = [
     "BirthDeathParams",
@@ -50,6 +44,7 @@ __all__ = [
     "stationary_oracle",
     "min_capacity",
     "exact_min_capacity",
+    "empty_share_law",
     "simulate_pool",
     "PoolSimResult",
 ]
@@ -187,20 +182,44 @@ def exact_min_capacity(rho: float, target_pi0: float) -> int:
     return lo
 
 
+def empty_share_law(p: BirthDeathParams, n: int) -> tuple[float, float, float]:
+    """(pi_0, bias, sigma/sqrt(n)): to first order, the mean pi_0 + bias and
+    the SD of the empty share of n events from the full state.
+
+    With b = lambda*k / (mu + lambda*k) and pi(>=j) the stationary tail, the
+    mean first passage from i to 0 has pi_0 m_i0 = sum_{j<=i} rho^j pi(>=j) / b.
+    With S = sum_i pi_i pi_0 m_i0 the fundamental matrix has Z_00 = pi_0 + S
+    and Z_M0 = Z_00 - pi_0 m_M0 (Kemeny & Snell 1960, ch. 4), so sigma^2 =
+    2 pi_0 S - pi_0 (1 - pi_0) and the bias is (S - pi_0 m_M0) / n, summed from
+    terms of one sign. rho^j pi(>=j) is formed from logs, as rho^j overflows
+    above rho = 1 and pi(>=j) underflows. O(M).
+    """
+    M = p.capacity
+    b = p.lam * p.k / (p.mu + p.lam * p.k)
+    pi = stationary_distribution(p).pi
+    log_rho = math.log(p.rho)
+    # the log of the sum over s >= j of the weights rho^(M-s), j = 0..M
+    tail = np.logaddexp.accumulate(np.arange(M + 1) * log_rho)[::-1]
+    x = np.exp(np.arange(1, M + 1) * log_rho + tail[1:] - tail[0]) / b   # rho^j pi(>=j) / b
+    S = float(pi[1:] @ np.cumsum(x))
+    bias = -float(pi[:-1] @ np.cumsum(x[::-1])[::-1]) / n
+    return float(pi[0]), bias, math.sqrt(pi[0] * (2.0 * S - 1.0 + pi[0]) / n)
+
+
 @dataclass(frozen=True)
 class PoolSimResult:
-    """Monte Carlo outcome: occupancy and empty-state stats. The share of
-    visits is, given the path, the conditional mean of the time-weighted
-    occupancy: the uniformized chain's holding times are i.i.d. and
-    independent of the path."""
+    """Monte Carlo outcome of one chain: visit shares and empty-state stats."""
 
     empty_fraction: float       # visits[0]
     visits: np.ndarray          # share of events spent in each state, sums to 1
-    wilson_ci: tuple[float, float]
+    batch_empties: np.ndarray   # events that start empty in each of the _BATCHES batches
+    batch_ci: tuple[float, float]   # batch-means 95% t interval around empty_fraction
 
 
 # events per chunk: direction uniforms are drawn, scanned and tallied this many at a time
 _BLOCK = 65_536
+_BATCHES = 20       # equal event batches of the batch-means interval
+_T95 = 2.093024     # Student's t at 0.975 for _BATCHES - 1 = 19 degrees of freedom
 # longest row of steps in _clamped_walk (rows are at most the capacity)
 _SCAN_COLS = 256
 
@@ -242,7 +261,6 @@ def simulate_pool(
     chains: Sequence[BirthDeathParams],
     seed: int = 0,
     max_events: int = 1_000_000,
-    n_epochs: int = 10_000,
 ) -> list[PoolSimResult]:
     """Continuous-time simulation of pool chains, uniformized, on one draw.
 
@@ -251,11 +269,10 @@ def simulate_pool(
     step that the clamp cancels (a birth at capacity, a death when empty)
     is a self-loop; it counts towards ``max_events`` like any other event,
     and it leaves the stationary distribution unchanged (Jensen 1953).
-    ``visits[s]`` is the share of the events that start in state s. The
-    holding times are i.i.d. Exp(mu + lambda*k) and independent of the
-    path, so this share is the conditional mean, given the path, of the
-    time-weighted occupancy (conditional Monte Carlo, Asmussen & Glynn
-    2007, ch. V); no holding time is drawn.
+    ``visits[s]`` is the share of the events that start in state s: given
+    the path, the mean time-weighted occupancy, as the holding times are
+    i.i.d. Exp(mu + lambda*k) (conditional Monte Carlo, Asmussen & Glynn
+    2007, ch. V).
 
     One draw drives every chain (common random numbers): event i of each
     chain reads the same direction uniform, so each chain's result equals
@@ -266,37 +283,42 @@ def simulate_pool(
     a chunk's direction uniforms are drawn once, and then each chain in
     turn steps through the chunk (the ±1 steps as int8, the states from a
     row scan of the clamp maps, ``_clamped_walk``) and tallies its visits
-    with one ``bincount``, carrying its state to the next chunk. So memory
-    is O(block) whatever ``max_events``, with one chain's path held at a
-    time. The Wilson 95% interval is computed over per-epoch empty
-    indicators: the run splits into ``n_epochs`` equal-event-count epochs
-    and each contributes the state observed at its boundary.
+    with ``bincount``, carrying its state to the next chunk. So memory is
+    O(block) whatever ``max_events``, with one chain's path held at a time.
+
+    Batch k of the n events starts at event k n // _BATCHES, so n must be at
+    least ``_BATCHES``; each chunk's ``bincount`` is split at the batch edges
+    in it. ``batch_ci`` is the empty share plus or minus ``_T95`` standard
+    errors of the batches' empty shares, within [0, 1] (batch means, Asmussen
+    & Glynn 2007, ch. IV): [0, 0] if no event starts empty.
     """
-    if max_events < 1:
-        raise ValueError("max_events must be >= 1")
+    if max_events < _BATCHES:
+        raise ValueError(f"max_events must be >= {_BATCHES}, one event per batch")
     rng = substream(seed, "keypool")
     up = [p.mu / (p.mu + p.lam * p.k) for p in chains]
     states = [p.capacity for p in chains]
     counts = [np.zeros(p.capacity + 1, dtype=np.int64) for p in chains]
-    empties = [0] * len(chains)
-    epoch_stride = max(1, max_events // max(1, n_epochs))
+    empties = [np.zeros(_BATCHES, dtype=np.int64) for _ in chains]
+    edges = np.arange(_BATCHES + 1) * max_events // _BATCHES
 
     for events in range(0, max_events, _BLOCK):
         n = min(_BLOCK, max_events - events)
         u_dir = rng.random(n)
-        # step i of the chunk is event events + i + 1 of the run; an epoch
-        # ends at each event number that is a multiple of the stride
-        first = (-(events + 1)) % epoch_stride
+        # the batches that meet the chunk, each as (batch, start, stop) in it
+        cuts = np.clip(edges - events, 0, n).tolist()
+        pieces = [(k, lo, hi) for k, (lo, hi) in enumerate(zip(cuts, cuts[1:])) if lo < hi]
         for c, p in enumerate(chains):
             path = _clamped_walk(states[c], (u_dir < up[c]).view(np.int8) * 2 - 1, p.capacity)
-            counts[c] += np.bincount(path[:n], minlength=len(counts[c]))
-            empties[c] += int(np.count_nonzero(path[first + 1 :: epoch_stride] == 0))
+            for k, lo, hi in pieces:
+                seen = np.bincount(path[lo:hi], minlength=len(counts[c]))
+                counts[c] += seen
+                empties[c][k] += seen[0]
             states[c] = int(path[n])
 
-    # the stride is at most max_events, so the run sees at least one epoch
-    epoch_count = max_events // epoch_stride
     results = []
-    for visited, k in zip(counts, empties):
+    for visited, batched in zip(counts, empties):
         visits = visited / max_events
-        results.append(PoolSimResult(float(visits[0]), visits, wilson_interval(k, epoch_count)))
+        share = float(visits[0])
+        half = _T95 * float(np.std(batched / np.diff(edges), ddof=1)) / math.sqrt(_BATCHES)
+        results.append(PoolSimResult(share, visits, batched, (max(0.0, share - half), min(1.0, share + half))))
     return results

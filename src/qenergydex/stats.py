@@ -1,9 +1,4 @@
-"""Small-sample statistics helpers: Wilson intervals, DKW bands, ECDFs.
-
-The Wilson interval is used for binomial proportions that may be exactly
-zero (empty-pool observations); the Dvoretzky-Kiefer-Wolfowitz band gives
-distribution-free confidence envelopes around empirical CDFs.
-"""
+"""ECDFs with their distribution-free Dvoretzky-Kiefer-Wolfowitz bands."""
 
 from __future__ import annotations
 
@@ -12,31 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["wilson_interval", "dkw_halfwidth", "Ecdf", "ecdf"]
-
-# z for a two-sided 95% interval; fixed rather than recomputed so that
-# emitted tables are bit-stable across platforms.
-_Z95 = 1.96
-
-
-def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
-    """Two-sided 95% Wilson score interval for a binomial proportion.
-
-    Remains informative at the extremes: with zero successes the upper
-    bound is z^2 / (n + z^2), z = 1.96, rather than collapsing to [0, 0].
-    """
-    if trials <= 0:
-        raise ValueError("trials must be positive")
-    if not 0 <= successes <= trials:
-        raise ValueError("successes must lie in [0, trials]")
-    n = float(trials)
-    p = successes / n
-    z = _Z95
-    z2 = z * z
-    denom = 1.0 + z2 / n
-    center = (p + z2 / (2.0 * n)) / denom
-    half = (z / denom) * math.sqrt(p * (1.0 - p) / n + z2 / (4.0 * n * n))
-    return (max(0.0, center - half), min(1.0, center + half))
+__all__ = ["dkw_halfwidth", "Ecdf", "ecdf"]
 
 
 def dkw_halfwidth(n: int) -> float:

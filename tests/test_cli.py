@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import qenergydex
-from qenergydex import market, qkms
+from qenergydex import cli, keypool, market, qkms
 from qenergydex.cli import (
     _CSV_BLOCK,
     _HARNESS_KEYS,
@@ -93,19 +93,23 @@ def test_column_writer_shares_repeated_and_broadcast_columns(tmp_path):
         assert written.count(b"\n") == rows + 1
 
 
-def test_column_writer_stages_one_block_at_a_time(tmp_path):
-    columns = list(np.random.default_rng(5).random((7, 200_000)))
+def test_column_writer_stages_one_block_at_a_time(tmp_path, monkeypatch):
+    # about 49 blocks, as 200,000 rows make at the default block of 4096
+    rows = 12_500
+    monkeypatch.setattr(cli, "_CSV_BLOCK", 256)
+    columns = list(np.random.default_rng(5).random((7, rows)))
     # a column passed twice and a broadcast column are staged per block too
-    columns += [columns[0], np.broadcast_to(0.1, (200_000,))]
+    columns += [columns[0], np.broadcast_to(0.1, (rows,))]
     tracemalloc.start()
     try:
         _write_csv(tmp_path / "big.csv", ",".join("abcdefghi"), *columns)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # every row at once stages about 45 MB of Python floats and strings
-    assert peak < 8e6
-    assert (tmp_path / "big.csv").read_bytes().count(b"\n") == 200_001
+    # block by block peaks near 0.16 MB; every row at once stages about 7 MB
+    # of Python floats and strings
+    assert peak < 1e6
+    assert (tmp_path / "big.csv").read_bytes().count(b"\n") == rows + 1
 
 
 def test_column_writer_rejects_unequal_lengths(tmp_path):
@@ -140,7 +144,7 @@ def test_default_config_is_pinned_and_each_key_declared_once():
     # the digest of the literal DEFAULT_CONFIG that the table replaced
     text = json.dumps(DEFAULT_CONFIG, sort_keys=True, indent=2)
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "2bfc0ba664d2e7780178d898b109df14e9cc5616b52976092cc00452862a99ab")
+        "cc769c2e7ab156ad10896f4ab42057f69daaf5d6d56ec950c4fe5c977dcba8c3")
     param_fields = {section: {f.name for f in fields(cls)} for cls, section in _PARAM_SECTIONS.items()}
     for section, keys in DEFAULT_CONFIG.items():
         if section != "seed":
@@ -170,6 +174,9 @@ def test_config_errors_exit_with_status_2(tmp_path, capsys):
         # after the manifest was written
         {"seed": 2 ** 127},
         {"seed": -2 ** 127 - 1},
+        # a key that is gone: the key pool's interval comes from event
+        # batches, not from epochs
+        {"keypool": {"n_epochs": 100000}},
     )
     for doc in docs:
         path = tmp_path / "bad.json"
@@ -183,6 +190,7 @@ def test_config_errors_exit_with_status_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("config error") == 2 * len(docs) + 3
     assert "unknown key consensus.mode" in err
+    assert "unknown key keypool.n_epochs" in err
     assert "must be a JSON object, got list" in err
     assert "must be a JSON object, got NoneType" in err
     assert "seed must be an integer in [-2**127, 2**127), got True" in err
@@ -221,6 +229,9 @@ def test_harness_key_errors_exit_with_status_2(tmp_path, capsys):
         # each of these passed every check on an empty or one-row output
         ("keypool", {"keypool": {"curve_points": 1}},
          "keypool.curve_points must be an integer >= 2, got 1"),
+        # fewer events than batches: an empty batch, a division by zero
+        ("keypool", {"keypool": {"max_events": 19}},
+         "keypool.max_events must be >= 20, one event per batch, got 19"),
         ("full-stack", {"full_stack": {"n_handshakes": 0}},
          "full_stack.n_handshakes must be an integer >= 1, got 0"),
         # a trace of no samples: died after the manifest, in QberTrace
@@ -292,6 +303,8 @@ BAD_VALUES = {
     "in [0, 1)": (-0.01, 1, 1.0, *INFINITIES),
     # each passes "> 0", and each rounds to a trace of no samples
     "long enough for one 1 kHz sample (> 0.0005)": (0.0004, 0.0005, 1e-300),
+    # each passes "an integer >= 1"
+    ">= 20, one event per batch": (1, 19),
 }
 
 
@@ -490,10 +503,10 @@ def test_porlite_finality_marker_holds_at_every_security_level(tmp_path, capsys)
 # moves any byte of table2.csv or of the PoR-Lite curves fails here
 MONTE_CARLO_PINS = {
     ("keypool", "paper"): {
-        "table2.csv": "046f05b38ad8f6420a79253708747586d94f73c77519b75784f255f99ccbf68b",
+        "table2.csv": "148a38cd49868023e4f93695351325a078223fa3264751f7ae604fe563b3481e",
     },
     ("keypool", "capacity 12"): {
-        "table2.csv": "02d29479dc57570609fdd2a0c156cb55dd53583ed37e492b608821a594679a86",
+        "table2.csv": "b030e57c11b91122a55ce3f73acef2be87ceacdf43321311ec781f9616559f13",
     },
     ("porlite", "paper"): {
         "cp_violation.csv": "8c932459e0e5c812ffd5d54130f94639f65ee1b30dda50f9b355e9595ecfdeaa",
@@ -533,6 +546,21 @@ def test_monte_carlo_outputs_pinned(tmp_path, command, variant):
         for name in MONTE_CARLO_PINS[command, variant]
     }
     assert digests == MONTE_CARLO_PINS[command, variant]
+
+
+def test_keypool_check_fails_on_the_law_of_another_load_factor(tmp_path, monkeypatch, capsys):
+    # the rho = 0.99 walk at the paper config, scored against the law of
+    # rho = 0.98: pi_0 0.00154 against 0.00036, about 6 sigma/sqrt(n) apart
+    path = tmp_path / "rho099.json"
+    path.write_text(json.dumps({"keypool": {"rhos": [0.99]}}))
+    assert main(["keypool", "--check", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    law = cli.empty_share_law
+    monkeypatch.setattr(cli, "empty_share_law", lambda p, n: law(
+        keypool.BirthDeathParams.from_rho(0.98, p.capacity, mu=p.mu), n))
+    assert main(["keypool", "--check", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+    out = capsys.readouterr().out
+    assert "[PASS] every empirical share within z sigma/sqrt(n) of pi_0 + bias" in out
+    assert "[FAIL] every empirical share within z sigma/sqrt(n) of pi_0 + bias" in out
 
 
 # SHA-256 of full-stack's pipeline_report.json at a reduced config. The KMS

@@ -1,21 +1,25 @@
 import math
+import statistics
+import warnings
+from bisect import bisect_right
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from qenergydex import keypool
 from qenergydex.keypool import (
     BirthDeathParams,
     StationaryDistribution,
+    empty_share_law,
     exact_min_capacity,
     min_capacity,
     simulate_pool,
     stationary_distribution,
     stationary_oracle,
 )
-from qenergydex.keypool import _BLOCK, _SCAN_COLS, _clamped_walk
+from qenergydex.keypool import _BATCHES, _BLOCK, _SCAN_COLS, _T95, _clamped_walk
 from qenergydex.rng import substream
-from qenergydex.stats import wilson_interval
 
 # published empty-pool probabilities at capacity 200
 TABLE_PI0 = {0.99: 1.545e-3, 0.999: 4.494e-3, 0.9999: 4.926e-3}
@@ -130,23 +134,28 @@ def test_capacity_bound_is_conservative_above_half_load():
 
 def test_simulation_near_certain_fullness():
     p = BirthDeathParams.from_rho(0.01, 50)
-    (res,) = simulate_pool([p], seed=1, max_events=10**6, n_epochs=1000)
+    (res,) = simulate_pool([p], seed=1, max_events=10**6)
     assert res.empty_fraction == 0.0
+    assert res.batch_ci == (0.0, 0.0)
 
 
-def test_simulation_wilson_covers_theory_at_low_rho():
-    # stable pool: zero empties observed, Wilson upper bound dominates the
-    # tiny theoretical probability
+def test_simulation_without_an_empty_visit_rests_on_the_law():
+    # stable pool: no empty visit, so the batch interval is [0, 0] and lies
+    # below pi_0 = 7e-11; the law's band, z sigma/sqrt(n) around pi_0 + bias
+    # with z for 1% on one row, holds the zero
     p = BirthDeathParams.from_rho(0.9, 200)
-    theo = stationary_distribution(p).empty_probability
-    (res,) = simulate_pool([p], seed=2, max_events=500_000, n_epochs=50_000)
+    (res,) = simulate_pool([p], seed=2, max_events=500_000)
     assert res.empty_fraction == 0.0
-    assert res.wilson_ci[1] >= theo
+    assert res.batch_ci == (0.0, 0.0)
+    assert not res.batch_empties.any()
+    pi0, bias, sd = empty_share_law(p, 500_000)
+    assert pi0 == stationary_distribution(p).empty_probability
+    assert abs(res.empty_fraction - pi0 - bias) <= statistics.NormalDist().inv_cdf(0.995) * sd
 
 
 def test_simulation_histogram_converges_to_closed_form():
     p = BirthDeathParams.from_rho(0.5, 20)
-    (res,) = simulate_pool([p], seed=3, max_events=10**7, n_epochs=10_000)
+    (res,) = simulate_pool([p], seed=3, max_events=10**7)
     tv = 0.5 * float(np.abs(res.visits - stationary_distribution(p).pi).sum())
     assert tv <= 0.01
 
@@ -165,8 +174,9 @@ def test_params_validation():
     with pytest.raises(ValueError, match="rho"):
         BirthDeathParams.from_rho(nan, 10)
     p = BirthDeathParams(mu=100.0, lam=50.0, k=1.0, capacity=10)
-    for bad in (0, -1):
-        with pytest.raises(ValueError):
+    # fewer events than batches leaves a batch empty
+    for bad in (0, -1, _BATCHES - 1):
+        with pytest.raises(ValueError, match="max_events must be >= 20"):
             simulate_pool([p], max_events=bad)
 
 
@@ -193,34 +203,42 @@ def loop_clamped_walk(x0, steps, M):
     return np.asarray(path, dtype=np.int64)
 
 
-def loop_uniformized_pool(p, seed=0, max_events=1_000_000, n_epochs=10_000):
+def loop_uniformized_pool(p, seed=0, max_events=1_000_000):
     """One event at a time, on the same direction uniforms as simulate_pool,
-    drawn a whole block at a time; visits are counted, no time is drawn."""
+    drawn a whole block at a time; visits are counted, no time is drawn, and
+    each event that starts empty is counted in its batch, the one whose first
+    event k * max_events // _BATCHES is the last at or before it."""
     rng = substream(seed, "keypool")
     M = p.capacity
     up = p.mu / (p.mu + p.lam * p.k)
     state = M
     visits = np.zeros(M + 1, dtype=np.int64)
-    stride = max(1, max_events // max(1, n_epochs))
-    marks = []
+    firsts = [k * max_events // _BATCHES for k in range(_BATCHES)]
+    zeros = [0] * _BATCHES
     for event in range(max_events):
         if event % _BLOCK == 0:
             u_dir = rng.random(_BLOCK)
         step = 1 if u_dir[event % _BLOCK] < up else -1
         visits[state] += 1
+        if state == 0:
+            zeros[bisect_right(firsts, event) - 1] += 1
         state = min(M, max(0, state + step))
-        if (event + 1) % stride == 0:
-            marks.append(state)
-    ci = wilson_interval(sum(1 for x in marks if x == 0), len(marks))
-    return visits / max_events, ci
+    return visits / max_events, zeros
 
 
 def assert_matches_loop(p, **kw):
     (fast,) = simulate_pool([p], **kw)
-    visits, ci = loop_uniformized_pool(p, **kw)
-    assert fast.wilson_ci == ci   # same epoch-boundary states
+    visits, zeros = loop_uniformized_pool(p, **kw)
+    assert fast.batch_empties.tolist() == zeros
     assert fast.visits.tobytes() == visits.tobytes()
     assert fast.empty_fraction == fast.visits[0]
+    # the t interval from the loop's batch counts: the share plus or minus
+    # t standard errors of the batch shares, within [0, 1]
+    n = kw["max_events"]
+    sizes = [(k + 1) * n // _BATCHES - k * n // _BATCHES for k in range(_BATCHES)]
+    half = _T95 * statistics.stdev(z / size for z, size in zip(zeros, sizes)) / math.sqrt(_BATCHES)
+    assert fast.batch_ci == pytest.approx((max(0.0, visits[0] - half), min(1.0, visits[0] + half)),
+                                          rel=1e-12, abs=1e-15)
 
 
 def test_clamped_walk_matches_loop():
@@ -239,13 +257,16 @@ def test_simulation_matches_uniformized_loop_small_capacity():
     for M in range(1, 13):
         rho = float(rng.choice([0.3, 0.9, 1.0, 1.5, 4.0]))
         p = BirthDeathParams.from_rho(rho, M, mu=10.0)
-        assert_matches_loop(p, seed=M, max_events=3_001, n_epochs=97)
+        # 3001 events in one chunk: every batch edge falls mid-chunk, and
+        # _BATCHES does not divide the count
+        assert_matches_loop(p, seed=M, max_events=3_001)
 
 
 def test_simulation_matches_loop_across_chunks():
-    # three chunks; the epoch stride (20_153) does not divide the chunk
+    # three chunks; batches of 7053 or 7054 events, so batch 9 spans the
+    # first chunk edge and batch 18 the second
     p = BirthDeathParams.from_rho(0.95, 7, mu=10.0)
-    assert_matches_loop(p, seed=5, max_events=2 * _BLOCK + 10_000, n_epochs=7)
+    assert_matches_loop(p, seed=5, max_events=2 * _BLOCK + 10_000)
 
 
 def test_clamped_walk_one_barrier_rows_match_loop():
@@ -274,24 +295,25 @@ def test_chains_on_one_draw_equal_their_own_runs():
     # bytes of its call alone
     chains = [BirthDeathParams.from_rho(rho, M, mu=10.0)
               for rho, M in ((0.9, 1), (0.99, 200), (1.5, 12), (0.9, 200), (0.9, 1))]
-    kw = dict(seed=4, max_events=_BLOCK + 4_001, n_epochs=33)
+    kw = dict(seed=4, max_events=_BLOCK + 4_001)
     alone = {p: simulate_pool([p], **kw)[0] for p in chains}
     for order in (chains, chains[::-1]):
         together = simulate_pool(order, **kw)
         assert len(together) == len(order)
         for p, res in zip(order, together):
             assert res.visits.tobytes() == alone[p].visits.tobytes()
-            assert res.wilson_ci == alone[p].wilson_ci
+            assert res.batch_empties.tobytes() == alone[p].batch_empties.tobytes()
+            assert res.batch_ci == alone[p].batch_ci
             assert res.empty_fraction == alone[p].empty_fraction
 
 
 def test_each_chain_of_one_call_matches_the_loop_across_chunks():
     # three chunks, each chain its own state and occupancy across them
     chains = [BirthDeathParams.from_rho(rho, M, mu=10.0) for rho, M in ((0.95, 7), (1.5, 3), (0.5, 12))]
-    kw = dict(seed=5, max_events=2 * _BLOCK + 10_000, n_epochs=7)
+    kw = dict(seed=5, max_events=2 * _BLOCK + 10_000)
     for p, fast in zip(chains, simulate_pool(chains, **kw)):
-        visits, ci = loop_uniformized_pool(p, **kw)
-        assert fast.wilson_ci == ci
+        visits, zeros = loop_uniformized_pool(p, **kw)
+        assert fast.batch_empties.tolist() == zeros
         assert fast.visits.tobytes() == visits.tobytes()
         assert fast.empty_fraction == fast.visits[0]
 
@@ -314,7 +336,7 @@ def test_one_direction_draw_per_chunk(monkeypatch):
     draws = []
     monkeypatch.setattr(keypool, "substream", lambda *a: CountingDraws(substream(*a), draws))
     chains = [BirthDeathParams.from_rho(rho, 7, mu=10.0) for rho in (0.9, 1.5)]
-    simulate_pool(chains, seed=6, max_events=2 * _BLOCK + 10_000, n_epochs=7)
+    simulate_pool(chains, seed=6, max_events=2 * _BLOCK + 10_000)
     assert draws == [_BLOCK, _BLOCK, 10_000]
 
 
@@ -330,3 +352,105 @@ def test_params_accept_numpy_integer_capacities():
     for capacity in (np.int64(3), np.int32(3), 3):
         p = BirthDeathParams.from_rho(0.5, capacity)
         assert len(stationary_distribution(p)) == 4
+
+
+# ---------------------------------------------------------------------------
+# the empty share's noise law and the batch-means interval
+# ---------------------------------------------------------------------------
+
+
+def uniformized_matrix(p):
+    """The transition matrix of simulate_pool's chain, clamped steps as self-loops."""
+    M = p.capacity
+    a = p.mu / (p.mu + p.lam * p.k)
+    P = np.zeros((M + 1, M + 1))
+    for s in range(M + 1):
+        P[s, min(M, s + 1)] += a
+        P[s, max(0, s - 1)] += 1 - a
+    return P
+
+
+def law_from(Z00, ZM0, pi0, n):
+    """(pi_0, bias, sigma/sqrt(n)) from two entries of the fundamental matrix."""
+    return pi0, (ZM0 - pi0) / n, math.sqrt(pi0 * (2 * Z00 - 1 - pi0) / n)
+
+
+@pytest.mark.parametrize("rho", [0.5, 0.9, 0.99, 0.999, 0.9999, 1.0, 1.5])
+@pytest.mark.parametrize("M", [3, 12, 50, 200])
+def test_law_matches_the_dense_fundamental_matrix(M, rho):
+    p = BirthDeathParams.from_rho(rho, M, mu=1000.0)
+    pi = stationary_distribution(p).pi
+    Z = np.linalg.inv(np.eye(M + 1) - uniformized_matrix(p) + np.outer(np.ones(M + 1), pi))
+    n = 2_000_000
+    pi0, bias, sd = empty_share_law(p, n)
+    dense = law_from(Z[0, 0], Z[M, 0], pi[0], n)
+    assert pi0 == pi[0]
+    assert sd == pytest.approx(dense[2], rel=1e-11)
+    # the bias where the dense solve has more than rounding noise to give
+    assert bias == pytest.approx(dense[1], rel=1e-10, abs=1e-12 * sd)
+
+
+@pytest.mark.parametrize("rho", [0.3, 0.9, 1.0, 1.5, 4.0])
+@pytest.mark.parametrize("M", [1, 2, 3, 5, 8])
+def test_law_matches_brute_force_sums_of_matrix_powers(M, rho):
+    # Z_i0 - pi_0 = sum over t >= 0 of (P^t)_i0 - pi_0, summed until the
+    # terms fall to rounding
+    p = BirthDeathParams.from_rho(rho, M, mu=10.0)
+    P = uniformized_matrix(p)
+    pi0 = stationary_distribution(p).empty_probability
+    rows = np.eye(M + 1)[[0, M]]     # the rows of P^t from 0 and from M
+    sums = np.zeros(2)
+    for _ in range(5000):
+        terms = rows[:, 0] - pi0
+        if np.abs(terms).max() < 1e-14:
+            break
+        sums += terms
+        rows = rows @ P
+    else:
+        pytest.fail("the terms did not fall to 1e-14 in 5000 steps")
+    n = 1000
+    expected = law_from(pi0 + sums[0], pi0 + sums[1], pi0, n)
+    assert empty_share_law(p, n) == pytest.approx(expected, rel=1e-9, abs=1e-15)
+
+
+@pytest.mark.parametrize("rho", [0.5, 1.0, 1.5])
+def test_law_is_finite_without_warnings_at_capacity_ten_thousand(rho):
+    # rho^j overflows above rho = 1 and pi(>=j) underflows below it
+    p = BirthDeathParams.from_rho(rho, 10_000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        law = empty_share_law(p, 2_000_000)
+    assert all(math.isfinite(v) for v in law)
+    assert law[2] >= 0.0
+    if rho > 1:
+        assert law[0] == pytest.approx(1 - 1 / rho)
+
+
+def test_t_quantile_literal():
+    assert _T95 == round(stats.t.ppf(0.975, _BATCHES - 1), 6)
+
+
+def test_batch_means_coverage_and_law_false_alarms_over_fixed_seeds():
+    # At the paper config (capacity 200, 2e6 events) a run holds only about
+    # 250 relaxation times of the chain near rho = 1, too few for batches of
+    # 1e5 events to be near independent, so its batch interval covers pi_0
+    # less often than 95% (CHANGES.md records by how much). Capacity 50 with
+    # 2e5 events holds about 400: each batch spans about 20.
+    chains = [BirthDeathParams.from_rho(rho, 50, mu=1000.0) for rho in (0.95, 0.99)]
+    n = 200_000
+    laws = [empty_share_law(p, n) for p in chains]
+    z = statistics.NormalDist().inv_cdf(1 - 0.01 / (2 * len(chains)))
+    seeds = range(1, 201)
+    covered = [0] * len(chains)
+    alarms = 0
+    for seed in seeds:
+        sims = simulate_pool(chains, seed=seed, max_events=n)
+        for c, (sim, (pi0, bias, sd)) in enumerate(zip(sims, laws)):
+            lo, hi = sim.batch_ci
+            covered[c] += lo <= pi0 <= hi
+        alarms += any(abs(sim.empty_fraction - pi0 - bias) > z * sd
+                      for sim, (pi0, bias, sd) in zip(sims, laws))
+    # each count against the two-sided 99.9% band of its binomial law
+    lo, hi = stats.binom.interval(0.999, len(seeds), 0.95)
+    assert all(lo <= k <= hi for k in covered), covered
+    assert alarms <= stats.binom.interval(0.999, len(seeds), 0.01)[1], alarms

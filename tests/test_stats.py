@@ -1,40 +1,8 @@
 import math
 
-import numpy as np
 import pytest
 
-from qenergydex.stats import dkw_halfwidth, ecdf, wilson_interval
-
-
-def test_wilson_zero_successes_upper_bound():
-    # closed form at zero successes: z^2 / (n + z^2)
-    lo, hi = wilson_interval(0, 10**6)
-    assert lo == 0.0
-    expected = 1.96**2 / (10**6 + 1.96**2)
-    assert hi == pytest.approx(expected, rel=1e-12)
-    assert hi == pytest.approx(3.8416e-6, rel=1e-3)
-
-
-def test_wilson_all_successes():
-    lo, hi = wilson_interval(50, 50)
-    assert hi == 1.0
-    assert 0.9 < lo < 1.0
-
-
-def test_wilson_contains_point_estimate():
-    rng = np.random.default_rng(7)
-    for _ in range(200):
-        n = int(rng.integers(1, 10**6))
-        k = int(rng.integers(0, n + 1))
-        lo, hi = wilson_interval(k, n)
-        assert 0.0 <= lo <= k / n <= hi <= 1.0
-
-
-def test_wilson_validation():
-    with pytest.raises(ValueError):
-        wilson_interval(1, 0)
-    with pytest.raises(ValueError):
-        wilson_interval(5, 4)
+from qenergydex.stats import dkw_halfwidth, ecdf
 
 
 def test_dkw_halfwidth_formula():

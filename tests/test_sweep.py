@@ -13,8 +13,8 @@ _spec = importlib.util.spec_from_file_location("sweep", ROOT / ".github" / "swee
 sweep = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(sweep)
 
-# at these configs, seed 4 fails market's BASE and WBASE checks, seed 6
-# rate-adapt's delivered-rate check, and seed 27 keypool's Wilson check
+# at these configs, seed 4 fails market's BASE and WBASE checks and seed 6
+# rate-adapt's delivered-rate check; keypool passes at all three
 SMALL = {
     "trace": {"duration_s": 5.0},
     "qsah": {"n_handshakes": 300, "batch_size": 100},
@@ -31,7 +31,7 @@ def test_sweep_records_the_failures_that_check_prints(tmp_path, capsys):
     seeds = (4, 6, 27)
     failures = sweep.sweep(seeds, str(path))
     assert {command for command, _check, _seed in sweep.failing(failures)} == {
-        "market", "keypool", "rate-adapt"}
+        "market", "rate-adapt"}
     for command in COMMANDS:
         for seed in seeds:
             argv = [command, "--check", "--config", str(path), "--seed", str(seed)]
